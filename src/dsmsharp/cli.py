@@ -52,27 +52,49 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline steps shared between subcommands
+# Pipeline stages: each subcommand runs one, run-all runs them in sequence
+# and hands the products on in memory
 # ---------------------------------------------------------------------------
 
 
-def _mask_products(dsm, cfg):
-    stack = build_stack(dsm, cfg.tophat)
-    mask = building_mask(stack)
-    contours = boundary_contours(stack)
-    contour_mask = raster.rasterize_contours(contours, dsm.values.shape)
-    return stack, mask, contours, contour_mask
+def _mask_stage(dsm, cfg, out=None):
+    """Building mask and its rasterised outer contours; written to out if given."""
+    mask = building_mask(dsm, cfg.tophat)
+    contour_mask = raster.rasterize_contours(boundary_contours(mask), dsm.values.shape)
+    if out is not None:
+        raster.save_mask(mask, out / "building_mask.pgm")
+        raster.save_mask(contour_mask, out / "boundary_contours.pgm")
+        logger.info("extract-mask: %d building pixels", mask.count())
+    return mask, contour_mask
 
 
-def _detect_products(ortho, stack, contour_mask, cfg):
-    gray = raster.grayscale(ortho)
-    raw = ln.detect_segments(gray, cfg.detector)
+def _lines_stage(dsm, ortho, contour_mask, cfg, out):
+    """Detect, filter and width-annotate the ortho's segments; the tophat
+    ladder is built here only, for the width indices."""
+    raw = ln.detect_segments(raster.grayscale(ortho), cfg.detector)
     filtered = ln.filter_segments(raw, contour_mask, cfg.boundary_buffer_radius)
-    filtered = ln.assign_widths(filtered, stack, cfg.overlap_radius)
-    return raw, filtered
+    filtered = ln.assign_widths(filtered, build_stack(dsm, cfg.tophat), cfg.overlap_radius)
+    ln.save_segments_csv(raw, out / "segments_raw.csv")
+    ln.save_segments_csv(filtered, out / "segments_filtered.csv")
+    logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(filtered))
+    return filtered
 
 
-def _sharpen_graphcut(dsm, mask, segments, cfg, outdir=None, debug=False):
+def _sharpen_stage(method, dsm, mask, segments, cfg, out, debug):
+    """Adjust the DSM with one method (graph-cut needs the building mask)."""
+    if method == "graphcut":
+        adjusted = _sharpen_graphcut(dsm, mask, segments, cfg, out, debug)
+    else:
+        rows: list | None = [] if debug else None
+        adjusted = pf.adjust_all(dsm, segments, cfg.fit, debug_rows=rows)
+        if debug:
+            pf.save_planes_csv(rows, out / "planes.csv")
+    raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
+    logger.info("sharpen: wrote adjusted_%s.asc", method)
+    return adjusted
+
+
+def _sharpen_graphcut(dsm, mask, segments, cfg, outdir, debug):
     ground, roof = gc.ramp_contours(dsm, mask, cfg.tophat.scale_max)
     contours = ground + roof
     if not contours:
@@ -94,19 +116,11 @@ def _sharpen_graphcut(dsm, mask, segments, cfg, outdir=None, debug=False):
     field = gc.interpolate_offsets(
         problem, labeling, contour_mask, shape, far_distance=gcc.far_distance
     )
-    if debug and outdir is not None:
+    if debug:
         gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
         raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")
         raster.save_heightfield(dsm.like(field.dy), outdir / "offsets_dy.asc")
     return gc.warp_dsm(dsm, field)
-
-
-def _sharpen_planefit(dsm, segments, cfg, outdir=None, debug=False):
-    rows: list | None = [] if debug else None
-    adjusted = pf.adjust_all(dsm, segments, cfg.fit, debug_rows=rows)
-    if debug and outdir is not None:
-        pf.save_planes_csv(rows or [], outdir / "planes.csv")
-    return adjusted
 
 
 def _same_grid(a, b) -> bool:
@@ -117,13 +131,18 @@ def _same_grid(a, b) -> bool:
     )
 
 
-def _evaluate_products(truth, original, variants, cfg, outdir):
-    """RMSE report + sweeps (+ optional cross-section) on the truth grid."""
+def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
+    """RMSE report + sweeps (+ optional cross-section) on the truth grid.
+
+    The buffers grow from the contours of the original DSM's building mask:
+    ``contour_mask`` when given on the truth grid, else computed here.
+    """
     on_truth = {}
     for name, hf in [("original", original)] + list(variants.items()):
         on_truth[name] = hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
 
-    stack, _, _, contour_mask = _mask_products(on_truth["original"], cfg)
+    if contour_mask is None or not _same_grid(truth, original):
+        _, contour_mask = _mask_stage(on_truth["original"], cfg)
     if contour_mask.count() == 0:
         raise ValueError("no boundary contours on the original DSM; nothing to evaluate against")
 
@@ -132,15 +151,18 @@ def _evaluate_products(truth, original, variants, cfg, outdir):
         rep = ev.report(hf, truth, contour_mask, cfg.eval_widths)
         rows.append((cfg.region, name, rep))
         pairs = ev.sweep(hf, truth, contour_mask, cfg.sweep_max_width)
-        ev.write_sweep_csv(pairs, outdir / f"sweep_{name}.csv")
-    ev.write_report_csv(rows, outdir / "rmse_report.csv")
+        ev.write_sweep_csv(pairs, out / f"sweep_{name}.csv")
+    ev.write_report_csv(rows, out / "rmse_report.csv", cfg.eval_widths)
 
     if cfg.section is not None:
         x1, y1, x2, y2 = cfg.section
         section_variants = {"truth": truth, **on_truth}
         section = ev.cross_section(section_variants, ((x1, y1), (x2, y2)), truth_name="truth")
-        ev.write_cross_section_csv(section, outdir / "cross_section.csv")
-    return rows
+        ev.write_cross_section_csv(section, out / "cross_section.csv")
+
+    for region, name, rep in rows:
+        buf = " ".join(f"buf{w}={rep.per_buffer[w]:.3f}" for w in sorted(rep.per_buffer))
+        print(f"{region} {name}: whole={rep.whole_image:.3f} {buf}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +185,15 @@ def cmd_synth(args) -> int:
 def cmd_extract_mask(args) -> int:
     cfg = _config_from_args(args)
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    stack, mask, _, contour_mask = _mask_products(dsm, cfg)
     out = _outdir(cfg)
-    raster.save_mask(mask, out / "building_mask.pgm")
-    raster.save_mask(contour_mask, out / "boundary_contours.pgm")
+    _mask_stage(dsm, cfg, out)
     if args.dump_stack:
+        stack = build_stack(dsm, cfg.tophat)
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
         for scale, cum, cimg in zip(stack.scales, stack.cumulative_masks, stack.contour_images):
             raster.save_mask(cum, stack_dir / f"mask_{scale:03d}.pgm")
             raster.save_mask(cimg, stack_dir / f"contours_{scale:03d}.pgm")
-    logger.info("extract-mask: %d building pixels", mask.count())
     return 0
 
 
@@ -181,12 +201,8 @@ def cmd_detect_lines(args) -> int:
     cfg = _config_from_args(args)
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
-    stack, _, _, contour_mask = _mask_products(dsm, cfg)
-    raw, filtered = _detect_products(ortho, stack, contour_mask, cfg)
-    out = _outdir(cfg)
-    ln.save_segments_csv(raw, out / "segments_raw.csv")
-    ln.save_segments_csv(filtered, out / "segments_filtered.csv")
-    logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(filtered))
+    _, contour_mask = _mask_stage(dsm, cfg)
+    _lines_stage(dsm, ortho, contour_mask, cfg, _outdir(cfg))
     return 0
 
 
@@ -196,13 +212,8 @@ def cmd_sharpen(args) -> int:
     out = _outdir(cfg)
     seg_path = Path(args.segments) if args.segments else out / "segments_filtered.csv"
     segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
-    if args.method == "graphcut":
-        mask = building_mask(build_stack(dsm, cfg.tophat))
-        adjusted = _sharpen_graphcut(dsm, mask, segments, cfg, out, debug=args.debug)
-    else:
-        adjusted = _sharpen_planefit(dsm, segments, cfg, out, debug=args.debug)
-    raster.save_heightfield(adjusted, out / f"adjusted_{args.method}.asc")
-    logger.info("sharpen: wrote adjusted_%s.asc", args.method)
+    mask = building_mask(dsm, cfg.tophat) if args.method == "graphcut" else None
+    _sharpen_stage(args.method, dsm, mask, segments, cfg, out, args.debug)
     return 0
 
 
@@ -216,11 +227,7 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"--variant expects name=path, got {item!r}")
         name, _, path = item.partition("=")
         variants[name.strip()] = raster.load_heightfield(_require_file(Path(path), "variant"))
-    out = _outdir(cfg)
-    rows = _evaluate_products(truth, original, variants, cfg, out)
-    for region, name, rep in rows:
-        buf = " ".join(f"buf{w}={rep.per_buffer[w]:.3f}" for w in sorted(rep.per_buffer))
-        print(f"{region} {name}: whole={rep.whole_image:.3f} {buf}")
+    _evaluate_stage(truth, original, variants, cfg, _outdir(cfg))
     return 0
 
 
@@ -230,30 +237,11 @@ def cmd_run_all(args) -> int:
     ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
     out = _outdir(cfg)
-
-    stack, mask, contours, contour_mask = _mask_products(dsm, cfg)
-    raster.save_mask(mask, out / "building_mask.pgm")
-    raster.save_mask(contour_mask, out / "boundary_contours.pgm")
-
-    raw, filtered = _detect_products(ortho, stack, contour_mask, cfg)
-    ln.save_segments_csv(raw, out / "segments_raw.csv")
-    ln.save_segments_csv(filtered, out / "segments_filtered.csv")
-    logger.info("run-all: %d raw, %d filtered segments", len(raw), len(filtered))
-
+    mask, contour_mask = _mask_stage(dsm, cfg, out)
+    segments = _lines_stage(dsm, ortho, contour_mask, cfg, out)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
-    variants = {}
-    for method in methods:
-        if method == "graphcut":
-            adjusted = _sharpen_graphcut(dsm, mask, filtered, cfg, out, debug=args.debug)
-        else:
-            adjusted = _sharpen_planefit(dsm, filtered, cfg, out, debug=args.debug)
-        raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
-        variants[method] = adjusted
-
-    rows = _evaluate_products(truth, dsm, variants, cfg, out)
-    for region, name, rep in rows:
-        buf = " ".join(f"buf{w}={rep.per_buffer[w]:.3f}" for w in sorted(rep.per_buffer))
-        print(f"{region} {name}: whole={rep.whole_image:.3f} {buf}")
+    variants = {m: _sharpen_stage(m, dsm, mask, segments, cfg, out, args.debug) for m in methods}
+    _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
     return 0
 
 

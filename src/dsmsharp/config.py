@@ -9,6 +9,7 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,12 +60,9 @@ class PipelineConfig:
     section: tuple[float, float, float, float] | None = None
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(t.strip()) for t in text.split(",") if t.strip())
-
-
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(t.strip()) for t in text.split(",") if t.strip())
+def _tuple_of(conv):
+    """Converter for comma-separated values, each read with conv."""
+    return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
 
 # key -> (config attribute path, converter)
@@ -97,15 +95,19 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "graphcut.far_distance": (("graphcut", "far_distance"), int),
     "lines.boundary_buffer_radius": (("boundary_buffer_radius",), int),
     "lines.overlap_radius": (("overlap_radius",), int),
-    "eval.buffer_widths": (("eval_widths",), _parse_int_tuple),
+    "eval.buffer_widths": (("eval_widths",), _tuple_of(int)),
     "eval.sweep_max_width": (("sweep_max_width",), int),
-    "eval.section": (("section",), _parse_float_tuple),
+    "eval.section": (("section",), _tuple_of(float)),
 }
 
+# lowest values of the keys a stage would reject only after the tophat ladder
+_MINIMUM = {"lines.boundary_buffer_radius": 0, "lines.overlap_radius": 0,
+            "graphcut.line_buffer_radius": 0, "eval.sweep_max_width": 1}
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Raw `key = value` pairs from a config file; '#' starts a comment."""
-    out: dict[str, str] = {}
+
+def read_key_values(path: str | Path, known) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each `key = value` line, whose key must
+    be in known; '#' starts a comment."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,10 +115,14 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, val = (t.strip() for t in line.partition("="))
-        if key not in _KEYS:
+        if key not in known:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        out[key] = val
-    return out
+        yield lineno, key, val
+
+
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """Raw `key = value` pairs from a config file."""
+    return {key: val for _, key, val in read_key_values(path, _KEYS)}
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineConfig:
@@ -131,6 +137,12 @@ def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineCon
             raise ValueError(f"bad value {raw!r} for {key}") from None
         if key == "eval.section" and len(value) != 4:
             raise ValueError("eval.section needs four numbers: x1,y1,x2,y2")
+        if key == "eval.section" and value[:2] == value[2:]:
+            raise ValueError("eval.section has zero length")
+        if key == "eval.buffer_widths" and min(value, default=1) < 1:
+            raise ValueError(f"eval.buffer_widths must be positive, got {raw!r}")
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         if len(attr_path) == 1:
             setattr(cfg, attr_path[0], value)
         else:

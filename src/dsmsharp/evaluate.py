@@ -182,15 +182,17 @@ def cross_section(
 # ---------------------------------------------------------------------------
 
 
-def write_report_csv(rows: list[tuple[str, str, RmseReport]], path: str | Path) -> None:
-    """Rows of (region, method, report); buffer columns fixed at 5/10/20."""
+def write_report_csv(
+    rows: list[tuple[str, str, RmseReport]], path: str | Path, widths: tuple[int, ...] = (5, 10, 20)
+) -> None:
+    """Rows of (region, method, report); one buffer column per width."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["region", "method", "whole", "buf5", "buf10", "buf20"])
+        writer.writerow(["region", "method", "whole"] + [f"buf{w}" for w in widths])
         for region, method, rep in rows:
             writer.writerow(
                 [region, method, f"{rep.whole_image:.3f}"]
-                + [f"{rep.per_buffer[w]:.3f}" for w in (5, 10, 20)]
+                + [f"{rep.per_buffer[w]:.3f}" for w in widths]
             )
 
 

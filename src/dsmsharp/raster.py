@@ -482,7 +482,7 @@ def sample_bilinear(
 
     Returns (values, valid). With ``skip_nodata`` the weights are
     renormalised over valid support cells and a sample is invalid only when
-    all four are nodata; otherwise any nodata support cell invalidates it.
+    all four are nodata; otherwise a nodata cell of nonzero weight invalidates it.
     """
     h, w = hf.values.shape
     xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
@@ -507,6 +507,6 @@ def sample_bilinear(
         out = np.where(valid, vsum / np.where(valid, wsum, 1.0), hf.nodata)
         return out, valid
 
-    valid = valids[0] & valids[1] & valids[2] & valids[3]
+    valid = np.logical_and.reduce([ok | (w == 0) for w, ok in zip(weights, valids)])
     out = sum(w * v for w, v in zip(weights, vals))
     return np.where(valid, out, hf.nodata), valid

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from .config import read_key_values
 from .raster import Heightfield, RasterImage
 
 GROUND_INTENSITY = 70
@@ -125,13 +126,7 @@ def parse_scene_config(path: str | Path) -> SceneSpec:
     values: dict[str, float] = {"width": 0, "height": 0, "ground_height": 0.0,
                                 "blur_sigma": 0.0, "noise_sigma": 0.0, "seed": 0}
     buildings: list[Building] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, val = (t.strip() for t in line.partition("="))
+    for lineno, key, val in read_key_values(path, {"building", *values}):
         if key == "building":
             parts = val.split()
             if len(parts) not in (5, 6):
@@ -141,10 +136,8 @@ def parse_scene_config(path: str | Path) -> SceneSpec:
             nums = [float(p) for p in parts]
             rot = nums[5] if len(nums) == 6 else 0.0
             buildings.append(Building((nums[0], nums[1]), (nums[2], nums[3]), nums[4], rot))
-        elif key in values:
-            values[key] = float(val)
         else:
-            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            values[key] = float(val)
     return SceneSpec(
         dims=(int(values["width"]), int(values["height"])),
         ground_height=values["ground_height"],

@@ -1,10 +1,15 @@
 """Multi-scale white-tophat extraction of building masks from the DSM.
 
 A single structuring element cannot catch buildings of every size, so the
-responses of a whole ladder of element sizes are thresholded and unioned in
-ascending order. The per-scale contour images are kept because the scale at
-which a building first appears doubles as a width estimate for the line
-segments along its boundary.
+paper thresholds the responses of a whole ladder of element sizes and
+takes their union. For square elements the opening shrinks as the element
+grows (Matheron's granulometry; it still holds with the border clipping and
+nodata skipping of ``raster.erode``/``dilate``), so the thresholded
+responses are nested and their union is the response at the top of the
+ladder: ``building_mask`` thresholds that one tophat. ``build_stack`` keeps
+the per-scale masks and contour images, because the scale at which a
+building first appears doubles as a width estimate for the line segments
+along its boundary.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ class TophatParams:
 class TophatStack:
     """Per-scale cumulative building masks and their rasterised contours.
 
-    ``cumulative_masks[i]`` is the union of all thresholded tophat responses
-    up to ``scales[i]``, so the masks form a nested chain; the last one is
-    the building mask.
+    ``cumulative_masks[i]`` is the thresholded tophat response at
+    ``scales[i]``. The responses grow with the scale, so each mask is also
+    the union of all masks up to it; the last one is the building mask.
     """
 
     scales: list[int]
@@ -78,31 +83,30 @@ def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
     return dsm.like(resp)
 
 
+def _hits(dsm: Heightfield, scale: int, threshold: float) -> np.ndarray:
+    resp = white_tophat(dsm, scale)
+    return resp.valid_mask() & (resp.values > threshold)
+
+
 def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatStack:
-    """Threshold the tophat response at each scale and accumulate by union."""
+    """Threshold the tophat response at each scale of the ladder."""
     params = params or TophatParams()
     stack = TophatStack(scales=params.scales())
-    shape = dsm.values.shape
-    cum = np.zeros(shape, dtype=bool)
     for scale in stack.scales:
-        resp = white_tophat(dsm, scale)
-        hit = resp.valid_mask() & (resp.values > params.height_threshold)
-        cum = cum | hit
-        mask = BinaryMask(cum.copy())
+        mask = BinaryMask(_hits(dsm, scale, params.height_threshold))
         stack.cumulative_masks.append(mask)
-        stack.contour_images.append(rasterize_contours(trace_contours(mask), shape))
+        stack.contour_images.append(rasterize_contours(trace_contours(mask), mask.bits.shape))
     return stack
 
 
-def building_mask(stack: TophatStack) -> BinaryMask:
-    """Final building mask: the union over all scales."""
-    if not stack.cumulative_masks:
-        raise ValueError("empty tophat stack")
-    return stack.cumulative_masks[-1]
+def building_mask(dsm: Heightfield, params: TophatParams | None = None) -> BinaryMask:
+    """The union of the ladder's masks: the thresholded tophat at its top scale."""
+    params = params or TophatParams()
+    return BinaryMask(_hits(dsm, params.scales()[-1], params.height_threshold))
 
 
-def boundary_contours(stack: TophatStack) -> list[Contour]:
-    """Outer contours of the final building mask. They scope segment filtering
+def boundary_contours(mask: BinaryMask) -> list[Contour]:
+    """Outer contours of the building mask. They scope segment filtering
     and the evaluation buffers; graph-cut labels the ramp contours of
     graphcut.ramp_contours instead."""
-    return trace_contours(building_mask(stack))
+    return trace_contours(mask)

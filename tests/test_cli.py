@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from dsmsharp import raster
+from dsmsharp import cli, raster
 from dsmsharp.lines import load_segments_csv
 
 from conftest import SMALL_SCALE_ARGS
@@ -343,3 +344,105 @@ def test_set_override_applies(small_scene, run_cli):
     )
     assert code == 0
     assert raster.load_mask(small_scene["out"] / "building_mask.pgm").count() == 0
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "eval.section=10,32,10,32",
+        "eval.sweep_max_width=0",
+        "eval.buffer_widths=0,5",
+        "graphcut.line_buffer_radius=-1",
+        "lines.boundary_buffer_radius=-1",
+        "lines.overlap_radius=-2",
+    ],
+)
+def test_invalid_config_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting):
+    def no_reads(path):
+        raise AssertionError(f"input read before the config was checked: {path}")
+
+    monkeypatch.setattr(raster, "load_heightfield", no_reads)
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"],
+        "--set", setting, *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split("=")[0] in err
+    assert not small_scene["out"].exists()
+
+
+def test_report_columns_follow_buffer_widths(small_scene, run_cli, capsys):
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"],
+        "--method", "planefit", "--set", "eval.buffer_widths=3,7", *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    report = (small_scene["out"] / "rmse_report.csv").read_text().splitlines()
+    assert report[0] == "region,method,whole,buf3,buf7"
+    assert [len(r.split(",")) for r in report[1:]] == [5, 5]
+    printed = capsys.readouterr().out.splitlines()
+    assert all(" buf3=" in line and " buf7=" in line for line in printed)
+
+
+# ---------------------------------------------------------------------------
+# each product once per run
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """Arguments of every build_stack call the CLI makes."""
+    calls = []
+    real = cli.build_stack
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_stack", counting)
+    return calls
+
+
+def test_tophat_ladder_built_only_for_widths(small_scene, tmp_path, run_cli, stack_calls):
+    calls = stack_calls
+    dsm, truth, out = small_scene["dsm"], small_scene["truth"], small_scene["out"]
+
+    def count(*argv):
+        calls.clear()
+        assert run_cli(*argv, *SMALL_SCALE_ARGS) == 0
+        return len(calls)
+
+    assert count(
+        "run-all", "--dsm", dsm, "--ortho", small_scene["ortho"], "--truth", truth, "--out", out
+    ) == 1
+    assert count("detect-lines", "--dsm", dsm, "--ortho", small_scene["ortho"], "--out", out) == 1
+    assert count("extract-mask", "--dsm", dsm, "--out", out) == 0
+    for method in ("graphcut", "planefit"):
+        assert count("sharpen", "--method", method, "--dsm", dsm, "--out", out) == 0
+    assert count(
+        "evaluate", "--dsm", dsm, "--truth", truth, "--out", out,
+        "--variant", f"planefit={out / 'adjusted_planefit.asc'}",
+    ) == 0
+    assert count("extract-mask", "--dsm", dsm, "--out", tmp_path / "dump", "--dump-stack") == 1
+
+
+def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, stack_calls):
+    """A truth on another grid gets its own contour mask, from the original
+    DSM resampled onto it; the ladder still runs once."""
+    truth = raster.load_heightfield(small_scene["truth"])
+    fine_vals = np.repeat(np.repeat(truth.values, 2, axis=0), 2, axis=1)
+    fine = raster.Heightfield(fine_vals, cell_size=truth.cell_size / 2, origin=truth.origin)
+    fine_path = tmp_path / "fine_truth.asc"
+    raster.save_heightfield(fine, fine_path)
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", fine_path, "--method", "planefit", "--out", small_scene["out"],
+        "--set", "tophat.scale_min=20", "--set", "tophat.scale_max=80",
+    )
+    assert code == 0
+    assert len(stack_calls) == 1
+    rows = (small_scene["out"] / "rmse_report.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["original", "planefit"]

@@ -348,6 +348,17 @@ def test_warp_propagates_nodata():
     assert out.values[2, 2] == 1.0
 
 
+def test_warp_zero_field_keeps_a_holey_dsm():
+    rng = np.random.default_rng(42)
+    vals = rng.normal(size=(8, 8))
+    vals[3, 4] = -9999.0
+    vals[7, 2] = -9999.0  # last row and column: their samples lean on the inner neighbour
+    vals[1, 7] = -9999.0
+    dsm = Heightfield(vals)
+    out = gc.warp_dsm(dsm, gc.OffsetField(np.zeros((8, 8)), np.zeros((8, 8))))
+    assert np.array_equal(out.values, dsm.values)
+
+
 def test_warp_dimension_mismatch():
     dsm = Heightfield(np.zeros((4, 4)))
     with pytest.raises(ValueError):

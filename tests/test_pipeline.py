@@ -10,7 +10,7 @@ from dsmsharp.tophat import TophatParams
 def run_front_end(spec, tophat_params):
     truth, smeared, ortho = synth.generate(spec)
     stack = tophat.build_stack(smeared, tophat_params)
-    contours = tophat.boundary_contours(stack)
+    contours = tophat.boundary_contours(tophat.building_mask(smeared, tophat_params))
     cmask = raster.rasterize_contours(contours, smeared.values.shape)
     raw = lines.detect_segments(raster.grayscale(ortho))
     filtered = lines.assign_widths(lines.filter_segments(raw, cmask, 5), stack, 2)
@@ -77,7 +77,7 @@ def test_nodata_hole_survives_both_methods():
     holey = raster.Heightfield(vals)
     params = TophatParams(scale_min=10, scale_max=60)
     stack = tophat.build_stack(holey, params)
-    contours = tophat.boundary_contours(stack)
+    contours = tophat.boundary_contours(tophat.building_mask(holey, params))
     cmask = raster.rasterize_contours(contours, vals.shape)
     segs = lines.assign_widths(
         lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5),
@@ -126,8 +126,9 @@ def test_graphcut_corrects_displaced_boundary():
         seed=1,
     )
     truth, smeared, ortho = synth.generate(spec)
-    stack = tophat.build_stack(smeared, TophatParams(scale_min=10, scale_max=80))
-    contours = tophat.boundary_contours(stack)
+    params = TophatParams(scale_min=10, scale_max=80)
+    stack = tophat.build_stack(smeared, params)
+    contours = tophat.boundary_contours(tophat.building_mask(smeared, params))
     # knock the contours 4 px off to emulate a displaced boundary extraction
     shifted = [raster.Contour(c.points + np.array([4, 0]), closed=c.closed) for c in contours]
     cmask = raster.rasterize_contours(shifted, smeared.values.shape)

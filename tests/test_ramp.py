@@ -8,7 +8,7 @@ from dsmsharp import evaluate, lines, raster, synth
 from dsmsharp.lines import LineSegment
 from dsmsharp.raster import BinaryMask, Contour, Heightfield
 from dsmsharp.synth import Building, SceneSpec
-from dsmsharp.tophat import TophatParams, boundary_contours, build_stack, building_mask
+from dsmsharp.tophat import TophatParams, boundary_contours, building_mask
 
 from test_graphcut import LABELS3, small_problem
 
@@ -123,13 +123,12 @@ def _smeared_block(sigma, dims=(64, 64), size=(28, 28), height=10.0):
     )
     truth, smeared, ortho = synth.generate(spec)
     params = TophatParams(scale_min=10, scale_max=40)
-    stack = build_stack(smeared, params)
-    return truth, smeared, ortho, stack, params
+    return truth, smeared, ortho, building_mask(smeared, params), params
 
 
 def test_ramp_contours_bracket_the_ramp():
-    _, smeared, _, stack, params = _smeared_block(2.0)
-    ground, roof = gc.ramp_contours(smeared, building_mask(stack), params.scale_max)
+    _, smeared, _, mask, params = _smeared_block(2.0)
+    ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
     assert len(ground) == 1 and len(roof) == 1
     vals = smeared.values
     gx, gy = ground[0].points[:, 0], ground[0].points[:, 1]
@@ -138,7 +137,7 @@ def test_ramp_contours_bracket_the_ramp():
     assert (vals[gy, gx] <= 2.0 + 1e-9).all()
     assert (vals[ry, rx] > 8.0).all()
     # and the DSM's own 2.5 m boundary lies between them
-    mid = boundary_contours(stack)[0].points
+    mid = boundary_contours(mask)[0].points
     assert gx.min() < mid[:, 0].min() < rx.min()
     assert rx.max() < mid[:, 0].max() < gx.max()
 
@@ -152,8 +151,8 @@ def test_ramp_contours_use_each_buildings_height():
         seed=1,
     )
     _, smeared, _ = synth.generate(spec)
-    stack = build_stack(smeared, TophatParams(scale_min=10, scale_max=40))
-    ground, roof = gc.ramp_contours(smeared, building_mask(stack), 40)
+    mask = building_mask(smeared, TophatParams(scale_min=10, scale_max=40))
+    ground, roof = gc.ramp_contours(smeared, mask, 40)
     assert len(ground) == 2 and len(roof) == 2
     vals = smeared.values
     for c in roof:
@@ -170,11 +169,11 @@ def test_ramp_contours_empty_mask():
 def test_crisp_dsm_keeps_zero_offsets():
     # on a crisp DSM both contours already lie in their bands: identity warp
     for sigma in (0.0, 0.5):
-        truth, smeared, ortho, stack, params = _smeared_block(sigma)
-        cmask = raster.rasterize_contours(boundary_contours(stack), smeared.values.shape)
+        truth, smeared, ortho, mask, params = _smeared_block(sigma)
+        cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
         segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
         assert len(segs) == 4
-        ground, roof = gc.ramp_contours(smeared, building_mask(stack), params.scale_max)
+        ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
         problem = gc.build_problem(
             ground + roof,
             segs,
@@ -187,10 +186,10 @@ def test_crisp_dsm_keeps_zero_offsets():
 
 
 def test_smeared_ramp_is_squeezed_onto_the_lines():
-    truth, smeared, ortho, stack, params = _smeared_block(2.0)
-    cmask = raster.rasterize_contours(boundary_contours(stack), smeared.values.shape)
+    truth, smeared, ortho, mask, params = _smeared_block(2.0)
+    cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
     segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
-    ground, roof = gc.ramp_contours(smeared, building_mask(stack), params.scale_max)
+    ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
     contours = ground + roof
     problem = gc.build_problem(
         contours,

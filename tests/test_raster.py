@@ -417,6 +417,19 @@ def test_bresenham_endpoints_and_connectivity():
     assert (steps == 1).all()
 
 
+def test_bilinear_ignores_nodata_of_zero_weight():
+    vals = np.arange(16.0).reshape(4, 4)
+    vals[1, 2] = -9999.0
+    hf = Heightfield(vals)
+    xs = np.array([1.0, 1.5, 1.0, 2.0, 3.0])
+    ys = np.array([1.0, 1.0, 1.5, 1.0, 1.0])
+    got, valid = raster.sample_bilinear(hf, xs, ys)
+    # (1, 1) and (1, 1.5) never weigh the hole at (2, 1); (1.5, 1) and (2, 1) do
+    assert valid.tolist() == [True, False, True, False, True]
+    assert got[0] == 5.0 and got[2] == 7.0 and got[4] == 7.0
+    assert got[1] == hf.nodata and got[3] == hf.nodata
+
+
 def test_bilinear_exact_at_integer_coords():
     rng = np.random.default_rng(30)
     hf = Heightfield(rng.normal(size=(6, 8)))

@@ -3,7 +3,7 @@ import pytest
 
 from dsmsharp import tophat
 from dsmsharp.raster import Heightfield
-from dsmsharp.tophat import TophatParams, TophatStack
+from dsmsharp.tophat import TophatParams
 
 
 def block_field(size, block, height, at=None):
@@ -92,11 +92,13 @@ def test_default_stack_has_40_scales():
 
 def test_flat_field_gives_empty_stack():
     hf = Heightfield(np.zeros((32, 32)))
-    stack = tophat.build_stack(hf, TophatParams(scale_min=5, scale_max=25, scale_step=5))
+    params = TophatParams(scale_min=5, scale_max=25, scale_step=5)
+    stack = tophat.build_stack(hf, params)
     assert all(m.count() == 0 for m in stack.cumulative_masks)
     assert all(c.count() == 0 for c in stack.contour_images)
-    assert tophat.building_mask(stack).count() == 0
-    assert tophat.boundary_contours(stack) == []
+    mask = tophat.building_mask(hf, params)
+    assert mask.count() == 0
+    assert tophat.boundary_contours(mask) == []
 
 
 def test_appearance_scales_of_two_blocks():
@@ -129,10 +131,11 @@ def test_cumulative_masks_are_nested():
         y, x = rng.integers(5, 40, 2)
         s = int(rng.integers(4, 12))
         vals[y : y + s, x : x + s] = 8.0
-    stack = tophat.build_stack(Heightfield(vals), TophatParams(scale_min=5, scale_max=45, scale_step=5))
+    params = TophatParams(scale_min=5, scale_max=45, scale_step=5)
+    stack = tophat.build_stack(Heightfield(vals), params)
     for a, b in zip(stack.cumulative_masks, stack.cumulative_masks[1:]):
         assert (a.bits <= b.bits).all()
-    final = tophat.building_mask(stack)
+    final = tophat.building_mask(Heightfield(vals), params)
     for m in stack.cumulative_masks:
         assert (m.bits <= final.bits).all()
 
@@ -155,8 +158,8 @@ def test_single_scale_stack_equals_thresholded_tophat():
 
 def test_boundary_contours_of_block():
     hf, fp = block_field(40, 10, 9.0)
-    stack = tophat.build_stack(hf, TophatParams(scale_min=15, scale_max=15, scale_step=1))
-    contours = tophat.boundary_contours(stack)
+    mask = tophat.building_mask(hf, TophatParams(scale_min=15, scale_max=15, scale_step=1))
+    contours = tophat.boundary_contours(mask)
     assert len(contours) == 1
     # border pixel count of a 10x10 block
     assert len(contours[0]) == 36
@@ -164,10 +167,48 @@ def test_boundary_contours_of_block():
 
 def test_building_mask_matches_footprint():
     hf, fp = block_field(64, 12, 10.0)
-    stack = tophat.build_stack(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15))
-    assert np.array_equal(tophat.building_mask(stack).bits, fp)
+    mask = tophat.building_mask(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15))
+    assert np.array_equal(mask.bits, fp)
 
 
-def test_empty_stack_rejected():
-    with pytest.raises(ValueError):
-        tophat.building_mask(TophatStack(scales=[]))
+def _holey_border_field():
+    """Blocks of several sizes, one flush with the top-left corner, plus
+    nodata holes inside a roof, on the ground and along the right border."""
+    rng = np.random.default_rng(8)
+    vals = rng.normal(0.0, 0.3, (70, 90))
+    vals[0:14, 0:20] += 9.0  # touches two borders
+    vals[30:38, 40:48] += 6.0
+    vals[40:66, 10:40] += 12.0
+    vals[50:53, 20:24] = -9999.0  # hole in a roof
+    vals[20:23, 60:64] = -9999.0  # hole on the ground
+    vals[5:60, 89] = -9999.0  # nodata strip on the border
+    return Heightfield(vals)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TophatParams(scale_min=5, scale_max=45, scale_step=5),
+        TophatParams(scale_min=3, scale_max=40, scale_step=6),  # top of the ladder is 39
+    ],
+)
+def test_building_mask_is_the_last_stack_mask(params):
+    hf = _holey_border_field()
+    stack = tophat.build_stack(hf, params)
+    mask = tophat.building_mask(hf, params)
+    assert mask.count() > 0
+    assert np.array_equal(mask.bits, stack.cumulative_masks[-1].bits)
+    assert not mask.bits[~hf.valid_mask()].any()
+
+
+def test_each_stack_mask_is_its_own_thresholded_response():
+    hf = _holey_border_field()
+    params = TophatParams(scale_min=5, scale_max=45, scale_step=5, height_threshold=2.0)
+    stack = tophat.build_stack(hf, params)
+    union = np.zeros(hf.values.shape, bool)
+    for scale, mask in zip(stack.scales, stack.cumulative_masks):
+        resp = tophat.white_tophat(hf, scale)
+        own = resp.valid_mask() & (resp.values > params.height_threshold)
+        union |= own
+        assert np.array_equal(mask.bits, own), scale
+        assert np.array_equal(mask.bits, union), scale
