@@ -208,10 +208,11 @@ def cmd_detect_lines(args) -> int:
 
 def cmd_sharpen(args) -> int:
     cfg = _config_from_args(args)
+    # the segments are checked before the DSM is read or anything is written
+    seg_path = Path(args.segments) if args.segments else Path(cfg.out) / "segments_filtered.csv"
+    segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     out = _outdir(cfg)
-    seg_path = Path(args.segments) if args.segments else out / "segments_filtered.csv"
-    segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
     mask = building_mask(dsm, cfg.tophat) if args.method == "graphcut" else None
     _sharpen_stage(args.method, dsm, mask, segments, cfg, out, args.debug)
     return 0

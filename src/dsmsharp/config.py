@@ -9,6 +9,7 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +61,14 @@ class PipelineConfig:
     section: tuple[float, float, float, float] | None = None
 
 
+def _finite_float(text: str) -> float:
+    """float(text), rejecting nan and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _tuple_of(conv):
     """Converter for comma-separated values, each read with conv."""
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
@@ -75,12 +84,12 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "tophat.scale_min": (("tophat", "scale_min"), int),
     "tophat.scale_max": (("tophat", "scale_max"), int),
     "tophat.scale_step": (("tophat", "scale_step"), int),
-    "tophat.height_threshold": (("tophat", "height_threshold"), float),
-    "detector.gradient_threshold": (("detector", "gradient_threshold"), float),
-    "detector.angle_tolerance": (("detector", "angle_tolerance"), float),
-    "detector.min_length": (("detector", "min_length"), float),
+    "tophat.height_threshold": (("tophat", "height_threshold"), _finite_float),
+    "detector.gradient_threshold": (("detector", "gradient_threshold"), _finite_float),
+    "detector.angle_tolerance": (("detector", "angle_tolerance"), _finite_float),
+    "detector.min_length": (("detector", "min_length"), _finite_float),
     "detector.min_region_pixels": (("detector", "min_region_pixels"), int),
-    "detector.smoothing_sigma": (("detector", "smoothing_sigma"), float),
+    "detector.smoothing_sigma": (("detector", "smoothing_sigma"), _finite_float),
     "fit.width_multiplier": (("fit", "width_multiplier"), int),
     "fit.buffer_cap": (("fit", "buffer_cap"), int),
     "fit.min_points": (("fit", "min_points"), int),
@@ -89,7 +98,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "graphcut.data_cost_miss": (("graphcut", "data_cost_miss"), int),
     "graphcut.smooth_cost_near": (("graphcut", "smooth_cost_near"), int),
     "graphcut.smooth_cost_far": (("graphcut", "smooth_cost_far"), int),
-    "graphcut.smooth_radius": (("graphcut", "smooth_radius"), float),
+    "graphcut.smooth_radius": (("graphcut", "smooth_radius"), _finite_float),
     "graphcut.neighbor_reach": (("graphcut", "neighbor_reach"), int),
     "graphcut.line_buffer_radius": (("graphcut", "line_buffer_radius"), int),
     "graphcut.far_distance": (("graphcut", "far_distance"), int),
@@ -97,7 +106,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "lines.overlap_radius": (("overlap_radius",), int),
     "eval.buffer_widths": (("eval_widths",), _tuple_of(int)),
     "eval.sweep_max_width": (("sweep_max_width",), int),
-    "eval.section": (("section",), _tuple_of(float)),
+    "eval.section": (("section",), _tuple_of(_finite_float)),
 }
 
 # lowest values of the keys a stage would reject only after the tophat ladder

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,16 +94,24 @@ def _gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gx, gy, mag
 
 
-def _angle_diff_mod_pi(a: float, b: float) -> float:
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
-
-
 def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegment]:
     """Grow straight regions of agreeing gradient orientation into segments.
 
     Endpoints are ordered so p1 is lexicographically smaller. Output order is
     the deterministic seed order (strongest gradient first).
+
+    The output is fixed by this traversal, which any rewrite must keep:
+
+    - seeds are the usable pixels (magnitude above the threshold) by
+      magnitude descending, then row, then column; a visited seed is skipped;
+    - a region grows breadth-first from its seed; each dequeued pixel tests
+      its 8 neighbours in the order (-1,-1), (-1,0), (-1,1), (0,-1), (0,1),
+      (1,-1), (1,0), (1,1) as (dy, dx);
+    - a neighbour joins when its orientation is within the tolerance of the
+      region's mean, taken mod pi. The mean is half the atan2 of the running
+      sums of ``math.cos``/``math.sin`` of the doubled angles, recomputed at
+      each dequeue; the sums grow after each accepted pixel;
+    - the weighted fit sees the region's pixels in the order they joined.
     """
     params = params or DetectorParams()
     img = gray.samples if hasattr(gray, "samples") else np.asarray(gray)
@@ -117,61 +124,77 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
         img = ndimage.gaussian_filter(img, params.smoothing_sigma, truncate=3.0, mode="reflect")
 
     gx, gy, mag = _gradients(img)
-    gh, gw = mag.shape
     usable = mag > params.gradient_threshold
     if not usable.any():
         return []
-    angle = np.arctan2(gy, gx)  # gradient orientation; comparisons are mod pi
     tol = math.radians(params.angle_tolerance)
 
-    ys, xs = np.nonzero(usable)
-    order = np.lexsort((xs, ys, -mag[ys, xs]))
-    seeds = list(zip(ys[order].tolist(), xs[order].tolist()))
+    # flat grid padded by one cell; the border and the unusable cells start
+    # visited, so neighbour lookups need no bounds checks. Memoryviews hand
+    # the loop Python ints and floats without a Python object per pixel.
+    pw = mag.shape[1] + 2
+    inner = np.zeros((mag.shape[0] + 2, pw), dtype=bool)
+    inner[1:-1, 1:-1] = usable
+    visited = bytearray((~inner).tobytes())
+    # usable cells in row-major order, stably sorted by magnitude descending
+    seeds = memoryview(np.flatnonzero(inner)[np.argsort(-mag[usable], kind="stable")])
+    angle = np.zeros(inner.shape)
+    angle[1:-1, 1:-1] = np.arctan2(gy, gx)  # gradient orientation; compared mod pi
+    angle = memoryview(angle.ravel())
+    del inner, usable, gx, gy
 
-    visited = ~usable  # unusable pixels are never visited
+    # flat steps to the up-left, up and up-right neighbours; adding a step
+    # instead of subtracting it reaches the mirrored neighbour below
+    ul, u, ur = pw + 1, pw, pw - 1
+    cos, sin, atan2, pi = math.cos, math.sin, math.atan2, math.pi
+    min_pixels = params.min_region_pixels
     segments: list[LineSegment] = []
-    neigh = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-    for sy, sx in seeds:
-        if visited[sy, sx]:
+    for seed in seeds:
+        if visited[seed]:
             continue
         # region grows while orientations agree with the running mean,
-        # tracked through doubled angles so opposite gradients align
-        region = [(sy, sx)]
-        visited[sy, sx] = True
-        sum_cos = math.cos(2.0 * angle[sy, sx])
-        sum_sin = math.sin(2.0 * angle[sy, sx])
-        queue = deque(region)
-        while queue:
-            cy, cx = queue.popleft()
-            mean_angle = 0.5 * math.atan2(sum_sin, sum_cos)
-            for dy, dx in neigh:
-                ny, nx = cy + dy, cx + dx
-                if ny < 0 or ny >= gh or nx < 0 or nx >= gw or visited[ny, nx]:
+        # tracked through doubled angles so opposite gradients align; the
+        # region list is also the breadth-first queue, as a list iterator
+        # goes on to the items appended while it runs
+        region = [seed]
+        visited[seed] = 1
+        sum_cos = cos(2.0 * angle[seed])
+        sum_sin = sin(2.0 * angle[seed])
+        for cell in region:
+            mean_angle = 0.5 * atan2(sum_sin, sum_cos)
+            for n in (cell - ul, cell - u, cell - ur, cell - 1,
+                      cell + 1, cell + ur, cell + u, cell + ul):
+                if visited[n]:
                     continue
-                if _angle_diff_mod_pi(angle[ny, nx], mean_angle) > tol:
+                d = abs(angle[n] - mean_angle) % pi
+                if d > tol and pi - d > tol:
                     continue
-                visited[ny, nx] = True
-                region.append((ny, nx))
-                queue.append((ny, nx))
-                sum_cos += math.cos(2.0 * angle[ny, nx])
-                sum_sin += math.sin(2.0 * angle[ny, nx])
+                visited[n] = 1
+                region.append(n)
+                sum_cos += cos(2.0 * angle[n])
+                sum_sin += sin(2.0 * angle[n])
 
-        if len(region) < params.min_region_pixels:
+        if len(region) < min_pixels:
             continue
-        seg = _fit_segment(region, mag, params.min_length)
+        seg = _fit_segment(region, pw, mag, params.min_length)
         if seg is not None:
             segments.append(seg)
 
     return _suppress_duplicates(segments)
 
 
-def _fit_segment(region, mag, min_length) -> LineSegment | None:
-    """Principal axis of a pixel region, weighted by gradient magnitude."""
-    pts = np.array(region, dtype=np.float64)
-    w = mag[pts[:, 0].astype(int), pts[:, 1].astype(int)]
-    xs = pts[:, 1] + 0.5
-    ys = pts[:, 0] + 0.5
+def _fit_segment(region, pw, mag, min_length) -> LineSegment | None:
+    """Principal axis of a pixel region, weighted by gradient magnitude.
+
+    region holds flat indices into mag's grid padded by one cell, whose rows
+    are pw cells long.
+    """
+    rows, cols = np.divmod(np.array(region), pw)
+    rows -= 1
+    cols -= 1
+    w = mag[rows, cols]
+    xs = cols + 0.5
+    ys = rows + 0.5
     wsum = w.sum()
     cx = float((w * xs).sum() / wsum)
     cy = float((w * ys).sum() / wsum)
@@ -204,20 +227,32 @@ def _point_segment_distance(p, a, b) -> float:
 
 
 def _suppress_duplicates(segments: list[LineSegment], radius: float = 2.0) -> list[LineSegment]:
-    """Drop segments whose endpoints both lie within radius of a longer kept one."""
+    """Drop segments whose endpoints both lie within radius of a longer kept one.
+
+    Segments are visited by length descending, ties by index. Only the kept
+    segments whose bounding box, grown by radius, holds both endpoints of the
+    candidate can be that close; the exact distance test runs on those.
+    """
     by_length = sorted(range(len(segments)), key=lambda i: (-segments[i].length(), i))
-    kept: list[int] = []
+    ends = np.array([(*s.p1, *s.p2) for s in segments], dtype=np.float64).reshape(-1, 4)
+    x1, y1, x2, y2 = ends.T
+    x_min, x_max = np.minimum(x1, x2), np.maximum(x1, x2)
+    y_min, y_max = np.minimum(y1, y2), np.maximum(y1, y2)
+    # the slack keeps the box test conservative against rounding in the
+    # exact distance, far above it for any pixel coordinate
+    reach = radius + 1e-6
+    left, right, top, bottom = x_min - reach, x_max + reach, y_min - reach, y_max + reach
+    kept = np.zeros(len(segments), dtype=bool)
     for i in by_length:
         s = segments[i]
-        dup = any(
+        near = (kept & (left <= x_min[i]) & (x_max[i] <= right)
+                & (top <= y_min[i]) & (y_max[i] <= bottom))
+        kept[i] = not any(
             _point_segment_distance(s.p1, segments[k].p1, segments[k].p2) <= radius
             and _point_segment_distance(s.p2, segments[k].p1, segments[k].p2) <= radius
-            for k in kept
+            for k in np.flatnonzero(near).tolist()
         )
-        if not dup:
-            kept.append(i)
-    kept_set = set(kept)
-    return [s for i, s in enumerate(segments) if i in kept_set]
+    return [s for i, s in enumerate(segments) if kept[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +361,11 @@ def save_segments_csv(segments: list[LineSegment], path: str | Path) -> None:
 
 
 def load_segments_csv(path: str | Path) -> list[LineSegment]:
+    """Segments of a CSV written by save_segments_csv.
+
+    Raises ValueError naming the file and the line of a row that is not
+    four finite coordinates and an empty or positive width_index.
+    """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -335,9 +375,20 @@ def load_segments_csv(path: str | Path) -> list[LineSegment]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 5:
-                raise ValueError(f"{path}: bad row {row!r}")
-            x1, y1, x2, y2 = (float(v) for v in row[:4])
-            width = int(row[4]) if row[4] != "" else None
-            out.append(LineSegment((x1, y1), (x2, y2), width))
+            try:
+                out.append(_segment_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
+
+
+def _segment_from_row(row: list[str]) -> LineSegment:
+    if len(row) != 5:
+        raise ValueError(f"bad row {row!r}")
+    x1, y1, x2, y2 = (float(v) for v in row[:4])
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError(f"non-finite coordinate in {row!r}")
+    width = int(row[4]) if row[4] != "" else None
+    if width is not None and width < 1:
+        raise ValueError(f"width_index must be >= 1, got {width}")
+    return LineSegment((x1, y1), (x2, y2), width)

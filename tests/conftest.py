@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from dsmsharp import raster, synth
 from dsmsharp.cli import main as cli_main
@@ -38,3 +39,9 @@ def small_scene(tmp_path):
 
 
 SMALL_SCALE_ARGS = ("--set", "tophat.scale_min=10", "--set", "tophat.scale_max=40")
+
+
+# property tests run the same examples on every run and never time out on a
+# slow machine
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")

@@ -212,6 +212,34 @@ def test_sharpen_debug_dumps(small_scene, run_cli):
     assert (small_scene["out"] / "planes.csv").is_file()
 
 
+@pytest.mark.parametrize("method", ["planefit", "graphcut"])
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1,2,inf,40,3", "non-finite coordinate"),
+        ("1,nan,30,40,3", "non-finite coordinate"),
+        ("1,2,30,40,0", "width_index must be >= 1, got 0"),
+    ],
+)
+def test_sharpen_rejects_bad_segment_rows(small_scene, tmp_path, run_cli, capsys, monkeypatch,
+                                          method, row, reason):
+    seg_path = tmp_path / "segments.csv"
+    seg_path.write_text(f"x1,y1,x2,y2,width_index\n1,2,30,2,1\n{row}\n")
+
+    def no_reads(path):
+        raise AssertionError(f"DSM read before the segments were checked: {path}")
+
+    monkeypatch.setattr(raster, "load_heightfield", no_reads)
+    code = run_cli(
+        "sharpen", "--method", method, "--dsm", small_scene["dsm"],
+        "--segments", seg_path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {seg_path}: line 3: {reason}")
+    assert not small_scene["out"].exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -346,6 +374,25 @@ def test_set_override_applies(small_scene, run_cli):
     assert raster.load_mask(small_scene["out"] / "building_mask.pgm").count() == 0
 
 
+def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting):
+    """Run run-all with one --set; it must exit 2 before reading a grid or
+    creating the output directory. Returns standard error."""
+    def no_reads(path):
+        raise AssertionError(f"input read before the config was checked: {path}")
+
+    monkeypatch.setattr(raster, "load_heightfield", no_reads)
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"],
+        "--set", setting, *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not small_scene["out"].exists()
+    return err
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -358,19 +405,27 @@ def test_set_override_applies(small_scene, run_cli):
     ],
 )
 def test_invalid_config_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting):
-    def no_reads(path):
-        raise AssertionError(f"input read before the config was checked: {path}")
+    err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
+    assert setting.split("=")[0] in err
 
-    monkeypatch.setattr(raster, "load_heightfield", no_reads)
-    code = run_cli(
-        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
-        "--truth", small_scene["truth"], "--out", small_scene["out"],
-        "--set", setting, *SMALL_SCALE_ARGS,
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and setting.split("=")[0] in err
-    assert not small_scene["out"].exists()
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "detector.gradient_threshold=nan",
+        "detector.angle_tolerance=nan",
+        "detector.min_length=inf",
+        "detector.smoothing_sigma=-inf",
+        "tophat.height_threshold=nan",
+        "graphcut.smooth_radius=inf",
+        "eval.section=10,32,nan,32",
+    ],
+)
+def test_non_finite_float_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch,
+                                                   setting):
+    key, _, value = setting.partition("=")
+    err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
+    assert err == f"error: bad value {value!r} for {key}\n"
 
 
 def test_report_columns_follow_buffer_widths(small_scene, run_cli, capsys):

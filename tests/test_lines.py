@@ -1,7 +1,11 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from dsmsharp import lines
 from dsmsharp.lines import DetectorParams, LineSegment, UnmatchedSegmentError
@@ -100,12 +104,231 @@ def test_detector_params_validation():
         DetectorParams(min_length=0)
 
 
+# ---------------------------------------------------------------------------
+# Reference detector: the straightforward loops the detector must reproduce
+# exactly (tuple seeds, bounds checks, a deque, an O(n^2) duplicate scan)
+# ---------------------------------------------------------------------------
+
+
+def _angle_diff_mod_pi(a, b):
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def reference_detect_segments(gray, params=None):
+    params = params or DetectorParams()
+    img = gray.samples if hasattr(gray, "samples") else np.asarray(gray)
+    if img.shape[0] < 2 or img.shape[1] < 2:
+        return []
+    img = img.astype(np.float64)
+    if params.smoothing_sigma > 0:
+        img = ndimage.gaussian_filter(img, params.smoothing_sigma, truncate=3.0, mode="reflect")
+
+    gx, gy, mag = lines._gradients(img)
+    gh, gw = mag.shape
+    usable = mag > params.gradient_threshold
+    if not usable.any():
+        return []
+    angle = np.arctan2(gy, gx)
+    tol = math.radians(params.angle_tolerance)
+
+    ys, xs = np.nonzero(usable)
+    order = np.lexsort((xs, ys, -mag[ys, xs]))
+    seeds = list(zip(ys[order].tolist(), xs[order].tolist()))
+
+    visited = ~usable
+    segments = []
+    neigh = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+    for sy, sx in seeds:
+        if visited[sy, sx]:
+            continue
+        region = [(sy, sx)]
+        visited[sy, sx] = True
+        sum_cos = math.cos(2.0 * angle[sy, sx])
+        sum_sin = math.sin(2.0 * angle[sy, sx])
+        queue = deque(region)
+        while queue:
+            cy, cx = queue.popleft()
+            mean_angle = 0.5 * math.atan2(sum_sin, sum_cos)
+            for dy, dx in neigh:
+                ny, nx = cy + dy, cx + dx
+                if ny < 0 or ny >= gh or nx < 0 or nx >= gw or visited[ny, nx]:
+                    continue
+                if _angle_diff_mod_pi(angle[ny, nx], mean_angle) > tol:
+                    continue
+                visited[ny, nx] = True
+                region.append((ny, nx))
+                queue.append((ny, nx))
+                sum_cos += math.cos(2.0 * angle[ny, nx])
+                sum_sin += math.sin(2.0 * angle[ny, nx])
+
+        if len(region) < params.min_region_pixels:
+            continue
+        seg = _reference_fit_segment(region, mag, params.min_length)
+        if seg is not None:
+            segments.append(seg)
+
+    return reference_suppress_duplicates(segments)
+
+
+def _reference_fit_segment(region, mag, min_length):
+    pts = np.array(region, dtype=np.float64)
+    w = mag[pts[:, 0].astype(int), pts[:, 1].astype(int)]
+    xs = pts[:, 1] + 0.5
+    ys = pts[:, 0] + 0.5
+    wsum = w.sum()
+    cx = float((w * xs).sum() / wsum)
+    cy = float((w * ys).sum() / wsum)
+    dxs = xs - cx
+    dys = ys - cy
+    mxx = float((w * dxs * dxs).sum())
+    myy = float((w * dys * dys).sum())
+    mxy = float((w * dxs * dys).sum())
+    phi = 0.5 * math.atan2(2.0 * mxy, mxx - myy)
+    ux, uy = math.cos(phi), math.sin(phi)
+    t = dxs * ux + dys * uy
+    tmin, tmax = float(t.min()), float(t.max())
+    if tmax - tmin < min_length:
+        return None
+    e1 = (cx + tmin * ux, cy + tmin * uy)
+    e2 = (cx + tmax * ux, cy + tmax * uy)
+    if e2 < e1:
+        e1, e2 = e2, e1
+    return LineSegment(e1, e2)
+
+
+def reference_suppress_duplicates(segments, radius=2.0):
+    by_length = sorted(range(len(segments)), key=lambda i: (-segments[i].length(), i))
+    kept = []
+    for i in by_length:
+        s = segments[i]
+        dup = any(
+            lines._point_segment_distance(s.p1, segments[k].p1, segments[k].p2) <= radius
+            and lines._point_segment_distance(s.p2, segments[k].p1, segments[k].p2) <= radius
+            for k in kept
+        )
+        if not dup:
+            kept.append(i)
+    kept_set = set(kept)
+    return [s for i, s in enumerate(segments) if i in kept_set]
+
+
+def _test_image(kind, shape, seed):
+    """uint8 test image: 'squares' (step-edge rectangles over faint noise),
+    'rotated' (rotated rectangles, oblique edges) or 'noise'."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    img = rng.integers(0, 4, shape).astype(np.float64)
+    if kind == "noise":
+        return rng.integers(0, 256, shape).astype(np.uint8)
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(int(rng.integers(1, 6))):
+        cx, cy = rng.uniform(0, w), rng.uniform(0, h)
+        hx, hy = rng.uniform(2, max(3, w / 2)), rng.uniform(2, max(3, h / 2))
+        theta = rng.uniform(0, math.pi) if kind == "rotated" else 0.0
+        u = (xx - cx) * math.cos(theta) + (yy - cy) * math.sin(theta)
+        v = -(xx - cx) * math.sin(theta) + (yy - cy) * math.cos(theta)
+        img[(np.abs(u) <= hx) & (np.abs(v) <= hy)] = rng.integers(20, 250)
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+def _as_tuples(segments):
+    return [(s.p1, s.p2, s.width_index) for s in segments]
+
+
+@pytest.mark.parametrize(
+    "kind, shape, seed",
+    [
+        ("squares", (96, 96), 1),
+        ("squares", (70, 120), 2),
+        ("rotated", (96, 96), 3),
+        ("rotated", (120, 64), 4),
+        ("noise", (64, 64), 5),
+        ("noise", (2, 80), 6),
+        ("noise", (80, 2), 7),
+        ("squares", (2, 80), 8),
+        ("squares", (80, 2), 9),
+        ("noise", (2, 2), 10),
+    ],
+)
+def test_detector_matches_reference(kind, shape, seed):
+    img = RasterImage(_test_image(kind, shape, seed))
+    expected = reference_detect_segments(img)
+    assert _as_tuples(lines.detect_segments(img)) == _as_tuples(expected)
+    if kind != "noise" and min(shape) > 2:
+        assert expected
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(["squares", "rotated", "noise"]),
+    shape=st.tuples(st.integers(2, 64), st.integers(2, 64)),
+    seed=st.integers(0, 2**32 - 1),
+    params=st.builds(
+        DetectorParams,
+        gradient_threshold=st.floats(0.5, 60.0),
+        angle_tolerance=st.floats(0.5, 89.5),
+        min_length=st.floats(0.5, 20.0),
+        min_region_pixels=st.integers(1, 30),
+        smoothing_sigma=st.sampled_from([0.0, 0.5, 0.8, 1.7]),
+    ),
+)
+def test_detector_matches_reference_random_params(kind, shape, seed, params):
+    img = _test_image(kind, shape, seed)
+    expected = reference_detect_segments(img, params)
+    assert _as_tuples(lines.detect_segments(img, params)) == _as_tuples(expected)
+
+
 def test_duplicate_suppression():
     base = LineSegment((10.0, 10.0), (50.0, 10.0))
     near = LineSegment((11.0, 11.0), (48.0, 10.5))
     far = LineSegment((10.0, 40.0), (50.0, 40.0))
     kept = lines._suppress_duplicates([base, near, far])
     assert kept == [base, far]
+
+
+def test_duplicate_at_exactly_radius_is_dropped():
+    base = LineSegment((10.0, 10.0), (50.0, 10.0))
+    beside = LineSegment((10.0, 12.0), (48.0, 12.0))  # both ends 2.0 off the side
+    beyond = LineSegment((30.0, 10.0), (52.0, 10.0))  # p2 2.0 past the end of base
+    outside = LineSegment((30.0, 10.0), (52.5, 10.0))
+    assert lines._suppress_duplicates([base, beside, beyond, outside]) == [base, outside]
+    corner = LineSegment((20.0, 10.0), (53.0, 14.0))  # p2 at (3, 4) from the end: 5.0
+    assert lines._suppress_duplicates([base, corner], radius=5.0) == [base]
+    assert lines._suppress_duplicates([base, corner], radius=4.999) == [base, corner]
+
+
+def test_duplicate_length_ties_keep_lower_index():
+    a = LineSegment((0.0, 1.0), (10.0, 1.0))
+    b = LineSegment((0.0, 0.0), (10.0, 0.0))
+    c = LineSegment((10.0, 0.5), (0.0, 0.5))
+    assert lines._suppress_duplicates([a, b, c]) == [a]
+    assert lines._suppress_duplicates([c, b, a]) == [c]
+
+
+_coord = st.integers(0, 240).map(lambda v: v / 4)  # 0 .. 60 in quarter pixels
+_jitter = st.integers(-10, 10).map(lambda v: v / 4)  # up to 2.5 px
+
+
+@st.composite
+def _segment_sets(draw):
+    """Random segments plus near-copies of some of them, with endpoint
+    offsets in quarter pixels so distances of exactly 2.0 occur."""
+    ends = draw(st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=1, max_size=25))
+    for _ in range(draw(st.integers(0, 25))):
+        x1, y1, x2, y2 = draw(st.sampled_from(ends))
+        ends.append((x1 + draw(_jitter), y1 + draw(_jitter),
+                     x2 + draw(_jitter), y2 + draw(_jitter)))
+    ends = draw(st.permutations(ends))
+    return [LineSegment((x1, y1), (x2, y2)) for x1, y1, x2, y2 in ends if (x1, y1) != (x2, y2)]
+
+
+@settings(max_examples=200)
+@given(segments=_segment_sets(), radius=st.sampled_from([0.0, 0.5, 2.0, 3.25]))
+def test_duplicate_suppression_matches_reference(segments, radius):
+    expected = reference_suppress_duplicates(segments, radius)
+    assert lines._suppress_duplicates(segments, radius) == expected
 
 
 def test_degenerate_segment_rejected():
@@ -274,3 +497,23 @@ def test_csv_bad_header(tmp_path):
     p.write_text("a,b,c\n")
     with pytest.raises(ValueError, match="expected header"):
         lines.load_segments_csv(p)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,2,3", "bad row ['1', '2', '3']"),
+        ("1,2,x,4,", "could not convert string to float: 'x'"),
+        ("1,2,inf,4,", "non-finite coordinate in ['1', '2', 'inf', '4', '']"),
+        ("-nan,2,3,4,1", "non-finite coordinate in ['-nan', '2', '3', '4', '1']"),
+        ("1,2,3,4,0", "width_index must be >= 1, got 0"),
+        ("1,2,3,4,-2", "width_index must be >= 1, got -2"),
+        ("1,2,1,2,1", "degenerate segment: identical endpoints"),
+    ],
+)
+def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
+    p = tmp_path / "segments.csv"
+    p.write_text(f"x1,y1,x2,y2,width_index\n0,0,5,5,1\n\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        lines.load_segments_csv(p)
+    assert str(exc.value) == f"{p}: line 4: {message}"
