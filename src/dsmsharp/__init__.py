@@ -23,6 +23,7 @@ from .raster import (
     load_heightfield,
     load_image,
     load_mask,
+    rasterize_contours,
     save_heightfield,
     save_image,
     save_mask,
@@ -48,6 +49,8 @@ from .lines import (
     save_segments_csv,
 )
 from .graphcut import (
+    GROUND,
+    ROOF,
     ContourProblem,
     Labeling,
     OffsetField,

@@ -95,27 +95,23 @@ def _sharpen_stage(method, dsm, mask, segments, cfg, out, debug):
 
 
 def _sharpen_graphcut(dsm, mask, segments, cfg, outdir, debug):
-    ground, roof = gc.ramp_contours(dsm, mask, cfg.tophat.scale_max)
+    ground, roof = gc.ramp_contours(dsm, mask, cfg.tophat.top_scale)
     contours = ground + roof
     if not contours:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy()
     gcc = cfg.graphcut
-    shape = dsm.values.shape
     problem = gc.build_problem(
         contours,
+        [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof),
         segments,
-        shape,
+        dsm,
         line_buffer_radius=gcc.line_buffer_radius,
-        sides=[gc.GROUND] * len(ground) + [gc.ROOF] * len(roof),
-        dsm=dsm,
         **gcc.problem_constants(),
     )
     labeling = gc.minimize(problem)
-    contour_mask = raster.rasterize_contours(contours, shape)
-    field = gc.interpolate_offsets(
-        problem, labeling, contour_mask, shape, far_distance=gcc.far_distance
-    )
+    contour_mask = raster.rasterize_contours(contours, dsm.values.shape)
+    field = gc.interpolate_offsets(problem, labeling, contour_mask, far_distance=gcc.far_distance)
     if debug:
         gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
         raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")

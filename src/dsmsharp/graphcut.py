@@ -41,12 +41,12 @@ from .raster import (
     sample_bilinear,
     trace_contours,
 )
-from .lines import LineSegment, rasterize_segments
+from .lines import LineSegment
 from .tophat import white_tophat
 
 LABEL_RADIUS = 5
 
-# band layers of a two-sided problem, and the ramp levels that pick their contours
+# band layers of a problem, and the ramp levels that pick their contours
 GROUND, ROOF = 0, 1
 GROUND_FRACTION = 0.2
 ROOF_FRACTION = 0.8
@@ -78,14 +78,15 @@ class ContourProblem:
 
     ``contour_spans`` holds (start, stop, closed) index ranges partitioning
     ``points`` back into the source contours; closed spans wrap their
-    neighbour reach. ``line_buffer`` is one (h, w) bool raster shared by all
-    points, or a (k, h, w) stack of which ``point_band`` picks each point's
-    layer (GROUND or ROOF for the one-sided bands).
+    neighbour reach. ``line_buffer`` is a (k, h, w) bool stack of which
+    ``point_band`` picks each point's layer (GROUND or ROOF for the
+    one-sided bands of build_problem); an (h, w) raster is taken as the one
+    layer shared by all points.
     """
 
     points: np.ndarray  # (n, 2) int pixel coordinates
     contour_spans: list[tuple[int, int, bool]]
-    line_buffer: np.ndarray  # (h, w) or (k, h, w) bool
+    line_buffer: np.ndarray  # (k, h, w) bool; (h, w) becomes (1, h, w)
     data_cost_hit: int = 0
     data_cost_miss: int = 10
     smooth_cost_near: int = 2
@@ -98,9 +99,11 @@ class ContourProblem:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.int64)
         self.line_buffer = np.asarray(self.line_buffer, dtype=bool)
-        if self.line_buffer.ndim not in (2, 3):
+        if self.line_buffer.ndim == 2:
+            self.line_buffer = self.line_buffer[None]
+        if self.line_buffer.ndim != 3:
             raise ValueError("line buffer must be (h, w) or (k, h, w)")
-        layers = self.line_buffer.shape[0] if self.line_buffer.ndim == 3 else 1
+        layers, h, w = self.line_buffer.shape
         if self.point_band is None:
             self.point_band = np.zeros(self.points.shape[0], dtype=np.int64)
         self.point_band = np.asarray(self.point_band, dtype=np.int64)
@@ -108,7 +111,6 @@ class ContourProblem:
             raise ValueError("point_band needs one layer index per point")
         if ((self.point_band < 0) | (self.point_band >= layers)).any():
             raise ValueError("point_band refers to a missing buffer layer")
-        h, w = self.line_buffer.shape[-2:]
         xs, ys = self.points[:, 0], self.points[:, 1]
         if ((xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)).any():
             raise ValueError("contour points must lie inside the raster")
@@ -116,6 +118,8 @@ class ContourProblem:
             raise ValueError("require data_cost_hit < data_cost_miss")
         if not self.smooth_cost_near < self.smooth_cost_far:
             raise ValueError("require smooth_cost_near < smooth_cost_far")
+        if not math.isfinite(self.smooth_radius):
+            raise ValueError("smooth_radius must be finite")
         self.pairs = _neighbor_pairs(self.contour_spans, self.neighbor_reach)
 
     @property
@@ -169,25 +173,22 @@ def _neighbor_pairs(spans, reach: int) -> np.ndarray:
 
 def build_problem(
     contours: list[Contour],
+    sides: list[int],
     segments: list[LineSegment],
-    dims: tuple[int, int],
+    dsm: Heightfield,
     line_buffer_radius: int = 2,
-    sides: list[int] | None = None,
-    dsm: Heightfield | None = None,
     **constants,
 ) -> ContourProblem:
     """Assemble the optimisation problem from traced contours and filtered
-    segments. ``dims`` is (height, width).
+    segments on the grid of ``dsm``.
 
-    By default every point is free anywhere in the segments' raster walk
-    dilated by ``line_buffer_radius``. Given ``sides`` (GROUND or ROOF per
-    contour) and the ``dsm``, each contour is free only inside the one-sided
-    band on its own side of the segments (see side_bands).
+    ``sides`` gives GROUND or ROOF per contour; each contour is free only
+    inside the one-sided band on its own side of the segments (see
+    side_bands). Empty contours are left out.
     """
-    if sides is not None and len(sides) != len(contours):
+    if len(sides) != len(contours):
         raise ValueError("need one side per contour")
-    layers = [0] * len(contours) if sides is None else sides
-    kept = [(c, layer) for c, layer in zip(contours, layers) if len(c) > 0]
+    kept = [(c, side) for c, side in zip(contours, sides) if len(c) > 0]
     if not kept:
         raise ValueError("nothing to adjust")
     spans = []
@@ -196,13 +197,7 @@ def build_problem(
         spans.append((start, start + len(c), c.closed))
         start += len(c)
     points = np.vstack([c.points for c, _ in kept])
-    if sides is None:
-        line_mask = rasterize_segments(segments, dims)
-        buffer = dilate_mask(line_mask, line_buffer_radius)
-        return ContourProblem(points, spans, buffer.bits, **constants)
-    if dsm is None or dsm.values.shape != tuple(dims):
-        raise ValueError("one-sided bands need the DSM of the given dims")
-    point_band = np.concatenate([np.full(len(c), layer) for c, layer in kept])
+    point_band = np.concatenate([np.full(len(c), side) for c, side in kept])
     bands = side_bands(dsm, segments, line_buffer_radius)
     return ContourProblem(points, spans, bands, point_band=point_band, **constants)
 
@@ -303,13 +298,12 @@ def ramp_contours(
 def _hits(problem: ContourProblem, point_index, xs, ys) -> np.ndarray:
     """Whether the shifted positions (xs, ys) of the given points land in
     their buffer layer; positions off the raster are misses."""
-    buf = problem.line_buffer if problem.line_buffer.ndim == 3 else problem.line_buffer[None]
-    h, w = buf.shape[1:]
+    _, h, w = problem.line_buffer.shape
     xs, ys = np.asarray(xs), np.asarray(ys)
     layer = np.broadcast_to(problem.point_band[point_index], xs.shape)
     inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
     hit = np.zeros(xs.shape, dtype=bool)
-    hit[inside] = buf[layer[inside], ys[inside], xs[inside]]
+    hit[inside] = problem.line_buffer[layer[inside], ys[inside], xs[inside]]
     return hit
 
 
@@ -433,18 +427,10 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable):
     cap_snk = theta0 - base
     source, sink = nv, nv + 1
 
-    nz = cap_src > 0
-    rows_list.append(np.full(int(nz.sum()), source, dtype=np.int64))
-    cols_list.append(np.nonzero(nz)[0])
-    caps_list.append(cap_src[nz])
-    nz = cap_snk > 0
-    rows_list.append(np.nonzero(nz)[0])
-    cols_list.append(np.full(int(nz.sum()), sink, dtype=np.int64))
-    caps_list.append(cap_snk[nz])
-
-    rows = np.concatenate(rows_list) if rows_list else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols_list) if cols_list else np.empty(0, dtype=np.int64)
-    caps = np.concatenate(caps_list) if caps_list else np.empty(0, dtype=np.int64)
+    src, snk = np.nonzero(cap_src > 0)[0], np.nonzero(cap_snk > 0)[0]
+    rows = np.concatenate(rows_list + [np.full(len(src), source, dtype=np.int64), snk])
+    cols = np.concatenate(cols_list + [src, np.full(len(snk), sink, dtype=np.int64)])
+    caps = np.concatenate(caps_list + [cap_src[src], cap_snk[snk]])
 
     graph = csr_matrix((caps, (rows, cols)), shape=(nv + 2, nv + 2), dtype=np.int64)
     flow = maximum_flow(graph, source, sink).flow
@@ -528,20 +514,22 @@ def interpolate_offsets(
     problem: ContourProblem,
     labeling: Labeling,
     boundary_mask: BinaryMask,
-    dims: tuple[int, int],
     far_distance: int = 20,
     idw_neighbors: int = 8,
 ) -> OffsetField:
-    """Densify sparse contour offsets to every pixel.
+    """Densify sparse contour offsets to every pixel of ``boundary_mask``.
 
     Anchors are the contour pixels (with their solved offsets) plus every
-    pixel at Chebyshev distance >= far_distance from the boundary (offset
-    zero). Remaining pixels take an inverse-square-distance weighted mean of
-    their idw_neighbors nearest anchors; anchors keep their exact values.
+    pixel at Chebyshev distance >= far_distance from the mask's pixels
+    (offset zero). Remaining pixels take an inverse-square-distance weighted
+    mean of their idw_neighbors nearest anchors; anchors keep their exact
+    values. The field has the mask's shape, which must be the problem's.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
-    h, w = dims
+    h, w = boundary_mask.bits.shape
+    if problem.line_buffer.shape[1:] != (h, w):
+        raise ValueError("boundary mask and problem are on different grids")
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
 

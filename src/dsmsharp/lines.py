@@ -66,14 +66,14 @@ class DetectorParams:
     smoothing_sigma: float = 0.8  # anti-aliasing blur so staircase edges grade smoothly
 
     def __post_init__(self):
-        if min(self.gradient_threshold, self.angle_tolerance, self.min_length) <= 0:
-            raise ValueError("detector parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.gradient_threshold, self.min_length)):
+            raise ValueError("detector thresholds must be positive and finite")
         if self.min_region_pixels <= 0:
             raise ValueError("min_region_pixels must be positive")
-        if self.angle_tolerance >= 90:
-            raise ValueError("angle_tolerance must be < 90 degrees")
-        if self.smoothing_sigma < 0:
-            raise ValueError("smoothing_sigma must be >= 0")
+        if not 0 < self.angle_tolerance < 90:
+            raise ValueError("angle_tolerance must be in (0, 90) degrees")
+        if not 0 <= self.smoothing_sigma < math.inf:
+            raise ValueError("smoothing_sigma must be >= 0 and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +286,19 @@ def filter_segments(
     return out
 
 
-def rasterize_segments(segments: list[LineSegment], shape: tuple[int, int]) -> BinaryMask:
-    """Burn Bresenham walks of all segments into a mask of (height, width)."""
-    bits = np.zeros(shape, dtype=bool)
-    h, w = shape
-    for seg in segments:
-        pts = seg.raster_points()
-        xs, ys = pts[:, 0], pts[:, 1]
-        inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-        bits[ys[inside], xs[inside]] = True
-    return BinaryMask(bits)
-
-
 # ---------------------------------------------------------------------------
 # Width estimation from the tophat contour stack
 # ---------------------------------------------------------------------------
+
+
+def _width_index(pts: np.ndarray, buffers) -> int | None:
+    """1-based index of the first buffer holding more than half of the
+    walk ``pts``, or None."""
+    for i, buf in enumerate(buffers, start=1):
+        hits, total = _buffer_fraction_hits(pts, buf)
+        if 2 * hits > total:
+            return i
+    return None
 
 
 def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int = 2) -> int:
@@ -308,13 +306,11 @@ def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int
     more than half the segment's raster walk."""
     if overlap_radius < 0:
         raise ValueError("overlap_radius must be >= 0")
-    pts = segment.raster_points()
-    for i, cimg in enumerate(stack.contour_images):
-        buffered = dilate_mask(cimg, overlap_radius).bits
-        hits, total = _buffer_fraction_hits(pts, buffered)
-        if 2 * hits > total:
-            return i + 1
-    raise UnmatchedSegmentError("unmatched segment")
+    buffers = (dilate_mask(cimg, overlap_radius).bits for cimg in stack.contour_images)
+    width = _width_index(segment.raster_points(), buffers)
+    if width is None:
+        raise UnmatchedSegmentError("unmatched segment")
+    return width
 
 
 def assign_widths(
@@ -330,13 +326,7 @@ def assign_widths(
     buffered = [dilate_mask(ci, overlap_radius).bits for ci in stack.contour_images]
     out = []
     for seg in segments:
-        pts = seg.raster_points()
-        width = None
-        for i, buf in enumerate(buffered):
-            hits, total = _buffer_fraction_hits(pts, buf)
-            if 2 * hits > total:
-                width = i + 1
-                break
+        width = _width_index(seg.raster_points(), buffered)
         if width is None:
             logger.warning("dropping unmatched segment %s -> %s", seg.p1, seg.p2)
             continue

@@ -14,6 +14,7 @@ along its boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,17 @@ class TophatParams:
             raise ValueError("require 0 < scale_min <= scale_max")
         if self.scale_step <= 0:
             raise ValueError("scale_step must be positive")
-        if self.height_threshold <= 0:
-            raise ValueError("height_threshold must be positive")
+        if not 0 < self.height_threshold < math.inf:
+            raise ValueError("height_threshold must be positive and finite")
 
     def scales(self) -> list[int]:
         return list(range(self.scale_min, self.scale_max + 1, self.scale_step))
+
+    @property
+    def top_scale(self) -> int:
+        """The ladder's largest element: scale_max only when the step divides
+        the range. The building mask and the ramp contours both use it."""
+        return self.scales()[-1]
 
 
 @dataclass(eq=False)
@@ -102,7 +109,7 @@ def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatS
 def building_mask(dsm: Heightfield, params: TophatParams | None = None) -> BinaryMask:
     """The union of the ladder's masks: the thresholded tophat at its top scale."""
     params = params or TophatParams()
-    return BinaryMask(_hits(dsm, params.scales()[-1], params.height_threshold))
+    return BinaryMask(_hits(dsm, params.top_scale, params.height_threshold))
 
 
 def boundary_contours(mask: BinaryMask) -> list[Contour]:

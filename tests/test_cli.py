@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dsmsharp import cli, raster
+from dsmsharp import cli, raster, synth
 from dsmsharp.lines import load_segments_csv
+from dsmsharp.synth import Building, SceneSpec
 
 from conftest import SMALL_SCALE_ARGS
 
@@ -210,6 +211,36 @@ def test_sharpen_debug_dumps(small_scene, run_cli):
         "--out", small_scene["out"], "--debug", *SMALL_SCALE_ARGS,
     )
     assert (small_scene["out"] / "planes.csv").is_file()
+
+
+def test_graphcut_uses_the_top_of_the_ladder(tmp_path, run_cli):
+    # scale_max 59 and 50 with step 10 both end the ladder at 50, so the mask,
+    # the ramp contours and every output must agree
+    spec = SceneSpec(
+        dims=(128, 128),
+        buildings=[
+            Building((50, 60), (36, 30), 10.0),
+            Building((95, 80), (24, 40), 14.0, rotation_deg=20.0),
+        ],
+        boundary_blur_sigma=2.0,
+        noise_sigma=0.05,
+        seed=1,
+    )
+    truth, smeared, ortho = synth.generate(spec)
+    raster.save_heightfield(truth, tmp_path / "truth.asc")
+    raster.save_heightfield(smeared, tmp_path / "dsm.asc")
+    raster.save_image(ortho, tmp_path / "ortho.pgm")
+    outputs = []
+    for scale_max in (59, 50):
+        out = tmp_path / f"out{scale_max}"
+        code = run_cli(
+            "run-all", "--method", "graphcut", "--dsm", tmp_path / "dsm.asc",
+            "--ortho", tmp_path / "ortho.pgm", "--truth", tmp_path / "truth.asc", "--out", out,
+            "--set", f"tophat.scale_max={scale_max}",
+        )
+        assert code == 0
+        outputs.append(read_all_bytes(out))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("method", ["planefit", "graphcut"])

@@ -1,9 +1,15 @@
-"""The `key = value` reader shared by pipeline config files and scene files."""
+"""The `key = value` reader shared by pipeline config files and scene files,
+and the checks of the parameter classes that library callers build."""
 
+import functools
+
+import numpy as np
 import pytest
 
-from dsmsharp import synth
+from dsmsharp import graphcut, synth
 from dsmsharp.config import read_config_file
+from dsmsharp.lines import DetectorParams
+from dsmsharp.tophat import TophatParams
 
 
 def test_config_file_pairs(tmp_path):
@@ -41,3 +47,27 @@ def test_scene_file_errors(tmp_path, text, message):
     with pytest.raises(ValueError) as exc:
         synth.parse_scene_config(p)
     assert str(exc.value) == f"{p}: {message}"
+
+
+_ONE_POINT_PROBLEM = functools.partial(
+    graphcut.ContourProblem, np.zeros((1, 2), int), [(0, 1, False)], np.zeros((2, 2), bool)
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (DetectorParams, "gradient_threshold"),
+        (DetectorParams, "angle_tolerance"),
+        (DetectorParams, "min_length"),
+        (DetectorParams, "smoothing_sigma"),
+        (TophatParams, "height_threshold"),
+        (_ONE_POINT_PROBLEM, "smooth_radius"),
+    ],
+    ids=lambda p: p if isinstance(p, str) else getattr(p, "__name__", "ContourProblem"),
+)
+def test_parameters_reject_non_finite_values(make, name, value):
+    make(**{name: 1.0})
+    with pytest.raises(ValueError):
+        make(**{name: value})

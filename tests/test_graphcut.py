@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dsmsharp import graphcut as gc
-from dsmsharp.lines import LineSegment
 from dsmsharp.raster import BinaryMask, Contour, Heightfield
 
 
@@ -96,19 +95,9 @@ def test_cost_ranges_exhaustive():
 # ---------------------------------------------------------------------------
 
 
-def test_build_problem_buffer_band():
-    contour = Contour(np.array([[i, 10] for i in range(5, 25)]), closed=False)
-    seg = LineSegment((5.0, 15.0), (24.0, 15.0))
-    prob = gc.build_problem([contour], [seg], (30, 30))
-    assert prob.size == 20
-    # 1-px line dilated by 2 px gives a 5-px-wide band
-    assert prob.line_buffer[:, 15].sum() == 5
-    assert prob.line_buffer[13:18, 15].all()
-
-
 def test_build_problem_no_segments_all_misses():
     contour = Contour(np.array([[i, 5] for i in range(3, 9)]), closed=False)
-    prob = gc.build_problem([contour], [], (12, 12))
+    prob = gc.build_problem([contour], [gc.GROUND], [], Heightfield(np.zeros((12, 12))))
     assert not prob.line_buffer.any()
     assert all(gc.data_cost(prob, i, (0, 0)) == 10 for i in range(prob.size))
 
@@ -116,14 +105,27 @@ def test_build_problem_no_segments_all_misses():
 def test_build_problem_two_contours_spans():
     c1 = Contour(np.array([[1, 1], [2, 1], [3, 1]]), closed=True)
     c2 = Contour(np.array([[6, 6], [7, 6]]), closed=False)
-    prob = gc.build_problem([c1, c2], [], (10, 10))
+    prob = gc.build_problem([c1, c2], [gc.GROUND, gc.ROOF], [], Heightfield(np.zeros((10, 10))))
     assert prob.contour_spans == [(0, 3, True), (3, 5, False)]
     assert sum(b - a for a, b, _ in prob.contour_spans) == prob.size
 
 
 def test_build_problem_empty_errors():
     with pytest.raises(ValueError, match="nothing to adjust"):
-        gc.build_problem([], [], (10, 10))
+        gc.build_problem([], [], [], Heightfield(np.zeros((10, 10))))
+
+
+def test_flat_line_buffer_is_one_layer():
+    prob = small_problem([(1, 1), (2, 1)], np.eye(4, dtype=bool), closed=False)
+    assert prob.line_buffer.shape == (1, 4, 4)
+    assert np.array_equal(prob.line_buffer[0], np.eye(4, dtype=bool))
+    assert list(prob.point_band) == [0, 0]
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 1, 4, 4)])
+def test_line_buffer_needs_two_or_three_axes(shape):
+    with pytest.raises(ValueError, match="line buffer"):
+        small_problem([(0, 0)], np.zeros(shape, bool), closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +281,7 @@ def test_interpolate_all_zero_labels_gives_zero_field():
         bits[y, x] = True
     prob = small_problem(pts, np.zeros((20, 20), bool), closed=False)
     labeling = gc.Labeling(np.zeros((len(pts), 2), int))
-    field = gc.interpolate_offsets(prob, labeling, BinaryMask(bits), (20, 20))
+    field = gc.interpolate_offsets(prob, labeling, BinaryMask(bits))
     assert np.allclose(field.dx, 0) and np.allclose(field.dy, 0)
 
 
@@ -290,7 +292,7 @@ def test_interpolate_exact_at_anchors():
         bits[y, x] = True
     prob = small_problem(pts, np.zeros((48, 48), bool), closed=False)
     offs = np.array([[(i % 3) - 1, 1] for i in range(len(pts))])
-    field = gc.interpolate_offsets(prob, gc.Labeling(offs), BinaryMask(bits), (48, 48))
+    field = gc.interpolate_offsets(prob, gc.Labeling(offs), BinaryMask(bits))
     for (x, y), (dx, dy) in zip(pts, offs):
         assert field.dx[y, x] == dx
         assert field.dy[y, x] == dy
@@ -306,11 +308,20 @@ def test_interpolate_midpoint_between_two_anchors():
     prob = small_problem(pts, np.zeros((h, w), bool), closed=False)
     labeling = gc.Labeling(np.array([[4, 0]]))
     field = gc.interpolate_offsets(
-        prob, labeling, BinaryMask(bits), (h, w), far_distance=20, idw_neighbors=2
+        prob, labeling, BinaryMask(bits), far_distance=20, idw_neighbors=2
     )
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
     assert abs(field.dx[1, 12] - 2.0) < 1e-6
     assert abs(field.dy[1, 12]) < 1e-6
+
+
+def test_interpolate_takes_the_grid_of_the_mask():
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
+    labeling = gc.Labeling(np.array([[1, 0]]))
+    field = gc.interpolate_offsets(prob, labeling, BinaryMask(np.zeros((6, 9), bool)))
+    assert field.dx.shape == field.dy.shape == (6, 9)
+    with pytest.raises(ValueError, match="different grids"):
+        gc.interpolate_offsets(prob, labeling, BinaryMask(np.zeros((9, 6), bool)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,18 @@ def run_front_end(spec, tophat_params):
     return truth, smeared, stack, contours, cmask, filtered
 
 
+def run_graphcut(dsm, mask, segments, tophat_params):
+    """The CLI's graph-cut stage: ramp contours, one-sided bands, minimize, warp."""
+    ground, roof = graphcut.ramp_contours(dsm, mask, tophat_params.top_scale)
+    contours = ground + roof
+    sides = [graphcut.GROUND] * len(ground) + [graphcut.ROOF] * len(roof)
+    problem = graphcut.build_problem(contours, sides, segments, dsm)
+    labeling = graphcut.minimize(problem)
+    boundary = raster.rasterize_contours(contours, dsm.values.shape)
+    field = graphcut.interpolate_offsets(problem, labeling, boundary)
+    return problem, labeling, graphcut.warp_dsm(dsm, field)
+
+
 def test_rotated_building_detected_and_sharpened():
     spec = SceneSpec(
         dims=(160, 160),
@@ -53,12 +65,10 @@ def test_two_buildings_give_two_contours_and_eight_segments():
     widths = {s.width_index for s in filtered}
     assert len(widths) >= 2  # different building sizes, different indices
 
-    problem = graphcut.build_problem(contours, filtered, smeared.values.shape)
-    assert len(problem.contour_spans) == 2
-    labeling = graphcut.minimize(problem)
-    field = graphcut.interpolate_offsets(problem, labeling, cmask, smeared.values.shape)
-    warped = graphcut.warp_dsm(smeared, field)
-    # boundary already aligned with the image lines: zero offsets, identity warp
+    mask = tophat.building_mask(smeared, params)
+    problem, labeling, warped = run_graphcut(smeared, mask, filtered, params)
+    assert len(problem.contour_spans) == 4  # a ground and a roof contour each
+    # ramps already inside their bands on the image lines: zero offsets, identity warp
     assert (labeling.offsets == 0).all()
     assert np.array_equal(warped.values, smeared.values)
 
@@ -77,8 +87,8 @@ def test_nodata_hole_survives_both_methods():
     holey = raster.Heightfield(vals)
     params = TophatParams(scale_min=10, scale_max=60)
     stack = tophat.build_stack(holey, params)
-    contours = tophat.boundary_contours(tophat.building_mask(holey, params))
-    cmask = raster.rasterize_contours(contours, vals.shape)
+    mask = tophat.building_mask(holey, params)
+    cmask = raster.rasterize_contours(tophat.boundary_contours(mask), vals.shape)
     segs = lines.assign_widths(
         lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5),
         stack,
@@ -89,11 +99,8 @@ def test_nodata_hole_survives_both_methods():
     adjusted = planefit.adjust_all(holey, segs)
     assert (adjusted.values[40:44, 40:44] == holey.nodata).all()
 
-    problem = graphcut.build_problem(contours, segs, vals.shape)
-    labeling = graphcut.minimize(problem)
-    field = graphcut.interpolate_offsets(problem, labeling, cmask, vals.shape)
-    warped = graphcut.warp_dsm(holey, field)
-    assert warped.values[41, 41] == holey.nodata
+    _, _, warped = run_graphcut(holey, mask, segs, params)
+    assert (warped.values[40:44, 40:44] == holey.nodata).all()
     # scoring still works over the valid cells
     evaluate.rmse(adjusted, truth, raster.dilate_mask(cmask, 5))
 
@@ -116,8 +123,8 @@ def test_building_flush_with_border():
 
 
 def test_graphcut_corrects_displaced_boundary():
-    """When the extracted DSM boundary is displaced off the image lines, the
-    offset solver snaps it back and the warp follows the segments."""
+    """When the DSM is displaced off the image lines, the offset solver snaps
+    its ramps back and the warp follows the segments."""
     spec = SceneSpec(
         dims=(160, 160),
         buildings=[Building((80, 80), (56, 56), 10.0)],
@@ -127,21 +134,17 @@ def test_graphcut_corrects_displaced_boundary():
     )
     truth, smeared, ortho = synth.generate(spec)
     params = TophatParams(scale_min=10, scale_max=80)
-    stack = tophat.build_stack(smeared, params)
-    contours = tophat.boundary_contours(tophat.building_mask(smeared, params))
-    # knock the contours 4 px off to emulate a displaced boundary extraction
-    shifted = [raster.Contour(c.points + np.array([4, 0]), closed=c.closed) for c in contours]
-    cmask = raster.rasterize_contours(shifted, smeared.values.shape)
-    segments = lines.assign_widths(
-        lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 8),
-        stack,
-        2,
-    )
-    problem = graphcut.build_problem(shifted, segments, smeared.values.shape)
-    labeling = graphcut.minimize(problem)
-    # the vertical edges sit 4 px west of the displaced contour columns
-    moved = (labeling.offsets != 0).any(axis=1).mean()
-    assert moved > 0.5
+    # roll the DSM 4 px east of the ortho to emulate a displaced boundary
+    rolled = smeared.like(np.roll(smeared.values, 4, axis=1))
+    mask = tophat.building_mask(rolled, params)
+    cmask = raster.rasterize_contours(tophat.boundary_contours(mask), rolled.values.shape)
+    # graph-cut needs no width indices, so all four filtered edges take part
+    segments = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 8)
+    assert len(segments) == 4
+    problem, labeling, warped = run_graphcut(rolled, mask, segments, params)
+    assert (labeling.offsets != 0).any(axis=1).all()
     assert graphcut.energy(problem, labeling) < graphcut.energy(
         problem, graphcut.Labeling(np.zeros((problem.size, 2), int))
     )
+    scope = raster.dilate_mask(cmask, 5)
+    assert evaluate.rmse(warped, truth, scope) < 0.5 * evaluate.rmse(rolled, truth, scope)

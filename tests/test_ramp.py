@@ -1,4 +1,4 @@
-"""Two-sided graph-cut stage: ramp contours, one-sided bands, move skipping."""
+"""Graph-cut on the smeared ramp: ramp contours, one-sided bands, move skipping."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,18 @@ from dsmsharp.tophat import TophatParams, boundary_contours, building_mask
 from test_graphcut import LABELS3, small_problem
 
 
+def _walk(seg, shape):
+    """The segment's raster walk burnt into a mask of ``shape``."""
+    bits = np.zeros(shape, dtype=bool)
+    xs, ys = seg.raster_points().T
+    inside = (xs >= 0) & (xs < shape[1]) & (ys >= 0) & (ys < shape[0])
+    bits[ys[inside], xs[inside]] = True
+    return bits
+
+
 def _walk_distance(seg, shape):
     """Chebyshev distance of every pixel to the segment's raster walk."""
-    walk = lines.rasterize_segments([seg], shape).bits
+    walk = _walk(seg, shape)
     h, w = shape
     yy, xx = np.mgrid[0:h, 0:w]
     pts = np.argwhere(walk)  # (y, x)
@@ -42,7 +51,7 @@ def _check_bands(seg, roof_bits, radius):
     assert (dist[ground] <= radius).all()
     assert (dist[roof] <= radius).all()
     # together the two sides are exactly the two-sided line buffer
-    two_sided = raster.dilate_mask(lines.rasterize_segments([seg], shape), radius).bits
+    two_sided = raster.dilate_mask(BinaryMask(_walk(seg, shape)), radius).bits
     assert np.array_equal(ground | roof, two_sided)
     # each band stays on its own side; the roof side is where the DSM is high
     cross = _cross(seg, shape)
@@ -90,7 +99,7 @@ def test_side_bands_on_pixel_centres_radius_zero():
     roof_bits = np.mgrid[0:12, 0:12][0] < 6
     seg = LineSegment((2.0, 6.0), (9.0, 6.0))
     bands = gc.side_bands(Heightfield(np.where(roof_bits, 5.0, 0.0)), [seg], 0)
-    walk = lines.rasterize_segments([seg], (12, 12)).bits
+    walk = _walk(seg, (12, 12))
     assert np.array_equal(bands[gc.GROUND], walk)
     assert np.array_equal(bands[gc.ROOF], walk)
 
@@ -128,7 +137,7 @@ def _smeared_block(sigma, dims=(64, 64), size=(28, 28), height=10.0):
 
 def test_ramp_contours_bracket_the_ramp():
     _, smeared, _, mask, params = _smeared_block(2.0)
-    ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
+    ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
     assert len(ground) == 1 and len(roof) == 1
     vals = smeared.values
     gx, gy = ground[0].points[:, 0], ground[0].points[:, 1]
@@ -173,14 +182,9 @@ def test_crisp_dsm_keeps_zero_offsets():
         cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
         segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
         assert len(segs) == 4
-        ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
-        problem = gc.build_problem(
-            ground + roof,
-            segs,
-            smeared.values.shape,
-            sides=[gc.GROUND] * len(ground) + [gc.ROOF] * len(roof),
-            dsm=smeared,
-        )
+        ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
+        sides = [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof)
+        problem = gc.build_problem(ground + roof, sides, segs, smeared)
         labeling = gc.minimize(problem)
         assert (labeling.offsets == 0).all(), sigma
 
@@ -189,23 +193,17 @@ def test_smeared_ramp_is_squeezed_onto_the_lines():
     truth, smeared, ortho, mask, params = _smeared_block(2.0)
     cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
     segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
-    ground, roof = gc.ramp_contours(smeared, mask, params.scale_max)
+    ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
     contours = ground + roof
-    problem = gc.build_problem(
-        contours,
-        segs,
-        smeared.values.shape,
-        sides=[gc.GROUND] * len(ground) + [gc.ROOF] * len(roof),
-        dsm=smeared,
-    )
+    sides = [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof)
+    problem = gc.build_problem(contours, sides, segs, smeared)
     labeling = gc.minimize(problem)
     zero = gc.Labeling(np.zeros((problem.size, 2), int))
     assert gc.energy(problem, labeling) < gc.energy(problem, zero)
     # every contour point ends in the band on its own side
     assert all(gc.data_cost(problem, i, labeling.offsets[i]) == 0 for i in range(problem.size))
     field = gc.interpolate_offsets(
-        problem, labeling, raster.rasterize_contours(contours, smeared.values.shape),
-        smeared.values.shape,
+        problem, labeling, raster.rasterize_contours(contours, smeared.values.shape)
     )
     warped = gc.warp_dsm(smeared, field)
     scope = raster.dilate_mask(cmask, 5)
@@ -213,7 +211,7 @@ def test_smeared_ramp_is_squeezed_onto_the_lines():
 
 
 # ---------------------------------------------------------------------------
-# Two-layer problems
+# Problems with a side per contour
 # ---------------------------------------------------------------------------
 
 
@@ -222,9 +220,7 @@ def test_build_problem_sides_pick_their_band():
     seg = LineSegment((9.5, 2.0), (9.5, 17.0))
     ground = Contour(np.array([[6, y] for y in range(4, 16)]), closed=False)
     roof = Contour(np.array([[12, y] for y in range(4, 16)]), closed=False)
-    problem = gc.build_problem(
-        [ground, roof], [seg], (20, 20), sides=[gc.GROUND, gc.ROOF], dsm=dsm
-    )
+    problem = gc.build_problem([ground, roof], [gc.GROUND, gc.ROOF], [seg], dsm)
     assert problem.line_buffer.shape == (2, 20, 20)
     assert list(problem.point_band) == [gc.GROUND] * 12 + [gc.ROOF] * 12
     # the ground contour needs +2 to reach column 8, the roof contour is home
@@ -240,10 +236,12 @@ def test_build_problem_sides_pick_their_band():
 
 def test_build_problem_sides_need_dsm_and_one_side_per_contour():
     c = Contour(np.array([[1, 1], [2, 1]]), closed=False)
-    with pytest.raises(ValueError):
-        gc.build_problem([c], [], (5, 5), sides=[gc.GROUND])
-    with pytest.raises(ValueError):
-        gc.build_problem([c], [], (5, 5), sides=[], dsm=Heightfield(np.zeros((5, 5))))
+    with pytest.raises(TypeError):
+        gc.build_problem([c], [gc.GROUND], [])
+    dsm = Heightfield(np.zeros((5, 5)))
+    for sides in ([], [gc.GROUND, gc.ROOF]):
+        with pytest.raises(ValueError, match="one side per contour"):
+            gc.build_problem([c], sides, [], dsm)
 
 
 def test_point_band_must_name_a_layer():
