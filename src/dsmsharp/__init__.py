@@ -30,11 +30,13 @@ from .raster import (
     trace_contours,
 )
 from .tophat import (
+    Rung,
     TophatParams,
     TophatStack,
     boundary_contours,
     build_stack,
     building_mask,
+    ladder,
     white_tophat,
 )
 from .lines import (

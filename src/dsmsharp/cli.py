@@ -18,7 +18,7 @@ from . import lines as ln
 from . import planefit as pf
 from . import raster, synth
 from .config import PipelineConfig, build_config
-from .tophat import boundary_contours, build_stack, building_mask
+from .tophat import boundary_contours, build_stack, building_mask, ladder
 
 logger = logging.getLogger("dsmsharp")
 
@@ -68,12 +68,15 @@ def _mask_stage(dsm, cfg, out=None):
     return mask, contour_mask
 
 
-def _lines_stage(dsm, ortho, contour_mask, cfg, out):
-    """Detect, filter and width-annotate the ortho's segments; the tophat
-    ladder is built here only, for the width indices."""
+def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
+    """Detect, filter and width-annotate the ortho's segments. The width
+    indices walk the tophat ladder up from its bottom rung only as far as
+    they need; the walk reuses the building mask as its top rung and stops
+    at the first rung equal to it."""
     raw = ln.detect_segments(raster.grayscale(ortho), cfg.detector)
     filtered = ln.filter_segments(raw, contour_mask, cfg.boundary_buffer_radius)
-    filtered = ln.assign_widths(filtered, build_stack(dsm, cfg.tophat), cfg.overlap_radius)
+    rungs = ladder(dsm, cfg.tophat, building=mask)
+    filtered = ln.assign_widths(filtered, rungs, cfg.overlap_radius)
     ln.save_segments_csv(raw, out / "segments_raw.csv")
     ln.save_segments_csv(filtered, out / "segments_filtered.csv")
     logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(filtered))
@@ -187,7 +190,7 @@ def cmd_extract_mask(args) -> int:
         stack = build_stack(dsm, cfg.tophat)
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
-        for scale, cum, cimg in zip(stack.scales, stack.cumulative_masks, stack.contour_images):
+        for scale, cum, cimg in stack:
             raster.save_mask(cum, stack_dir / f"mask_{scale:03d}.pgm")
             raster.save_mask(cimg, stack_dir / f"contours_{scale:03d}.pgm")
     return 0
@@ -197,8 +200,8 @@ def cmd_detect_lines(args) -> int:
     cfg = _config_from_args(args)
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
-    _, contour_mask = _mask_stage(dsm, cfg)
-    _lines_stage(dsm, ortho, contour_mask, cfg, _outdir(cfg))
+    mask, contour_mask = _mask_stage(dsm, cfg)
+    _lines_stage(dsm, ortho, mask, contour_mask, cfg, _outdir(cfg))
     return 0
 
 
@@ -235,7 +238,7 @@ def cmd_run_all(args) -> int:
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
     out = _outdir(cfg)
     mask, contour_mask = _mask_stage(dsm, cfg, out)
-    segments = _lines_stage(dsm, ortho, contour_mask, cfg, out)
+    segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
     variants = {m: _sharpen_stage(m, dsm, mask, segments, cfg, out, args.debug) for m in methods}
     _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)

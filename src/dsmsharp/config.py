@@ -109,9 +109,12 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "eval.section": (("section",), _tuple_of(_finite_float)),
 }
 
-# lowest values of the keys a stage would reject only after the tophat ladder
+# lowest values of the keys a stage would reject only after the tophat ladder,
+# or that have no meaning below it
 _MINIMUM = {"lines.boundary_buffer_radius": 0, "lines.overlap_radius": 0,
-            "graphcut.line_buffer_radius": 0, "eval.sweep_max_width": 1}
+            "graphcut.line_buffer_radius": 0, "graphcut.smooth_radius": 0,
+            "graphcut.neighbor_reach": 0, "graphcut.far_distance": 0,
+            "eval.sweep_max_width": 1}
 
 
 def read_key_values(path: str | Path, known) -> Iterator[tuple[int, str, str]]:

@@ -118,8 +118,10 @@ class ContourProblem:
             raise ValueError("require data_cost_hit < data_cost_miss")
         if not self.smooth_cost_near < self.smooth_cost_far:
             raise ValueError("require smooth_cost_near < smooth_cost_far")
-        if not math.isfinite(self.smooth_radius):
-            raise ValueError("smooth_radius must be finite")
+        if not 0 <= self.smooth_radius < math.inf:
+            raise ValueError("smooth_radius must be >= 0 and finite")
+        if self.neighbor_reach < 0:
+            raise ValueError("neighbor_reach must be >= 0")
         self.pairs = _neighbor_pairs(self.contour_spans, self.neighbor_reach)
 
     @property
@@ -527,6 +529,8 @@ def interpolate_offsets(
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
+    if far_distance < 0:
+        raise ValueError("far_distance must be >= 0")
     h, w = boundary_mask.bits.shape
     if problem.line_buffer.shape[1:] != (h, w):
         raise ValueError("boundary mask and problem are on different grids")

@@ -5,7 +5,8 @@ pixels with agreeing gradient orientations are grown into regions, each
 region's principal axis becomes a candidate segment, and short or sparse
 regions are dropped. It is fully deterministic for a fixed input. Detected
 segments are then filtered against the DSM boundary buffer and assigned a
-building-width index from the tophat contour stack.
+building-width index by walking the tophat ladder up, rung by rung, until
+each segment lies on a rung's contours.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .raster import BinaryMask, bresenham_line, dilate_mask
-from .tophat import TophatStack
+from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
 
@@ -287,27 +289,43 @@ def filter_segments(
 
 
 # ---------------------------------------------------------------------------
-# Width estimation from the tophat contour stack
+# Width estimation: a walk up the tophat ladder
 # ---------------------------------------------------------------------------
 
 
-def _width_index(pts: np.ndarray, buffers) -> int | None:
-    """1-based index of the first buffer holding more than half of the
-    walk ``pts``, or None."""
-    for i, buf in enumerate(buffers, start=1):
-        hits, total = _buffer_fraction_hits(pts, buf)
-        if 2 * hits > total:
-            return i
-    return None
+def _width_walk(
+    walks: list[np.ndarray], rungs: Iterable[Rung], overlap_radius: int
+) -> list[int | None]:
+    """Per raster walk, the 1-based index of the first rung whose contour
+    image, dilated by overlap_radius, holds more than half of it, or None.
+
+    Rungs are drawn one at a time and only while some walk is unmatched,
+    so a lazy ladder builds no rung past the last one needed.
+    """
+    if overlap_radius < 0:
+        raise ValueError("overlap_radius must be >= 0")
+    widths: list[int | None] = [None] * len(walks)
+    pending = list(range(len(walks)))
+    upward = iter(rungs)
+    index = 0
+    while pending and (rung := next(upward, None)) is not None:
+        index += 1
+        buffer = dilate_mask(rung.contour_image, overlap_radius).bits
+        unmatched = []
+        for k in pending:
+            hits, total = _buffer_fraction_hits(walks[k], buffer)
+            if 2 * hits > total:
+                widths[k] = index
+            else:
+                unmatched.append(k)
+        pending = unmatched
+    return widths
 
 
 def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int = 2) -> int:
     """1-based index of the first contour image whose buffered pixels cover
     more than half the segment's raster walk."""
-    if overlap_radius < 0:
-        raise ValueError("overlap_radius must be >= 0")
-    buffers = (dilate_mask(cimg, overlap_radius).bits for cimg in stack.contour_images)
-    width = _width_index(segment.raster_points(), buffers)
+    (width,) = _width_walk([segment.raster_points()], stack, overlap_radius)
     if width is None:
         raise UnmatchedSegmentError("unmatched segment")
     return width
@@ -315,18 +333,19 @@ def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int
 
 def assign_widths(
     segments: list[LineSegment],
-    stack: TophatStack,
+    rungs: Iterable[Rung],
     overlap_radius: int = 2,
 ) -> list[LineSegment]:
     """Width-annotate all segments, dropping the unmatched ones with a warning.
 
-    Dilates each contour image once, so prefer this over estimate_width in a
-    loop when annotating many segments.
+    ``rungs`` is the tophat ladder bottom up: a lazy ``tophat.ladder``, which
+    is walked only until every segment has its index (or the ladder ends at
+    the building mask), or a built TophatStack. Each rung's contour image
+    is dilated once for all the segments still unmatched.
     """
-    buffered = [dilate_mask(ci, overlap_radius).bits for ci in stack.contour_images]
+    widths = _width_walk([seg.raster_points() for seg in segments], rungs, overlap_radius)
     out = []
-    for seg in segments:
-        width = _width_index(seg.raster_points(), buffered)
+    for seg, width in zip(segments, widths):
         if width is None:
             logger.warning("dropping unmatched segment %s -> %s", seg.p1, seg.p2)
             continue

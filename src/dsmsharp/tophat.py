@@ -6,16 +6,24 @@ takes their union. For square elements the opening shrinks as the element
 grows (Matheron's granulometry; it still holds with the border clipping and
 nodata skipping of ``raster.erode``/``dilate``), so the thresholded
 responses are nested and their union is the response at the top of the
-ladder: ``building_mask`` thresholds that one tophat. ``build_stack`` keeps
-the per-scale masks and contour images, because the scale at which a
-building first appears doubles as a width estimate for the line segments
-along its boundary.
+ladder: ``building_mask`` thresholds that one tophat.
+
+The scale at which a building first appears doubles as a width estimate for
+the line segments along its boundary. ``ladder`` yields the rungs (mask and
+contour image per scale) bottom up, each built only when the caller asks
+for it, so the width walk of ``lines.assign_widths`` stops as soon as every
+segment has its index; given the building mask, the walk reuses it for the
+top rung and ends at the first rung equal to it, since nesting makes every
+later rung equal to it too. ``build_stack`` collects the whole ladder, for
+``extract-mask --dump-stack`` and ``lines.estimate_width``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +65,15 @@ class TophatParams:
         return self.scales()[-1]
 
 
+class Rung(NamedTuple):
+    """One scale of the ladder: its thresholded tophat and that mask's
+    rasterised outer contours."""
+
+    scale: int
+    mask: BinaryMask
+    contour_image: BinaryMask
+
+
 @dataclass(eq=False)
 class TophatStack:
     """Per-scale cumulative building masks and their rasterised contours.
@@ -72,6 +89,10 @@ class TophatStack:
 
     def __len__(self) -> int:
         return len(self.scales)
+
+    def __iter__(self) -> Iterator[Rung]:
+        """The stored rungs, bottom up, like a walk of ``ladder``."""
+        return map(Rung, self.scales, self.cumulative_masks, self.contour_images)
 
 
 def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
@@ -95,14 +116,33 @@ def _hits(dsm: Heightfield, scale: int, threshold: float) -> np.ndarray:
     return resp.valid_mask() & (resp.values > threshold)
 
 
+def ladder(
+    dsm: Heightfield, params: TophatParams | None = None, building: BinaryMask | None = None
+) -> Iterator[Rung]:
+    """The ladder's rungs bottom up, each built when the caller asks for it.
+
+    With ``building`` (the building mask of the same DSM and params) the
+    top rung reuses it instead of a tophat, and the walk ends after the
+    first rung equal to it: the masks are nested, so every later one is too.
+    """
+    params = params or TophatParams()
+    for scale in params.scales():
+        if building is not None and scale == params.top_scale:
+            mask = building
+        else:
+            mask = BinaryMask(_hits(dsm, scale, params.height_threshold))
+        yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.bits.shape))
+        if building is not None and np.array_equal(mask.bits, building.bits):
+            return
+
+
 def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatStack:
     """Threshold the tophat response at each scale of the ladder."""
     params = params or TophatParams()
     stack = TophatStack(scales=params.scales())
-    for scale in stack.scales:
-        mask = BinaryMask(_hits(dsm, scale, params.height_threshold))
-        stack.cumulative_masks.append(mask)
-        stack.contour_images.append(rasterize_contours(trace_contours(mask), mask.bits.shape))
+    for rung in ladder(dsm, params):
+        stack.cumulative_masks.append(rung.mask)
+        stack.contour_images.append(rung.contour_image)
     return stack
 
 

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dsmsharp import cli, raster, synth
+from dsmsharp import cli, raster, synth, tophat
 from dsmsharp.lines import load_segments_csv
 from dsmsharp.synth import Building, SceneSpec
+from dsmsharp.tophat import TophatParams
 
 from conftest import SMALL_SCALE_ARGS
 
@@ -459,6 +463,20 @@ def test_non_finite_float_rejected_before_any_work(small_scene, run_cli, capsys,
     assert err == f"error: bad value {value!r} for {key}\n"
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("graphcut.smooth_radius=-1", "graphcut.smooth_radius must be >= 0, got -1.0"),
+        ("graphcut.far_distance=-3", "graphcut.far_distance must be >= 0, got -3"),
+        ("graphcut.neighbor_reach=-1", "graphcut.neighbor_reach must be >= 0, got -1"),
+    ],
+)
+def test_negative_graphcut_settings_rejected_before_any_work(small_scene, run_cli, capsys,
+                                                             monkeypatch, setting, message):
+    err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
+    assert err == f"error: {message}\n"
+
+
 def test_report_columns_follow_buffer_widths(small_scene, run_cli, capsys):
     code = run_cli(
         "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
@@ -479,45 +497,75 @@ def test_report_columns_follow_buffer_widths(small_scene, run_cli, capsys):
 
 
 @pytest.fixture
-def stack_calls(monkeypatch):
-    """Arguments of every build_stack call the CLI makes."""
-    calls = []
-    real = cli.build_stack
+def rung_builds(monkeypatch):
+    """Scales of the ladder rungs whose tophat the CLI evaluates, in order;
+    the building mask's own tophat is not a rung."""
+    scales, in_mask = [], []
+    real_hits, real_mask = tophat._hits, cli.building_mask
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def hits(dsm, scale, threshold):
+        if not in_mask:
+            scales.append(scale)
+        return real_hits(dsm, scale, threshold)
 
-    monkeypatch.setattr(cli, "build_stack", counting)
-    return calls
+    def mask(*args, **kwargs):
+        in_mask.append(True)
+        try:
+            return real_mask(*args, **kwargs)
+        finally:
+            in_mask.pop()
+
+    monkeypatch.setattr(tophat, "_hits", hits)
+    monkeypatch.setattr(cli, "building_mask", mask)
+    return scales
 
 
-def test_tophat_ladder_built_only_for_widths(small_scene, tmp_path, run_cli, stack_calls):
-    calls = stack_calls
+def _check_width_walk(scales, dsm_path, segments_path, params):
+    """The rungs built are the bottom of the ladder, each once, no more than
+    max(largest width index, first rung equal to the building mask); the
+    top rung reuses the building mask."""
+    scales = list(scales)  # building the stack below adds to a counting list
+    stack = tophat.build_stack(raster.load_heightfield(dsm_path), params)
+    top = stack.cumulative_masks[-1].bits
+    saturated = next(
+        i for i, m in enumerate(stack.cumulative_masks, start=1) if np.array_equal(m.bits, top)
+    )
+    largest = max(s.width_index for s in load_segments_csv(segments_path))
+    assert scales == params.scales()[: len(scales)]
+    assert len(scales) <= max(largest, saturated)
+    assert params.top_scale not in scales
+
+
+def test_tophat_ladder_built_only_for_widths(small_scene, tmp_path, run_cli, rung_builds):
+    scales = rung_builds
     dsm, truth, out = small_scene["dsm"], small_scene["truth"], small_scene["out"]
+    params = TophatParams(scale_min=10, scale_max=40)
 
-    def count(*argv):
-        calls.clear()
+    def built(*argv):
+        scales.clear()
         assert run_cli(*argv, *SMALL_SCALE_ARGS) == 0
-        return len(calls)
+        return list(scales)
 
-    assert count(
+    run_all = built(
         "run-all", "--dsm", dsm, "--ortho", small_scene["ortho"], "--truth", truth, "--out", out
-    ) == 1
-    assert count("detect-lines", "--dsm", dsm, "--ortho", small_scene["ortho"], "--out", out) == 1
-    assert count("extract-mask", "--dsm", dsm, "--out", out) == 0
+    )
+    _check_width_walk(run_all, dsm, out / "segments_filtered.csv", params)
+    detect = built("detect-lines", "--dsm", dsm, "--ortho", small_scene["ortho"], "--out", out)
+    assert detect == run_all
+    assert built("extract-mask", "--dsm", dsm, "--out", out) == []
     for method in ("graphcut", "planefit"):
-        assert count("sharpen", "--method", method, "--dsm", dsm, "--out", out) == 0
-    assert count(
+        assert built("sharpen", "--method", method, "--dsm", dsm, "--out", out) == []
+    assert built(
         "evaluate", "--dsm", dsm, "--truth", truth, "--out", out,
         "--variant", f"planefit={out / 'adjusted_planefit.asc'}",
-    ) == 0
-    assert count("extract-mask", "--dsm", dsm, "--out", tmp_path / "dump", "--dump-stack") == 1
+    ) == []
+    dump = built("extract-mask", "--dsm", dsm, "--out", tmp_path / "dump", "--dump-stack")
+    assert dump == params.scales()
 
 
-def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, stack_calls):
+def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, rung_builds):
     """A truth on another grid gets its own contour mask, from the original
-    DSM resampled onto it; the ladder still runs once."""
+    DSM resampled onto it; the width walk still runs once."""
     truth = raster.load_heightfield(small_scene["truth"])
     fine_vals = np.repeat(np.repeat(truth.values, 2, axis=0), 2, axis=1)
     fine = raster.Heightfield(fine_vals, cell_size=truth.cell_size / 2, origin=truth.origin)
@@ -529,6 +577,23 @@ def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, stack_calls
         "--set", "tophat.scale_min=20", "--set", "tophat.scale_max=80",
     )
     assert code == 0
-    assert len(stack_calls) == 1
+    params = TophatParams(scale_min=20, scale_max=80)
+    _check_width_walk(
+        rung_builds, small_scene["dsm"], small_scene["out"] / "segments_filtered.csv", params
+    )
     rows = (small_scene["out"] / "rmse_report.csv").read_text().splitlines()
     assert [r.split(",")[1] for r in rows[1:]] == ["original", "planefit"]
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) the benchmark tracer wraps still exists, so
+    a refactor that drops one fails here instead of breaking a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for module_name, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            f"{module_name}.{attr}"
+        )

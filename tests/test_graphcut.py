@@ -128,6 +128,13 @@ def test_line_buffer_needs_two_or_three_axes(shape):
         small_problem([(0, 0)], np.zeros(shape, bool), closed=False)
 
 
+@pytest.mark.parametrize("name", ["smooth_radius", "neighbor_reach"])
+def test_problem_rejects_negative_reach(name):
+    small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: 0})
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: -1})
+
+
 # ---------------------------------------------------------------------------
 # Energy
 # ---------------------------------------------------------------------------
@@ -313,6 +320,15 @@ def test_interpolate_midpoint_between_two_anchors():
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
     assert abs(field.dx[1, 12] - 2.0) < 1e-6
     assert abs(field.dy[1, 12]) < 1e-6
+
+
+def test_interpolate_rejects_negative_far_distance():
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
+    labeling = gc.Labeling(np.array([[1, 0]]))
+    mask = BinaryMask(np.zeros((6, 9), bool))
+    gc.interpolate_offsets(prob, labeling, mask, far_distance=0)
+    with pytest.raises(ValueError, match="far_distance must be >= 0"):
+        gc.interpolate_offsets(prob, labeling, mask, far_distance=-3)
 
 
 def test_interpolate_takes_the_grid_of_the_mask():
