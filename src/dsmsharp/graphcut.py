@@ -14,7 +14,13 @@ instead of only translating it.
 The multilabel energy is minimised by expansion moves, each solved as a
 two-terminal minimum cut with integer capacities; non-submodular pairwise
 entries are truncated upward so every move graph stays representable, and a
-move is accepted only if it strictly lowers the true energy. The winning
+move is accepted only if it strictly lowers the true energy. Neighbour pairs
+never cross contours, so a move graph is a disjoint union of per-contour
+graphs. A move is scored by cutting only the contours whose lower bound for
+that move lies below their current energy; the others end any move at
+exactly their current energy, so they cannot decide it and are cut only
+when the move is accepted. The labeling is the same as cutting every point
+at once (see minimize). The winning
 offsets are densified by inverse-distance interpolation and applied as a
 backward bilinear warp.
 """
@@ -77,8 +83,9 @@ class ContourProblem:
     """Data points, neighbourhood structure and cost constants of one solve.
 
     ``contour_spans`` holds (start, stop, closed) index ranges partitioning
-    ``points`` back into the source contours; closed spans wrap their
-    neighbour reach. ``line_buffer`` is a (k, h, w) bool stack of which
+    ``points`` back into the source contours; they must tile ``0..n`` in
+    order (ValueError otherwise), and closed spans wrap their neighbour
+    reach. ``line_buffer`` is a (k, h, w) bool stack of which
     ``point_band`` picks each point's layer (GROUND or ROOF for the
     one-sided bands of build_problem); an (h, w) raster is taken as the one
     layer shared by all points.
@@ -122,6 +129,10 @@ class ContourProblem:
             raise ValueError("smooth_radius must be >= 0 and finite")
         if self.neighbor_reach < 0:
             raise ValueError("neighbor_reach must be >= 0")
+        edges = [0] + [stop for _, stop, _ in self.contour_spans]
+        starts = [start for start, _, _ in self.contour_spans]
+        if starts != edges[:-1] or edges != sorted(edges) or edges[-1] != self.size:
+            raise ValueError("contour spans must tile the points in order")
         self.pairs = _neighbor_pairs(self.contour_spans, self.neighbor_reach)
 
     @property
@@ -367,19 +378,21 @@ def energy(problem: ContourProblem, labeling: Labeling) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _expansion_move(problem, assign, alpha_idx, dtable, vtable):
-    """Best single-alpha move as a minimum cut; returns the proposed assignment.
+def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
+    """Best move of the ``movable`` points to alpha as a minimum cut; returns
+    the proposed assignment, or None when no point is movable.
 
-    The move graph uses the standard source/sink construction with variables
-    for every point not already at alpha. Pairwise terms that violate
+    The move graph uses the standard source/sink construction with one
+    variable per movable point; every other point keeps its label and enters
+    only as the fixed end of its pairs. Pairwise terms that violate
     submodularity are truncated by raising the keep/switch entry, which can
-    only overestimate the proposal's energy, never underestimate it.
+    only overestimate the proposal's energy, never underestimate it. A point
+    switches when the source cannot reach it in the residual graph.
     """
-    var = assign != alpha_idx
-    nv = int(var.sum())
+    nv = int(movable.sum())
     if nv == 0:
         return None
-    var_ids = np.nonzero(var)[0]
+    var_ids = np.nonzero(movable)[0]
     idx_of = np.full(assign.shape[0], -1, dtype=np.int64)
     idx_of[var_ids] = np.arange(nv)
 
@@ -393,7 +406,7 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable):
     pairs = problem.pairs
     if len(pairs):
         pa, pb = pairs[:, 0], pairs[:, 1]
-        va, vb = var[pa], var[pb]
+        va, vb = movable[pa], movable[pb]
 
         both = va & vb
         if both.any():
@@ -411,17 +424,12 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable):
             cols_list.append(idx_of[ib[keep]])
             caps_list.append(cap[keep])
 
-        only_b = vb & ~va  # a already at alpha
-        if only_b.any():
-            ib = pb[only_b]
-            np.add.at(theta0, idx_of[ib], vtable[alpha_idx, assign[ib]])
-            np.add.at(theta1, idx_of[ib], vtable[alpha_idx, alpha_idx])
-
-        only_a = va & ~vb
-        if only_a.any():
-            ia = pa[only_a]
-            np.add.at(theta0, idx_of[ia], vtable[assign[ia], alpha_idx])
-            np.add.at(theta1, idx_of[ia], vtable[alpha_idx, alpha_idx])
+        # one end fixed: a unary term on the movable end
+        for fixed, moving, only in ((pa, pb, vb & ~va), (pb, pa, va & ~vb)):
+            if only.any():
+                f, i = assign[fixed[only]], moving[only]
+                np.add.at(theta0, idx_of[i], vtable[f, assign[i]])
+                np.add.at(theta1, idx_of[i], vtable[f, alpha_idx])
 
     # terminal links: cutting source->i pays the switch cost, i->sink the keep cost
     base = np.minimum(theta0, theta1)
@@ -455,12 +463,24 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     Sweeps the label grid in fixed row-major order and accepts a move only
     when it strictly lowers the energy, so ties keep the incumbent and the
     result never exceeds the all-zero initialisation. Terminates when a full
-    sweep makes no progress. A move is skipped without building its graph
-    when even its best case cannot beat the incumbent: every point at the
-    cheaper of its current and alpha data costs plus every pair at the
-    cheapest smoothness cost. Skipping such a move changes no result. When
-    given, ``energy_trace`` collects the initial energy followed by the
-    energy after each accepted move.
+    sweep makes no progress. When given, ``energy_trace`` collects the
+    initial energy followed by the energy after each accepted move.
+
+    Every neighbour pair lies inside one contour, so a move graph is a
+    disjoint union of per-contour graphs, and its cut (the points the source
+    reaches in the residual graph) is the union of their cuts. Each move
+    first cuts only the contours that can still improve. For a move to alpha,
+    contour c's energy after the move is bounded below by
+    ``LB_c = sum over its points of min(D_p(current), D_p(alpha)) +
+    min(V) * (pairs of c)``, and above by its current energy ``E_c``: the
+    cut minimises the truncated move energy, which bounds the true energy
+    from above and equals ``E_c`` when every point keeps its label. A contour
+    with ``LB_c == E_c`` therefore ends the move at exactly ``E_c`` and
+    cannot decide whether the move wins; it can only shift labels through
+    ties. The move is scored on the improvable contours (and skipped when
+    there are none), and only an accepted move cuts the remaining contours
+    too, so the labeling and the energy trace equal those of cutting every
+    movable point at once.
     """
     labels = offset_labels() if labels is None else list(labels)
     larr = _label_array(labels)
@@ -471,8 +491,25 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
 
     dtable = _data_cost_table(problem, larr)
     vtable = _smooth_cost_table(problem, larr)
-    smooth_floor = int(vtable.min()) * len(problem.pairs)
     point_ids = np.arange(problem.size)
+    pa, pb = problem.pairs[:, 0], problem.pairs[:, 1]
+    # contour id per point; the spans tile the points in order
+    n_contours = len(problem.contour_spans)
+    contour_of = np.repeat(
+        np.arange(n_contours), [stop - start for start, stop, _ in problem.contour_spans]
+    )
+    pair_contour = contour_of[pa]
+
+    def per_contour(values, ids=contour_of):
+        return np.bincount(ids, weights=values, minlength=n_contours).astype(np.int64)
+
+    def contour_state(assign):
+        """Each point's data cost and each contour's energy."""
+        current = dtable[assign, point_ids]
+        pair_cost = vtable[assign[pa], assign[pb]]
+        return current, per_contour(current) + per_contour(pair_cost, pair_contour)
+
+    smooth_floor = int(vtable.min()) * per_contour(None, pair_contour)
 
     assign = np.full(problem.size, zero_idx, dtype=np.int64)
     best = _assign_energy(problem, assign, dtable, vtable)
@@ -482,19 +519,25 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     improved = True
     while improved:
         improved = False
-        current = dtable[assign, point_ids]
+        current, contour_energy = contour_state(assign)
         for alpha_idx in range(len(labels)):
-            if int(np.minimum(current, dtable[alpha_idx]).sum()) + smooth_floor >= best:
-                continue
-            proposal = _expansion_move(problem, assign, alpha_idx, dtable, vtable)
+            bound = per_contour(np.minimum(current, dtable[alpha_idx])) + smooth_floor
+            open_points = (bound < contour_energy)[contour_of]
+            movable = assign != alpha_idx
+            proposal = _expansion_move(
+                problem, assign, alpha_idx, dtable, vtable, movable & open_points
+            )
             if proposal is None:
                 continue
             cand = _assign_energy(problem, proposal, dtable, vtable)
             if cand < best:
-                assign = proposal
+                rest = _expansion_move(
+                    problem, proposal, alpha_idx, dtable, vtable, movable & ~open_points
+                )
+                assign = proposal if rest is None else rest
                 best = cand
                 improved = True
-                current = dtable[assign, point_ids]
+                current, contour_energy = contour_state(assign)
                 if energy_trace is not None:
                     energy_trace.append(best)
     return Labeling(larr[assign])

@@ -9,6 +9,7 @@ they are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +50,10 @@ class Heightfield:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("heightfield must be a non-empty 2-d array")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be positive and finite")
+        if len(self.origin) != 2 or not all(math.isfinite(v) for v in self.origin):
+            raise ValueError("origin must be two finite coordinates")
         valid = self.values != self.nodata
         if not np.all(np.isfinite(self.values[valid])):
             raise ValueError("non-nodata cells must be finite")
@@ -170,12 +173,24 @@ def load_heightfield(path: str | Path) -> Heightfield:
             raise GridFormatError(
                 f"{path}: line {lineno}: malformed header: bad value {parts[1]!r}"
             ) from None
+        # the nodata marker is only compared against, so it may be infinite
+        if key != "nodata_value" and not math.isfinite(header[key]):
+            raise GridFormatError(
+                f"{path}: line {lineno}: malformed header: non-finite {key} {parts[1]!r}"
+            )
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or ncols != header["ncols"] or nrows != header["nrows"]:
         raise GridFormatError(f"{path}: line 1: malformed header: bad grid dimensions")
+    if header["cellsize"] <= 0:
+        raise GridFormatError(f"{path}: line 5: malformed header: cellsize must be positive")
+    nodata = header["nodata_value"]
 
-    cells = np.empty((nrows, ncols), dtype=np.float64)
+    # The file holds at most one row per line and one value per character, so
+    # larger dimensions are not allocated; such a file fails the checks below.
+    cells = np.empty(
+        (min(nrows, len(lines)), min(ncols, max(map(len, lines)))), dtype=np.float64
+    )
     row = 0
     for lineno in range(len(_HEADER_KEYS) + 1, len(lines) + 1):
         tokens = lines[lineno - 1].split()
@@ -192,6 +207,8 @@ def load_heightfield(path: str | Path) -> Heightfield:
             cells[row] = [float(t) for t in tokens]
         except ValueError:
             raise GridFormatError(f"{path}: line {lineno}: bad cell value") from None
+        if not (np.isfinite(cells[row]) | (cells[row] == nodata)).all():
+            raise GridFormatError(f"{path}: line {lineno}: non-finite cell value")
         row += 1
     if row != nrows:
         raise GridFormatError(
@@ -203,7 +220,7 @@ def load_heightfield(path: str | Path) -> Heightfield:
         cells,
         cell_size=header["cellsize"],
         origin=(header["xllcorner"], header["yllcorner"]),
-        nodata=header["nodata_value"],
+        nodata=nodata,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsmsharp import cli, raster, synth, tophat
-from dsmsharp.lines import load_segments_csv
+from dsmsharp.lines import load_segments_csv, save_segments_csv
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
 
@@ -98,6 +98,37 @@ def test_extract_mask_missing_input(tmp_path, run_cli, capsys):
     missing = tmp_path / "nope.asc"
     assert run_cli("extract-mask", "--dsm", missing, "--out", tmp_path / "o") == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, text", [(1, "ncols inf"), (1, "ncols nan"), (5, "cellsize nan"), (3, "xllcorner inf")]
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("extract-mask",),
+        ("detect-lines", "--ortho", "{ortho}"),
+        ("sharpen", "--method", "planefit", "--segments", "{segments}"),
+        ("evaluate", "--truth", "{truth}"),
+        ("run-all", "--ortho", "{ortho}", "--truth", "{truth}"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_non_finite_grid_header_exits_2(small_scene, tmp_path, run_cli, capsys, command,
+                                        line, text):
+    lines = small_scene["dsm"].read_text().splitlines(keepends=True)
+    lines[line - 1] = text + "\n"
+    bad = tmp_path / "bad.asc"
+    bad.write_text("".join(lines))
+    segments = tmp_path / "segments.csv"
+    save_segments_csv([], segments)
+    argv = [a.format(segments=segments, **small_scene) for a in command]
+    code = run_cli(*argv, "--dsm", bad, "--out", tmp_path / "o")
+    key, value = text.split()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: line {line}: malformed header: non-finite {key} {value!r}"
+    ]
 
 
 def test_extract_mask_dump_stack(small_scene, run_cli):

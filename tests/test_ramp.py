@@ -268,7 +268,7 @@ def reference_minimize(problem, labels):
     while improved:
         improved = False
         for alpha in range(len(labels)):
-            proposal = gc._expansion_move(problem, assign, alpha, dtable, vtable)
+            proposal = gc._expansion_move(problem, assign, alpha, dtable, vtable, assign != alpha)
             if proposal is None:
                 continue
             cand = gc._assign_energy(problem, proposal, dtable, vtable)
@@ -319,3 +319,115 @@ def test_minimize_equals_reference_loop_on_contours():
         want, want_trace = reference_minimize(prob, gc.offset_labels())
         assert np.array_equal(got.offsets, want)
         assert trace == want_trace
+
+
+# ---------------------------------------------------------------------------
+# Per-contour moves
+# ---------------------------------------------------------------------------
+
+
+def _random_contours(rng, two_layers):
+    """2-4 random contours of 1-7 points each, open or closed, on one raster."""
+    spans, start = [], 0
+    for _ in range(int(rng.integers(2, 5))):
+        n = int(rng.integers(1, 8))
+        spans.append((start, start + n, bool(rng.integers(0, 2))))
+        start += n
+    pts = np.column_stack([rng.integers(2, 12, start), rng.integers(2, 12, start)])
+    layers = 2 if two_layers else 1
+    buf = rng.random((layers, 14, 14)) < rng.uniform(0.1, 0.5)
+    band = rng.integers(0, layers, start)
+    return gc.ContourProblem(pts, spans, buf, point_band=band)
+
+
+@pytest.mark.parametrize("two_layers", [False, True])
+def test_minimize_equals_reference_loop_on_several_contours(two_layers):
+    rng = np.random.default_rng(2001)
+    for trial in range(40):
+        prob = _random_contours(rng, two_layers)
+        labels = gc.offset_labels() if trial % 5 == 0 else LABELS3
+        trace = []
+        got = gc.minimize(prob, labels=labels, energy_trace=trace)
+        want, want_trace = reference_minimize(prob, labels)
+        assert np.array_equal(got.offsets, want), trial
+        assert trace == want_trace, trial
+
+
+def test_expansion_move_splits_by_contour():
+    # the move of two contours' points is each contour's own move
+    rng = np.random.default_rng(11)
+    larr = gc._label_array(LABELS3)
+    for _ in range(40):
+        prob = _random_contours(rng, bool(rng.integers(0, 2)))
+        dtable = gc._data_cost_table(prob, larr)
+        vtable = gc._smooth_cost_table(prob, larr)
+        assign = rng.integers(0, len(larr), prob.size)
+        alpha = int(rng.integers(0, len(larr)))
+        (a0, a1, _), (b0, b1, _) = prob.contour_spans[:2]
+        in_a, in_b = np.zeros(prob.size, bool), np.zeros(prob.size, bool)
+        in_a[a0:a1], in_b[b0:b1] = True, True
+        movable = assign != alpha
+        if not (movable & in_a).any() or not (movable & in_b).any():
+            continue
+        both = gc._expansion_move(prob, assign, alpha, dtable, vtable, movable & (in_a | in_b))
+        only_a = gc._expansion_move(prob, assign, alpha, dtable, vtable, movable & in_a)
+        only_b = gc._expansion_move(prob, assign, alpha, dtable, vtable, movable & in_b)
+        assert np.array_equal(both[in_a], only_a[in_a])
+        assert np.array_equal(both[in_b], only_b[in_b])
+        rest = ~(in_a | in_b)
+        assert np.array_equal(both[rest], assign[rest])
+        assert np.array_equal(only_a[~in_a], assign[~in_a])
+
+
+def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
+    # A: ten points 3 px apart, each on its own band pixel, so every point
+    # already hits and no 3x3 shift can hit again: A sits at its bound for
+    # every move. B: six points whose band lies one row below, plus one
+    # stray band pixel that tempts a single point into a losing move.
+    buf = np.zeros((20, 36), bool)
+    a = [(2 + 3 * k, 3) for k in range(10)]
+    b = [(4 + k, 12) for k in range(6)]
+    for x, y in a:
+        buf[y, x] = True
+    for x, y in b:
+        buf[y + 1, x] = True
+    buf[11, 5] = True
+    prob = gc.ContourProblem(
+        np.array(a + b), [(0, 10, False), (10, 16, False)], buf, smooth_radius=1.0
+    )
+    sizes = []
+    real = gc.maximum_flow
+
+    def counting(graph, source, sink):
+        sizes.append(graph.shape[0])
+        return real(graph, source, sink)
+
+    monkeypatch.setattr(gc, "maximum_flow", counting)
+    trace = []
+    labeling = gc.minimize(prob, labels=LABELS3, energy_trace=trace)
+    accepted = len(trace) - 1
+    assert accepted >= 1
+    assert (labeling.offsets[:10] == 0).all()
+    assert (labeling.offsets[10:] == (0, 1)).all()
+    # an accepted move cuts B, then all of A; a rejected one cuts B alone
+    assert sizes.count(len(a) + 2) == accepted
+    rejected = [s for s in sizes if s != len(a) + 2]
+    assert len(rejected) > accepted
+    assert max(rejected) <= len(b) + 2
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [
+        [(0, 3, False), (2, 5, True)],  # overlapping
+        [(0, 2, False), (3, 5, True)],  # gapped
+        [(2, 5, False), (0, 2, True)],  # out of order
+        [(0, 3, False)],  # short of the points
+        [(0, 3, False), (3, 6, False)],  # past the points
+        [(0, 3, False), (3, 2, False), (2, 5, False)],  # reversed span
+    ],
+)
+def test_contour_spans_must_tile_the_points(spans):
+    pts = np.array([[1, 1], [2, 1], [3, 1], [4, 1], [5, 1]])
+    with pytest.raises(ValueError, match="tile"):
+        gc.ContourProblem(pts, spans, np.zeros((8, 8), bool))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmsharp import raster
 from dsmsharp.raster import (
@@ -51,6 +53,120 @@ def test_cell_count_mismatch_reports_line(tmp_path):
         raster.load_heightfield(p)
 
 
+_GRID = (
+    "ncols 2\nnrows 2\nxllcorner 0.0\nyllcorner 0.0\ncellsize 1.0\n"
+    "NODATA_value -9999.0\n1.0 2.0\n3.0 4.0\n"
+)
+
+
+def _grid_with(tmp_path, line, text):
+    """_GRID with its 1-based ``line`` replaced by ``text``, written to disk."""
+    lines = _GRID.splitlines()
+    lines[line - 1] = text
+    p = tmp_path / "g.asc"
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [
+        (1, "ncols inf"),
+        (1, "ncols nan"),
+        (2, "nrows -inf"),
+        (2, "nrows 1e400"),
+        (3, "xllcorner inf"),
+        (3, "xllcorner nan"),
+        (4, "yllcorner -inf"),
+        (5, "cellsize nan"),
+        (5, "cellsize inf"),
+    ],
+)
+def test_non_finite_header_is_malformed(tmp_path, line, text):
+    p = _grid_with(tmp_path, line, text)
+    with pytest.raises(GridFormatError, match=f"{p}: line {line}: malformed header: non-finite"):
+        raster.load_heightfield(p)
+
+
+@pytest.mark.parametrize("value", ["0", "-1.5"])
+def test_non_positive_cellsize_is_malformed(tmp_path, value):
+    p = _grid_with(tmp_path, 5, f"cellsize {value}")
+    with pytest.raises(GridFormatError, match="line 5: malformed header"):
+        raster.load_heightfield(p)
+
+
+def test_infinite_nodata_marker_is_kept(tmp_path):
+    p = _grid_with(tmp_path, 6, "NODATA_value -inf")
+    p.write_text(p.read_text().replace("2.0", "-inf"))
+    hf = raster.load_heightfield(p)
+    assert hf.nodata == -np.inf
+    assert hf.valid_mask().tolist() == [[True, False], [True, True]]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_reports_line(tmp_path, cell):
+    p = _grid_with(tmp_path, 8, f"3.0 {cell}")
+    with pytest.raises(GridFormatError, match="line 8: non-finite cell value"):
+        raster.load_heightfield(p)
+
+
+@pytest.mark.parametrize("line, text", [(1, "ncols 1e300"), (2, "nrows 100000000000")])
+def test_huge_dimensions_fail_on_the_rows(tmp_path, line, text):
+    # dimensions no file of this size can hold are never allocated
+    p = _grid_with(tmp_path, line, text)
+    with pytest.raises(GridFormatError, match="cell count mismatch"):
+        raster.load_heightfield(p)
+
+
+_TOKENS = ["nan", "inf", "-inf", "1e400", "1e20", "0", "-1", "2.5", "3", "x", "", "1 2", "-9999.0"]
+
+
+@st.composite
+def _corrupted_grids(draw):
+    """A small valid grid with one to three edits to its header or rows."""
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.floats(-50, 50), min_size=nrows * ncols, max_size=nrows * ncols))
+    header = [["ncols", str(ncols)], ["nrows", str(nrows)], ["xllcorner", "10.5"],
+              ["yllcorner", "-3.0"], ["cellsize", "0.5"], ["NODATA_value", "-9999.0"]]
+    rows = [[repr(v) for v in cells[r * ncols : (r + 1) * ncols]] for r in range(nrows)]
+    lines = [" ".join(h) for h in header] + [" ".join(r) for r in rows]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["header", "key", "cell", "drop", "repeat", "insert"]))
+        token = draw(st.sampled_from(_TOKENS))
+        if kind == "header":
+            i = draw(st.integers(0, 5))
+            lines[i] = f"{header[i][0]} {token}"
+        elif kind == "key":
+            i = draw(st.integers(0, 5))
+            lines[i] = f"{token} {header[i][1]}"
+        elif kind == "cell":
+            r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+            rows[r][c] = token
+            lines[6 + r] = " ".join(rows[r])
+        elif kind == "drop" and len(lines) > 1:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "repeat":
+            i = draw(st.integers(0, len(lines) - 1))
+            lines.insert(i, lines[i])
+        else:
+            i = draw(st.integers(0, len(lines)))
+            lines.insert(i, draw(st.text(alphabet=" \t.-+eE019naifx#", max_size=6)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(text=_corrupted_grids())
+def test_corrupted_grid_raises_only_grid_format_error(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("grid") / "g.asc"
+    p.write_text(text)
+    try:
+        hf = raster.load_heightfield(p)
+    except GridFormatError as exc:
+        assert str(exc).startswith(f"{p}: line ")
+    else:
+        assert np.isfinite(hf.values[hf.valid_mask()]).all()
+
+
 def test_roundtrip_random_grid(tmp_path):
     rng = np.random.default_rng(42)
     hf = Heightfield(rng.normal(5.0, 3.0, (16, 16)), cell_size=0.25, origin=(100.5, -3.25))
@@ -91,6 +207,16 @@ def test_heightfield_invariants():
     # nan allowed only when it is not a data cell
     vals = np.array([[1.0, -9999.0], [2.0, 3.0]])
     assert Heightfield(vals).valid_mask().sum() == 3
+
+
+@pytest.mark.parametrize(
+    "georef",
+    [dict(cell_size=np.nan), dict(cell_size=np.inf), dict(origin=(np.inf, 0.0)),
+     dict(origin=(0.0, np.nan))],
+)
+def test_heightfield_rejects_non_finite_georeferencing(georef):
+    with pytest.raises(ValueError, match="finite"):
+        Heightfield(np.ones((2, 2)), **georef)
 
 
 # ---------------------------------------------------------------------------
