@@ -51,8 +51,6 @@ from .lines import (
     save_segments_csv,
 )
 from .graphcut import (
-    GROUND,
-    ROOF,
     ContourProblem,
     Labeling,
     OffsetField,

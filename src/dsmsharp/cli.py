@@ -83,10 +83,10 @@ def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
     return filtered
 
 
-def _sharpen_stage(method, dsm, mask, segments, cfg, out, debug):
-    """Adjust the DSM with one method (graph-cut needs the building mask)."""
+def _sharpen_stage(method, dsm, segments, cfg, out, debug):
+    """Adjust the DSM with one method."""
     if method == "graphcut":
-        adjusted = _sharpen_graphcut(dsm, mask, segments, cfg, out, debug)
+        adjusted = _sharpen_graphcut(dsm, segments, cfg, out, debug)
     else:
         rows: list | None = [] if debug else None
         adjusted = pf.adjust_all(dsm, segments, cfg.fit, debug_rows=rows)
@@ -97,24 +97,22 @@ def _sharpen_stage(method, dsm, mask, segments, cfg, out, debug):
     return adjusted
 
 
-def _sharpen_graphcut(dsm, mask, segments, cfg, outdir, debug):
-    ground, roof = gc.ramp_contours(dsm, mask, cfg.tophat.top_scale)
-    contours = ground + roof
-    if not contours:
+def _sharpen_graphcut(dsm, segments, cfg, outdir, debug):
+    ground, roof = gc.ramp_contours(dsm, cfg.tophat)
+    if not ground and not roof:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy()
     gcc = cfg.graphcut
     problem = gc.build_problem(
-        contours,
-        [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof),
+        ground,
+        roof,
         segments,
         dsm,
         line_buffer_radius=gcc.line_buffer_radius,
         **gcc.problem_constants(),
     )
     labeling = gc.minimize(problem)
-    contour_mask = raster.rasterize_contours(contours, dsm.values.shape)
-    field = gc.interpolate_offsets(problem, labeling, contour_mask, far_distance=gcc.far_distance)
+    field = gc.interpolate_offsets(problem, labeling, far_distance=gcc.far_distance)
     if debug:
         gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
         raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")
@@ -211,9 +209,7 @@ def cmd_sharpen(args) -> int:
     seg_path = Path(args.segments) if args.segments else Path(cfg.out) / "segments_filtered.csv"
     segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    out = _outdir(cfg)
-    mask = building_mask(dsm, cfg.tophat) if args.method == "graphcut" else None
-    _sharpen_stage(args.method, dsm, mask, segments, cfg, out, args.debug)
+    _sharpen_stage(args.method, dsm, segments, cfg, _outdir(cfg), args.debug)
     return 0
 
 
@@ -240,7 +236,7 @@ def cmd_run_all(args) -> int:
     mask, contour_mask = _mask_stage(dsm, cfg, out)
     segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
-    variants = {m: _sharpen_stage(m, dsm, mask, segments, cfg, out, args.debug) for m in methods}
+    variants = {m: _sharpen_stage(m, dsm, segments, cfg, out, args.debug) for m in methods}
     _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
     return 0
 

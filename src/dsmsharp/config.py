@@ -2,7 +2,8 @@
 
 Every tunable in the pipeline lives behind a dotted key (for example
 ``tophat.height_threshold``). Values come from built-in defaults, then an
-optional config file, then explicit command-line settings, in that order.
+optional config file, then explicit command-line settings, which win; the
+merged settings are checked together, so their order does not matter.
 Unknown keys are rejected.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from .lines import DetectorParams
 from .planefit import FitConfig
+from .raster import read_text
 from .tophat import TophatParams
 
 
@@ -31,6 +33,13 @@ class GraphcutConfig:
     neighbor_reach: int = 8
     line_buffer_radius: int = 2
     far_distance: int = 20
+
+    def __post_init__(self):
+        # the cost orders graphcut.ContourProblem needs, checked before any work
+        if not self.data_cost_hit < self.data_cost_miss:
+            raise ValueError("require data_cost_hit < data_cost_miss")
+        if not self.smooth_cost_near < self.smooth_cost_far:
+            raise ValueError("require smooth_cost_near < smooth_cost_far")
 
     def problem_constants(self) -> dict:
         return {
@@ -120,7 +129,7 @@ _MINIMUM = {"lines.boundary_buffer_radius": 0, "lines.overlap_radius": 0,
 def read_key_values(path: str | Path, known) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) of each `key = value` line, whose key must
     be in known; '#' starts a comment."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,7 +147,13 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 
 def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineConfig:
-    """Return a config with the given dotted-key overrides applied."""
+    """Return a config with the given dotted-key settings applied.
+
+    Each value is converted and range-checked on its own; each parameter
+    group is then built once from its final values, so whether the settings
+    are accepted does not depend on their order.
+    """
+    groups: dict[str, dict] = {}
     for key, raw in settings.items():
         if key not in _KEYS:
             raise ValueError(f"unknown configuration key {key!r}")
@@ -158,18 +173,17 @@ def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineCon
         if len(attr_path) == 1:
             setattr(cfg, attr_path[0], value)
         else:
-            holder = getattr(cfg, attr_path[0])
-            setattr(cfg, attr_path[0], dataclasses.replace(holder, **{attr_path[1]: value}))
+            groups.setdefault(attr_path[0], {})[attr_path[1]] = value
+    for name, values in groups.items():
+        setattr(cfg, name, dataclasses.replace(getattr(cfg, name), **values))
     return cfg
 
 
 def build_config(
     config_path: str | Path | None = None, overrides: dict[str, str] | None = None
 ) -> PipelineConfig:
-    """Defaults, then the config file, then explicit overrides."""
-    cfg = PipelineConfig()
-    if config_path is not None:
-        apply_settings(cfg, read_config_file(config_path))
-    if overrides:
-        apply_settings(cfg, overrides)
-    return cfg
+    """Defaults, then the config file, then explicit overrides, which win;
+    the merged settings are checked together."""
+    settings = read_config_file(config_path) if config_path is not None else {}
+    settings.update(overrides or {})
+    return apply_settings(PipelineConfig(), settings)

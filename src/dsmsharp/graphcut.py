@@ -48,7 +48,7 @@ from .raster import (
     trace_contours,
 )
 from .lines import LineSegment
-from .tophat import white_tophat
+from .tophat import TophatParams, white_tophat
 
 LABEL_RADIUS = 5
 
@@ -185,23 +185,21 @@ def _neighbor_pairs(spans, reach: int) -> np.ndarray:
 
 
 def build_problem(
-    contours: list[Contour],
-    sides: list[int],
+    ground: list[Contour],
+    roof: list[Contour],
     segments: list[LineSegment],
     dsm: Heightfield,
     line_buffer_radius: int = 2,
     **constants,
 ) -> ContourProblem:
-    """Assemble the optimisation problem from traced contours and filtered
-    segments on the grid of ``dsm``.
+    """Assemble the optimisation problem from the ground-side and roof-side
+    contours of ramp_contours and the filtered segments on the grid of ``dsm``.
 
-    ``sides`` gives GROUND or ROOF per contour; each contour is free only
-    inside the one-sided band on its own side of the segments (see
-    side_bands). Empty contours are left out.
+    Each contour is free only inside the one-sided band on its own side of
+    the segments (see side_bands). The points are the ground contours
+    followed by the roof contours; empty contours are left out.
     """
-    if len(sides) != len(contours):
-        raise ValueError("need one side per contour")
-    kept = [(c, side) for c, side in zip(contours, sides) if len(c) > 0]
+    kept = [(c, side) for side, cs in ((GROUND, ground), (ROOF, roof)) for c in cs if len(c)]
     if not kept:
         raise ValueError("nothing to adjust")
     spans = []
@@ -262,25 +260,27 @@ def _mean(values: np.ndarray) -> float:
 
 
 def ramp_contours(
-    dsm: Heightfield, mask: BinaryMask, scale: int
+    dsm: Heightfield, params: TophatParams
 ) -> tuple[list[Contour], list[Contour]]:
     """Ground-side and roof-side contours of every building's smeared ramp.
 
-    A building is one 8-connected component of ``mask``; its height is the
-    95th percentile of the tophat response at ``scale`` inside it. The
+    One white tophat at ``params.top_scale`` gives both the buildings and
+    their ramps. A building is an 8-connected component of the response
+    above ``params.height_threshold`` (the bits of tophat.building_mask);
+    its height is the 95th percentile of the response inside it. The
     roof-side contour traces the region where the response exceeds 80 % of
     that height, the ground-side contour is the ring of pixels just outside
     the region above 20 %. A region counts only with its connected parts
     that overlap the building, within LABEL_RADIUS pixels of it; a contour
     farther out could not reach a line anyway.
     """
-    resp = white_tophat(dsm, scale)
+    resp = white_tophat(dsm, params.top_scale)
     values = np.where(resp.valid_mask(), resp.values, -np.inf)
     del resp
     shape = values.shape
     low = np.zeros(shape, dtype=bool)
     high = np.zeros(shape, dtype=bool)
-    labels, _ = ndimage.label(mask.bits, structure=_EIGHT)
+    labels, _ = ndimage.label(values > params.height_threshold, structure=_EIGHT)
     pad = LABEL_RADIUS
     for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
         win = tuple(
@@ -558,27 +558,26 @@ def _assign_energy(problem, assign, dtable, vtable) -> int:
 def interpolate_offsets(
     problem: ContourProblem,
     labeling: Labeling,
-    boundary_mask: BinaryMask,
     far_distance: int = 20,
     idw_neighbors: int = 8,
 ) -> OffsetField:
-    """Densify sparse contour offsets to every pixel of ``boundary_mask``.
+    """Densify sparse contour offsets to every pixel of the problem's grid.
 
     Anchors are the contour pixels (with their solved offsets) plus every
-    pixel at Chebyshev distance >= far_distance from the mask's pixels
+    pixel at Chebyshev distance >= far_distance from all contour pixels
     (offset zero). Remaining pixels take an inverse-square-distance weighted
     mean of their idw_neighbors nearest anchors; anchors keep their exact
-    values. The field has the mask's shape, which must be the problem's.
+    values. A problem without points gives the zero field.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
     if far_distance < 0:
         raise ValueError("far_distance must be >= 0")
-    h, w = boundary_mask.bits.shape
-    if problem.line_buffer.shape[1:] != (h, w):
-        raise ValueError("boundary mask and problem are on different grids")
+    h, w = problem.line_buffer.shape[1:]
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
+    if problem.size == 0:
+        return OffsetField(dx, dy)
 
     uniq, first = np.unique(problem.points, axis=0, return_index=True)
     axs, ays = uniq[:, 0], uniq[:, 1]
@@ -586,10 +585,9 @@ def interpolate_offsets(
     dx[ays, axs] = offs[:, 0]
     dy[ays, axs] = offs[:, 1]
 
-    if boundary_mask.bits.any():
-        dist = ndimage.distance_transform_cdt(~boundary_mask.bits, metric="chessboard")
-    else:
-        dist = np.full((h, w), np.iinfo(np.int32).max, dtype=np.int64)
+    off_contour = np.ones((h, w), dtype=bool)
+    off_contour[ays, axs] = False
+    dist = ndimage.distance_transform_cdt(off_contour, metric="chessboard")
     anchor_mask = dist >= far_distance
     anchor_mask[ays, axs] = True
 

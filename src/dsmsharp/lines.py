@@ -12,6 +12,7 @@ each segment lies on a rung's contours.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from collections.abc import Iterable
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .raster import BinaryMask, bresenham_line, dilate_mask
+from .raster import BinaryMask, bresenham_line, dilate_mask, read_text
 from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
@@ -373,12 +374,12 @@ def load_segments_csv(path: str | Path) -> list[LineSegment]:
     """Segments of a CSV written by save_segments_csv.
 
     Raises ValueError naming the file and the line of a row that is not
-    four finite coordinates and an empty or positive width_index.
+    four finite coordinates and an empty or positive width_index, of a byte
+    that is not UTF-8 or of a field the csv module cannot read.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        if next(reader, None) != _CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(_CSV_HEADER)}")
         out = []
         for row in reader:
@@ -388,6 +389,8 @@ def load_segments_csv(path: str | Path) -> list[LineSegment]:
                 out.append(_segment_from_row(row))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -154,11 +154,22 @@ class Contour:
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
+def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    """The file's text, decoded as UTF-8. A byte that does not decode raises
+    ``error`` naming the path and the line (as splitlines counts them)."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        byte = data[exc.start]
+        raise error(f"{path}: line {line}: not UTF-8 text (byte {byte:#04x})") from None
+
+
 def load_heightfield(path: str | Path) -> Heightfield:
     """Read an ESRI ASCII grid. Raises GridFormatError with the offending line."""
     path = Path(path)
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, GridFormatError).splitlines()
 
     header: dict[str, float] = {}
     for lineno, key in enumerate(_HEADER_KEYS, start=1):
@@ -266,6 +277,8 @@ def _read_pnm_tokens(data: bytes, count: int, path: Path) -> tuple[list[int], in
             start = pos
             while pos < len(data) and data[pos : pos + 1].isdigit():
                 pos += 1
+            if pos - start > 18:  # no image is this large, and int() rejects long digit runs
+                raise ImageFormatError(f"{path}: header value too long")
             tokens.append(int(data[start:pos]))
         else:
             raise ImageFormatError(f"{path}: bad header byte {c!r}")

@@ -154,6 +154,7 @@ def building_mask(dsm: Heightfield, params: TophatParams | None = None) -> Binar
 
 def boundary_contours(mask: BinaryMask) -> list[Contour]:
     """Outer contours of the building mask. They scope segment filtering
-    and the evaluation buffers; graph-cut labels the ramp contours of
-    graphcut.ramp_contours instead."""
+    and the evaluation buffers. Graph-cut does not use them: it finds the
+    same buildings in its own top-scale tophat and labels the ramp contours
+    of graphcut.ramp_contours."""
     return trace_contours(mask)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsmsharp import cli, raster, synth, tophat
+from dsmsharp import cli, graphcut, raster, synth, tophat
 from dsmsharp.lines import load_segments_csv, save_segments_csv
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
@@ -210,6 +210,26 @@ def test_sharpen_graphcut_zero_optimal_is_identity(small_scene, run_cli):
     out = raster.load_heightfield(small_scene["out"] / "adjusted_graphcut.asc")
     original = raster.load_heightfield(small_scene["dsm"])
     assert np.array_equal(out.values, original.values)
+
+
+def test_sharpen_graphcut_runs_one_top_scale_tophat(small_scene, run_cli, monkeypatch):
+    """Graph-cut takes its buildings from the ramp's own tophat, so sharpen
+    builds no separate building mask."""
+    _detect(small_scene, run_cli)
+    scales, real = [], tophat.white_tophat
+
+    def counting(dsm, se_size):
+        scales.append(se_size)
+        return real(dsm, se_size)
+
+    monkeypatch.setattr(tophat, "white_tophat", counting)
+    monkeypatch.setattr(graphcut, "white_tophat", counting)
+    code = run_cli(
+        "sharpen", "--method", "graphcut", "--dsm", small_scene["dsm"],
+        "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert scales == [TophatParams(scale_min=10, scale_max=40).top_scale]
 
 
 def test_sharpen_planefit_improves_boundary(small_scene, run_cli):
@@ -506,6 +526,49 @@ def test_negative_graphcut_settings_rejected_before_any_work(small_scene, run_cl
                                                              monkeypatch, setting, message):
     err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("graphcut.data_cost_hit=20", "require data_cost_hit < data_cost_miss"),
+        ("graphcut.smooth_cost_near=200", "require smooth_cost_near < smooth_cost_far"),
+    ],
+)
+def test_graphcut_cost_order_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch,
+                                                      setting, message):
+    err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("settings", [("scale_min=500", "scale_max=600"),
+                                      ("scale_max=600", "scale_min=500")])
+def test_settings_are_checked_in_any_order(small_scene, run_cli, settings):
+    argv = [a for s in settings for a in ("--set", f"tophat.{s}")]
+    code = run_cli("extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"], *argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (("synth",), "--scene"),
+        (("extract-mask",), "--dsm"),
+        (("detect-lines", "--dsm", "{dsm}", "--ortho", "{ortho}"), "--config"),
+        (("sharpen", "--method", "graphcut", "--dsm", "{dsm}"), "--segments"),
+        (("evaluate", "--dsm", "{dsm}"), "--truth"),
+        (("run-all", "--ortho", "{ortho}", "--truth", "{truth}"), "--dsm"),
+    ],
+    ids=["synth", "extract-mask", "detect-lines", "sharpen", "evaluate", "run-all"],
+)
+def test_binary_file_as_text_input_exits_2(small_scene, tmp_path, run_cli, capsys, command, flag):
+    # the ortho's three header lines are text, its payload (bytes 70 and 200) is not UTF-8
+    binary = small_scene["ortho"]
+    argv = [a.format(**small_scene) for a in command]
+    assert run_cli(*argv, flag, binary, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {binary}: line 4: not UTF-8 text (byte 0xc8)"
+    ]
 
 
 def test_report_columns_follow_buffer_widths(small_scene, run_cli, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dsmsharp import graphcut, synth
-from dsmsharp.config import read_config_file
+from dsmsharp.config import build_config, read_config_file
 from dsmsharp.lines import DetectorParams
 from dsmsharp.tophat import TophatParams
 
@@ -47,6 +47,31 @@ def test_scene_file_errors(tmp_path, text, message):
     with pytest.raises(ValueError) as exc:
         synth.parse_scene_config(p)
     assert str(exc.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("read", [read_config_file, synth.parse_scene_config])
+def test_key_value_file_that_is_not_utf8_names_file_and_line(tmp_path, read):
+    p = tmp_path / "binary.cfg"
+    p.write_bytes(b"# header\nwidth = 1\xff\n")
+    with pytest.raises(ValueError) as exc:
+        read(p)
+    assert str(exc.value) == f"{p}: line 2: not UTF-8 text (byte 0xff)"
+
+
+def test_settings_are_checked_on_their_final_values(tmp_path):
+    pair = {"tophat.scale_min": "500", "tophat.scale_max": "600"}
+    for settings in (pair, dict(reversed(pair.items()))):
+        tophat = build_config(None, settings).tophat
+        assert (tophat.scale_min, tophat.scale_max) == (500, 600)
+        p = tmp_path / "pipe.cfg"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        assert build_config(p).tophat == tophat
+    # the overrides win over the file before anything is checked
+    assert build_config(p, {"tophat.scale_max": "700"}).tophat.scale_max == 700
+    with pytest.raises(ValueError, match="require 0 < scale_min <= scale_max"):
+        build_config(p, {"tophat.scale_max": "400"})
+    with pytest.raises(ValueError, match="require data_cost_hit < data_cost_miss"):
+        build_config(None, {"graphcut.data_cost_miss": "0"})
 
 
 _ONE_POINT_PROBLEM = functools.partial(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsmsharp import graphcut as gc
-from dsmsharp.raster import BinaryMask, Contour, Heightfield
+from dsmsharp.raster import Contour, Heightfield
 
 
 def small_problem(points, buffer_bits, closed=True, **constants):
@@ -97,7 +97,7 @@ def test_cost_ranges_exhaustive():
 
 def test_build_problem_no_segments_all_misses():
     contour = Contour(np.array([[i, 5] for i in range(3, 9)]), closed=False)
-    prob = gc.build_problem([contour], [gc.GROUND], [], Heightfield(np.zeros((12, 12))))
+    prob = gc.build_problem([contour], [], [], Heightfield(np.zeros((12, 12))))
     assert not prob.line_buffer.any()
     assert all(gc.data_cost(prob, i, (0, 0)) == 10 for i in range(prob.size))
 
@@ -105,7 +105,7 @@ def test_build_problem_no_segments_all_misses():
 def test_build_problem_two_contours_spans():
     c1 = Contour(np.array([[1, 1], [2, 1], [3, 1]]), closed=True)
     c2 = Contour(np.array([[6, 6], [7, 6]]), closed=False)
-    prob = gc.build_problem([c1, c2], [gc.GROUND, gc.ROOF], [], Heightfield(np.zeros((10, 10))))
+    prob = gc.build_problem([c1], [c2], [], Heightfield(np.zeros((10, 10))))
     assert prob.contour_spans == [(0, 3, True), (3, 5, False)]
     assert sum(b - a for a, b, _ in prob.contour_spans) == prob.size
 
@@ -283,23 +283,17 @@ def test_minimize_all_uniform_costs_keeps_zero():
 
 def test_interpolate_all_zero_labels_gives_zero_field():
     pts = [(x, 10) for x in range(5, 15)]
-    bits = np.zeros((20, 20), bool)
-    for x, y in pts:
-        bits[y, x] = True
     prob = small_problem(pts, np.zeros((20, 20), bool), closed=False)
     labeling = gc.Labeling(np.zeros((len(pts), 2), int))
-    field = gc.interpolate_offsets(prob, labeling, BinaryMask(bits))
+    field = gc.interpolate_offsets(prob, labeling)
     assert np.allclose(field.dx, 0) and np.allclose(field.dy, 0)
 
 
 def test_interpolate_exact_at_anchors():
     pts = [(x, 10) for x in range(5, 15)]
-    bits = np.zeros((48, 48), bool)
-    for x, y in pts:
-        bits[y, x] = True
     prob = small_problem(pts, np.zeros((48, 48), bool), closed=False)
     offs = np.array([[(i % 3) - 1, 1] for i in range(len(pts))])
-    field = gc.interpolate_offsets(prob, gc.Labeling(offs), BinaryMask(bits))
+    field = gc.interpolate_offsets(prob, gc.Labeling(offs))
     for (x, y), (dx, dy) in zip(pts, offs):
         assert field.dx[y, x] == dx
         assert field.dy[y, x] == dy
@@ -310,13 +304,9 @@ def test_interpolate_midpoint_between_two_anchors():
     # away, so the probe half way is equidistant from both anchor kinds
     h, w = 3, 25
     pts = [(2, 1)]
-    bits = np.zeros((h, w), bool)
-    bits[1, 2] = True
     prob = small_problem(pts, np.zeros((h, w), bool), closed=False)
     labeling = gc.Labeling(np.array([[4, 0]]))
-    field = gc.interpolate_offsets(
-        prob, labeling, BinaryMask(bits), far_distance=20, idw_neighbors=2
-    )
+    field = gc.interpolate_offsets(prob, labeling, far_distance=20, idw_neighbors=2)
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
     assert abs(field.dx[1, 12] - 2.0) < 1e-6
     assert abs(field.dy[1, 12]) < 1e-6
@@ -325,19 +315,25 @@ def test_interpolate_midpoint_between_two_anchors():
 def test_interpolate_rejects_negative_far_distance():
     prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
     labeling = gc.Labeling(np.array([[1, 0]]))
-    mask = BinaryMask(np.zeros((6, 9), bool))
-    gc.interpolate_offsets(prob, labeling, mask, far_distance=0)
+    gc.interpolate_offsets(prob, labeling, far_distance=0)
     with pytest.raises(ValueError, match="far_distance must be >= 0"):
-        gc.interpolate_offsets(prob, labeling, mask, far_distance=-3)
+        gc.interpolate_offsets(prob, labeling, far_distance=-3)
 
 
-def test_interpolate_takes_the_grid_of_the_mask():
-    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
+def test_interpolate_takes_the_grid_of_the_problem():
     labeling = gc.Labeling(np.array([[1, 0]]))
-    field = gc.interpolate_offsets(prob, labeling, BinaryMask(np.zeros((6, 9), bool)))
-    assert field.dx.shape == field.dy.shape == (6, 9)
-    with pytest.raises(ValueError, match="different grids"):
-        gc.interpolate_offsets(prob, labeling, BinaryMask(np.zeros((9, 6), bool)))
+    for shape in ((6, 9), (9, 6)):
+        prob = small_problem([(2, 1)], np.zeros(shape, bool), closed=False)
+        field = gc.interpolate_offsets(prob, labeling)
+        assert field.dx.shape == field.dy.shape == shape
+        assert field.dx[1, 2] == 1 and field.dy[1, 2] == 0
+
+
+def test_interpolate_without_points_gives_the_zero_field():
+    prob = gc.ContourProblem(np.zeros((0, 2), int), [], np.zeros((5, 7), bool))
+    field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
+    assert field.dx.shape == field.dy.shape == (5, 7)
+    assert not field.dx.any() and not field.dy.any()
 
 
 # ---------------------------------------------------------------------------

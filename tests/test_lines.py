@@ -517,3 +517,74 @@ def test_csv_bad_row_names_file_and_line(tmp_path, row, message):
     with pytest.raises(ValueError) as exc:
         lines.load_segments_csv(p)
     assert str(exc.value) == f"{p}: line 4: {message}"
+
+
+_CSV_TOKENS = ["", "1", "-2", "0", "2.5", "nan", "inf", "1e400", "x", '"', '"1,2"', "\x00",
+               "1,2", "width_index", "9" * 5000]
+
+
+@st.composite
+def _corrupted_segment_csvs(draw):
+    """A small valid segment CSV with one to three edits: a field replaced,
+    a line dropped, repeated or inserted, or raw bytes (non-UTF-8 too)
+    written over or into the file."""
+    rows = [["x1", "y1", "x2", "y2", "width_index"]]
+    for _ in range(draw(st.integers(0, 3))):
+        x1, y1 = draw(st.integers(0, 50)), draw(st.integers(0, 50))
+        rows.append([str(x1), str(y1), str(x1 + 5), str(y1 + 1), draw(st.sampled_from(["", "3"]))])
+    lines_ = [",".join(r) for r in rows]
+    raws = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field", "drop", "repeat", "insert", "bytes"]))
+        if kind == "field":
+            i = draw(st.integers(0, len(lines_) - 1))
+            fields = lines_[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_CSV_TOKENS))
+            lines_[i] = ",".join(fields)
+        elif kind == "drop" and len(lines_) > 1:
+            del lines_[draw(st.integers(0, len(lines_) - 1))]
+        elif kind == "repeat":
+            i = draw(st.integers(0, len(lines_) - 1))
+            lines_.insert(i, lines_[i])
+        elif kind == "insert":
+            lines_.insert(draw(st.integers(0, len(lines_))), draw(st.sampled_from(_CSV_TOKENS)))
+        else:
+            raws.append(draw(st.binary(min_size=1, max_size=3) | st.just(b'"' + b"x" * 140000)))
+    data = "\n".join(lines_).encode() + b"\n"
+    for raw in raws:
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + raw + data[i + draw(st.integers(0, len(raw))) :]
+    return data
+
+
+@settings(max_examples=300)
+@given(data=_corrupted_segment_csvs())
+def test_corrupted_segment_csv_raises_only_value_error_naming_the_file(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("csv") / "segments.csv"
+    p.write_bytes(data)
+    try:
+        segs = lines.load_segments_csv(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{p}: ")
+    else:
+        for s in segs:
+            assert all(map(math.isfinite, s.p1 + s.p2)) and s.p1 != s.p2
+            assert s.width_index is None or s.width_index >= 1
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"x1,y1,x2,y2,width_index\r\n0,0,5,5,1\r\n\xe9,1,2,3,\n",
+         "line 3: not UTF-8 text (byte 0xe9)"),
+        (b'x1,y1,x2,y2,width_index\n"' + b"x" * 140000 + b'"\n',
+         "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["not-utf8", "field-too-large"],
+)
+def test_csv_unreadable_bytes_name_file_and_line(tmp_path, data, message):
+    p = tmp_path / "segments.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as exc:
+        lines.load_segments_csv(p)
+    assert str(exc.value) == f"{p}: {message}"

@@ -17,15 +17,12 @@ def run_front_end(spec, tophat_params):
     return truth, smeared, stack, contours, cmask, filtered
 
 
-def run_graphcut(dsm, mask, segments, tophat_params):
+def run_graphcut(dsm, segments, tophat_params):
     """The CLI's graph-cut stage: ramp contours, one-sided bands, minimize, warp."""
-    ground, roof = graphcut.ramp_contours(dsm, mask, tophat_params.top_scale)
-    contours = ground + roof
-    sides = [graphcut.GROUND] * len(ground) + [graphcut.ROOF] * len(roof)
-    problem = graphcut.build_problem(contours, sides, segments, dsm)
+    ground, roof = graphcut.ramp_contours(dsm, tophat_params)
+    problem = graphcut.build_problem(ground, roof, segments, dsm)
     labeling = graphcut.minimize(problem)
-    boundary = raster.rasterize_contours(contours, dsm.values.shape)
-    field = graphcut.interpolate_offsets(problem, labeling, boundary)
+    field = graphcut.interpolate_offsets(problem, labeling)
     return problem, labeling, graphcut.warp_dsm(dsm, field)
 
 
@@ -65,8 +62,7 @@ def test_two_buildings_give_two_contours_and_eight_segments():
     widths = {s.width_index for s in filtered}
     assert len(widths) >= 2  # different building sizes, different indices
 
-    mask = tophat.building_mask(smeared, params)
-    problem, labeling, warped = run_graphcut(smeared, mask, filtered, params)
+    problem, labeling, warped = run_graphcut(smeared, filtered, params)
     assert len(problem.contour_spans) == 4  # a ground and a roof contour each
     # ramps already inside their bands on the image lines: zero offsets, identity warp
     assert (labeling.offsets == 0).all()
@@ -99,7 +95,7 @@ def test_nodata_hole_survives_both_methods():
     adjusted = planefit.adjust_all(holey, segs)
     assert (adjusted.values[40:44, 40:44] == holey.nodata).all()
 
-    _, _, warped = run_graphcut(holey, mask, segs, params)
+    _, _, warped = run_graphcut(holey, segs, params)
     assert (warped.values[40:44, 40:44] == holey.nodata).all()
     # scoring still works over the valid cells
     evaluate.rmse(adjusted, truth, raster.dilate_mask(cmask, 5))
@@ -141,7 +137,7 @@ def test_graphcut_corrects_displaced_boundary():
     # graph-cut needs no width indices, so all four filtered edges take part
     segments = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 8)
     assert len(segments) == 4
-    problem, labeling, warped = run_graphcut(rolled, mask, segments, params)
+    problem, labeling, warped = run_graphcut(rolled, segments, params)
     assert (labeling.offsets != 0).any(axis=1).all()
     assert graphcut.energy(problem, labeling) < graphcut.energy(
         problem, graphcut.Labeling(np.zeros((problem.size, 2), int))

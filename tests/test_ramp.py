@@ -137,7 +137,7 @@ def _smeared_block(sigma, dims=(64, 64), size=(28, 28), height=10.0):
 
 def test_ramp_contours_bracket_the_ramp():
     _, smeared, _, mask, params = _smeared_block(2.0)
-    ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
+    ground, roof = gc.ramp_contours(smeared, params)
     assert len(ground) == 1 and len(roof) == 1
     vals = smeared.values
     gx, gy = ground[0].points[:, 0], ground[0].points[:, 1]
@@ -160,8 +160,7 @@ def test_ramp_contours_use_each_buildings_height():
         seed=1,
     )
     _, smeared, _ = synth.generate(spec)
-    mask = building_mask(smeared, TophatParams(scale_min=10, scale_max=40))
-    ground, roof = gc.ramp_contours(smeared, mask, 40)
+    ground, roof = gc.ramp_contours(smeared, TophatParams(scale_min=10, scale_max=40))
     assert len(ground) == 2 and len(roof) == 2
     vals = smeared.values
     for c in roof:
@@ -172,7 +171,7 @@ def test_ramp_contours_use_each_buildings_height():
 
 def test_ramp_contours_empty_mask():
     dsm = Heightfield(np.zeros((16, 16)))
-    assert gc.ramp_contours(dsm, BinaryMask(np.zeros((16, 16), bool)), 10) == ([], [])
+    assert gc.ramp_contours(dsm, TophatParams(scale_min=10, scale_max=10)) == ([], [])
 
 
 def test_crisp_dsm_keeps_zero_offsets():
@@ -182,9 +181,8 @@ def test_crisp_dsm_keeps_zero_offsets():
         cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
         segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
         assert len(segs) == 4
-        ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
-        sides = [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof)
-        problem = gc.build_problem(ground + roof, sides, segs, smeared)
+        ground, roof = gc.ramp_contours(smeared, params)
+        problem = gc.build_problem(ground, roof, segs, smeared)
         labeling = gc.minimize(problem)
         assert (labeling.offsets == 0).all(), sigma
 
@@ -193,18 +191,14 @@ def test_smeared_ramp_is_squeezed_onto_the_lines():
     truth, smeared, ortho, mask, params = _smeared_block(2.0)
     cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
     segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
-    ground, roof = gc.ramp_contours(smeared, mask, params.top_scale)
-    contours = ground + roof
-    sides = [gc.GROUND] * len(ground) + [gc.ROOF] * len(roof)
-    problem = gc.build_problem(contours, sides, segs, smeared)
+    ground, roof = gc.ramp_contours(smeared, params)
+    problem = gc.build_problem(ground, roof, segs, smeared)
     labeling = gc.minimize(problem)
     zero = gc.Labeling(np.zeros((problem.size, 2), int))
     assert gc.energy(problem, labeling) < gc.energy(problem, zero)
     # every contour point ends in the band on its own side
     assert all(gc.data_cost(problem, i, labeling.offsets[i]) == 0 for i in range(problem.size))
-    field = gc.interpolate_offsets(
-        problem, labeling, raster.rasterize_contours(contours, smeared.values.shape)
-    )
+    field = gc.interpolate_offsets(problem, labeling)
     warped = gc.warp_dsm(smeared, field)
     scope = raster.dilate_mask(cmask, 5)
     assert evaluate.rmse(warped, truth, scope) < 0.9 * evaluate.rmse(smeared, truth, scope)
@@ -220,7 +214,7 @@ def test_build_problem_sides_pick_their_band():
     seg = LineSegment((9.5, 2.0), (9.5, 17.0))
     ground = Contour(np.array([[6, y] for y in range(4, 16)]), closed=False)
     roof = Contour(np.array([[12, y] for y in range(4, 16)]), closed=False)
-    problem = gc.build_problem([ground, roof], [gc.GROUND, gc.ROOF], [seg], dsm)
+    problem = gc.build_problem([ground], [roof], [seg], dsm)
     assert problem.line_buffer.shape == (2, 20, 20)
     assert list(problem.point_band) == [gc.GROUND] * 12 + [gc.ROOF] * 12
     # the ground contour needs +2 to reach column 8, the roof contour is home
@@ -234,14 +228,10 @@ def test_build_problem_sides_pick_their_band():
     assert (labeling.offsets[12:] == 0).all()
 
 
-def test_build_problem_sides_need_dsm_and_one_side_per_contour():
+def test_build_problem_needs_the_dsm():
     c = Contour(np.array([[1, 1], [2, 1]]), closed=False)
     with pytest.raises(TypeError):
-        gc.build_problem([c], [gc.GROUND], [])
-    dsm = Heightfield(np.zeros((5, 5)))
-    for sides in ([], [gc.GROUND, gc.ROOF]):
-        with pytest.raises(ValueError, match="one side per contour"):
-            gc.build_problem([c], sides, [], dsm)
+        gc.build_problem([c], [], [])
 
 
 def test_point_band_must_name_a_layer():

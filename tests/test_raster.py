@@ -167,6 +167,14 @@ def test_corrupted_grid_raises_only_grid_format_error(tmp_path_factory, text):
         assert np.isfinite(hf.values[hf.valid_mask()]).all()
 
 
+def test_grid_that_is_not_utf8_names_file_and_line(tmp_path):
+    p = tmp_path / "g.asc"
+    p.write_bytes(b"ncols 1\nnrows 1\r\nxllcorner 0\n\xff")
+    with pytest.raises(GridFormatError) as exc:
+        raster.load_heightfield(p)
+    assert str(exc.value) == f"{p}: line 4: not UTF-8 text (byte 0xff)"
+
+
 def test_roundtrip_random_grid(tmp_path):
     rng = np.random.default_rng(42)
     hf = Heightfield(rng.normal(5.0, 3.0, (16, 16)), cell_size=0.25, origin=(100.5, -3.25))
@@ -275,6 +283,54 @@ def test_pnm_comments(tmp_path):
     p = tmp_path / "i.pgm"
     p.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([1, 2]))
     assert raster.load_image(p).samples.tolist() == [[1, 2]]
+
+
+_PNM_RUNS = [b" ", b"\n", b"#", b"0", b"255", b"-1", b"P5", b"P6", b"x", b"\xff", b"\x80\xc3",
+             b"9" * 5000]
+
+
+@st.composite
+def _corrupted_pnms(draw):
+    """A small valid PGM or PPM with one to three byte edits, most of them in
+    the header: overwrites, insertions, deletions and truncations, with
+    digits, comments, signs, non-ASCII bytes and very long numbers."""
+    bands = draw(st.sampled_from([1, 3]))
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    payload = draw(st.binary(min_size=w * h * bands, max_size=w * h * bands))
+    data = (b"P5" if bands == 1 else b"P6") + f"\n{w} {h}\n255\n".encode() + payload
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        i = draw(st.integers(0, min(len(data), 12)) | st.integers(0, len(data)))
+        run = draw(st.sampled_from(_PNM_RUNS) | st.binary(min_size=1, max_size=3))
+        if kind == "set":
+            data = data[:i] + run + data[i + len(run) :]
+        elif kind == "insert":
+            data = data[:i] + run + data[i:]
+        elif kind == "delete":
+            data = data[:i] + data[i + draw(st.integers(1, 3)) :]
+        else:
+            data = data[:i]
+    return data
+
+
+@settings(max_examples=300)
+@given(data=_corrupted_pnms())
+def test_corrupted_pnm_raises_only_image_format_error(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("pnm") / "i.pnm"
+    p.write_bytes(data)
+    try:
+        img = raster.load_image(p)
+    except ImageFormatError as exc:
+        assert str(exc).startswith(f"{p}: ")
+    else:
+        assert img.samples.dtype == np.uint8 and img.bands in (1, 3)
+
+
+def test_pnm_header_number_too_long(tmp_path):
+    p = tmp_path / "i.pgm"
+    p.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n" + bytes(4))
+    with pytest.raises(ImageFormatError, match="header value too long"):
+        raster.load_image(p)
 
 
 def test_mask_roundtrip(tmp_path):
