@@ -82,7 +82,7 @@ from .planefit import (
 from .evaluate import (
     CrossSection,
     RmseReport,
-    boundary_scopes,
+    boundary_distance,
     cross_section,
     resample_to,
     rmse,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -128,11 +129,25 @@ def _same_grid(a, b) -> bool:
     )
 
 
+def _check_section(cfg, truth):
+    """Reject an eval.section endpoint off the truth grid before any work."""
+    if cfg.section is None:
+        return
+    h, w = truth.values.shape
+    x1, y1, x2, y2 = cfg.section
+    for x, y in ((x1, y1), (x2, y2)):
+        if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
+            raise ValueError(
+                f"eval.section point ({x:g}, {y:g}) lies outside the {w}x{h} truth grid"
+            )
+
+
 def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
     """RMSE report + sweeps (+ optional cross-section) on the truth grid.
 
-    The buffers grow from the contours of the original DSM's building mask:
-    ``contour_mask`` when given on the truth grid, else computed here.
+    The buffers come from one distance map of the original DSM's building
+    contours (``contour_mask`` when on the truth grid, else computed here).
+    Each variant is scored once, over the report and sweep widths together.
     """
     on_truth = {}
     for name, hf in [("original", original)] + list(variants.items()):
@@ -143,12 +158,13 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
     if contour_mask.count() == 0:
         raise ValueError("no boundary contours on the original DSM; nothing to evaluate against")
 
+    distance = ev.boundary_distance(contour_mask)
+    sweep_widths = range(1, cfg.sweep_max_width + 1)
     rows = []
     for name, hf in on_truth.items():
-        rep = ev.report(hf, truth, contour_mask, cfg.eval_widths)
+        rep = ev.report(hf, truth, distance, tuple(sorted({*cfg.eval_widths, *sweep_widths})))
         rows.append((cfg.region, name, rep))
-        pairs = ev.sweep(hf, truth, contour_mask, cfg.sweep_max_width)
-        ev.write_sweep_csv(pairs, out / f"sweep_{name}.csv")
+        ev.write_sweep_csv([(w, rep.per_buffer[w]) for w in sweep_widths], out / f"sweep_{name}.csv")
     ev.write_report_csv(rows, out / "rmse_report.csv", cfg.eval_widths)
 
     if cfg.section is not None:
@@ -158,7 +174,7 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
         ev.write_cross_section_csv(section, out / "cross_section.csv")
 
     for region, name, rep in rows:
-        buf = " ".join(f"buf{w}={rep.per_buffer[w]:.3f}" for w in sorted(rep.per_buffer))
+        buf = " ".join(f"buf{w}={rep.per_buffer[w]:.3f}" for w in sorted(set(cfg.eval_widths)))
         print(f"{region} {name}: whole={rep.whole_image:.3f} {buf}")
 
 
@@ -213,16 +229,34 @@ def cmd_sharpen(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
-    truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
-    original = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    variants = {}
-    for item in args.variant or []:
+def _variant_paths(items) -> dict[str, Path]:
+    """name -> path of each --variant NAME=PATH; a name must be new, must not
+    be one of the fixed rows (original, truth) and must make a file name."""
+    paths: dict[str, Path] = {}
+    for item in items or []:
         if "=" not in item:
             raise ValueError(f"--variant expects name=path, got {item!r}")
-        name, _, path = item.partition("=")
-        variants[name.strip()] = raster.load_heightfield(_require_file(Path(path), "variant"))
+        name, _, path = (t.strip() for t in item.partition("="))
+        if not name:
+            raise ValueError(f"--variant needs a name before '=', got {item!r}")
+        if name in ("original", "truth") or name in paths:
+            raise ValueError(f"--variant name {name!r} is already taken")
+        if "/" in name or os.sep in name:
+            raise ValueError(f"--variant name {name!r} must not contain a path separator")
+        paths[name] = Path(path)
+    return paths
+
+
+def cmd_evaluate(args) -> int:
+    cfg = _config_from_args(args)
+    paths = _variant_paths(args.variant)
+    truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
+    _check_section(cfg, truth)
+    original = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
+    variants = {
+        name: raster.load_heightfield(_require_file(path, "variant"))
+        for name, path in paths.items()
+    }
     _evaluate_stage(truth, original, variants, cfg, _outdir(cfg))
     return 0
 
@@ -232,6 +266,7 @@ def cmd_run_all(args) -> int:
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
+    _check_section(cfg, truth)
     out = _outdir(cfg)
     mask, contour_mask = _mask_stage(dsm, cfg, out)
     segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)

@@ -5,7 +5,8 @@ default), an RMSE-vs-buffer-width sweep, and elevation cross-sections along
 an anchor segment. Variants on a different grid are first resampled onto the
 truth grid so every method is scored on identical cells, and the boundary
 scope always derives from the original input DSM so the scope itself cannot
-favour one method.
+favour one method. One chessboard distance map of the boundary stands for
+every buffer, so the sweep is just a report over widths 1..N.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
-from .raster import BinaryMask, Heightfield, dilate_mask, sample_bilinear
+from .raster import BinaryMask, Heightfield, sample_bilinear
 
 
 @dataclass(eq=False)
 class RmseReport:
     whole_image: float
     per_buffer: dict[int, float]
-    pixel_counts: dict[str, int]
 
 
 @dataclass(eq=False)
@@ -88,28 +89,26 @@ def rmse(computed: Heightfield, truth: Heightfield, scope: BinaryMask | None = N
     return float(math.sqrt(float((diff * diff).mean())))
 
 
-def boundary_scopes(
-    boundary_mask: BinaryMask, widths: tuple[int, ...] = (5, 10, 20)
-) -> dict[int, BinaryMask]:
-    """One dilated scope mask per buffer width."""
-    if any(w <= 0 for w in widths):
-        raise ValueError("buffer widths must be positive")
-    return {w: dilate_mask(boundary_mask, w) for w in widths}
+def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
+    """Chessboard distance to the nearest boundary bit: ``distance <= w`` is
+    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty."""
+    if not boundary_mask.bits.any():
+        return np.full(boundary_mask.bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
+    return ndimage.distance_transform_cdt(~boundary_mask.bits, metric="chessboard")
 
 
 def report(
     computed: Heightfield,
     truth: Heightfield,
-    boundary_mask: BinaryMask,
+    distance: np.ndarray,
     widths: tuple[int, ...] = (5, 10, 20),
 ) -> RmseReport:
-    """Whole-image plus boundary-buffer RMSE in one record."""
-    scopes = boundary_scopes(boundary_mask, widths)
-    per_buffer = {w: rmse(computed, truth, m) for w, m in scopes.items()}
-    counts = {"whole": int((computed.valid_mask() & truth.valid_mask()).sum())}
-    for w, m in scopes.items():
-        counts[f"buf{w}"] = int((computed.valid_mask() & truth.valid_mask() & m.bits).sum())
-    return RmseReport(rmse(computed, truth), per_buffer, counts)
+    """Whole-image plus boundary-buffer RMSE in one record; the buffer of
+    width w is ``distance <= w``, thresholded one width at a time."""
+    if any(w <= 0 for w in widths):
+        raise ValueError("buffer widths must be positive")
+    per_buffer = {w: rmse(computed, truth, BinaryMask(distance <= w)) for w in widths}
+    return RmseReport(rmse(computed, truth), per_buffer)
 
 
 def sweep(
@@ -118,13 +117,12 @@ def sweep(
     boundary_mask: BinaryMask,
     max_width: int = 20,
 ) -> list[tuple[int, float]]:
-    """Boundary-buffer RMSE at every width 1..max_width."""
+    """Boundary-buffer RMSE at every width 1..max_width: one report over them."""
     if max_width < 1:
         raise ValueError("max_width must be >= 1")
-    return [
-        (w, rmse(computed, truth, dilate_mask(boundary_mask, w)))
-        for w in range(1, max_width + 1)
-    ]
+    widths = tuple(range(1, max_width + 1))
+    rep = report(computed, truth, boundary_distance(boundary_mask), widths)
+    return sorted(rep.per_buffer.items())
 
 
 def cross_section(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .config import read_key_values
+from .config import _finite_float, read_key_values
 from .raster import Heightfield, RasterImage
 
 GROUND_INTENSITY = 70
@@ -31,6 +31,10 @@ class Building:
     height: float
     rotation_deg: float = 0.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (*self.center, *self.size, self.height, self.rotation_deg))):
+            raise ValueError("building fields must be finite")
+
 
 @dataclass(eq=False)
 class SceneSpec:
@@ -43,6 +47,9 @@ class SceneSpec:
 
     def __post_init__(self):
         w, h = self.dims
+        fields = (w, h, self.ground_height, self.boundary_blur_sigma, self.noise_sigma, self.seed)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("scene fields must be finite")
         if w <= 0 or h <= 0:
             raise ValueError("scene dimensions must be positive")
         if self.boundary_blur_sigma < 0 or self.noise_sigma < 0:
@@ -116,12 +123,24 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
 # ---------------------------------------------------------------------------
 
 
+def _scene_value(path, lineno: int, key: str, text: str) -> float:
+    """A finite number; width, height and seed must also be whole."""
+    try:
+        value = _finite_float(text)
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {key}") from None
+    if key in ("width", "height", "seed") and not value.is_integer():
+        raise ValueError(f"{path}: line {lineno}: {key} must be a whole number, got {text!r}")
+    return value
+
+
 def parse_scene_config(path: str | Path) -> SceneSpec:
     """Read a scene from `key = value` lines.
 
     Recognised keys: width, height, ground_height, blur_sigma, noise_sigma,
     seed, and one `building = cx cy width height roof_height [rotation]`
-    line per building. '#' starts a comment.
+    line per building. '#' starts a comment. Every value must be a finite
+    number, and width, height and seed whole ones.
     """
     values: dict[str, float] = {"width": 0, "height": 0, "ground_height": 0.0,
                                 "blur_sigma": 0.0, "noise_sigma": 0.0, "seed": 0}
@@ -133,11 +152,11 @@ def parse_scene_config(path: str | Path) -> SceneSpec:
                 raise ValueError(
                     f"{path}: line {lineno}: building needs 'cx cy w h height [rotation]'"
                 )
-            nums = [float(p) for p in parts]
+            nums = [_scene_value(path, lineno, key, p) for p in parts]
             rot = nums[5] if len(nums) == 6 else 0.0
             buildings.append(Building((nums[0], nums[1]), (nums[2], nums[3]), nums[4], rot))
         else:
-            values[key] = float(val)
+            values[key] = _scene_value(path, lineno, key, val)
     return SceneSpec(
         dims=(int(values["width"]), int(values["height"])),
         ground_height=values["ground_height"],

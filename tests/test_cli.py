@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +375,108 @@ def test_evaluate_cross_section(small_scene, run_cli):
     assert code == 0
     lines = (small_scene["out"] / "cross_section.csv").read_text().splitlines()
     assert lines[0].startswith("station,truth,original")
+
+
+def test_evaluate_one_report_serves_buffers_and_sweep(small_scene, run_cli, capsys):
+    code = run_cli(
+        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
+        "--out", small_scene["out"], "--set", "eval.buffer_widths=3,25",
+        "--set", "eval.sweep_max_width=4", *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    out = small_scene["out"]
+    assert (out / "rmse_report.csv").read_text().splitlines()[0] == "region,method,whole,buf3,buf25"
+    sweep = (out / "sweep_original.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in sweep[1:]] == ["1", "2", "3", "4"]
+    (printed,) = capsys.readouterr().out.splitlines()
+    assert [t.split("=")[0] for t in printed.split() if t.startswith("buf")] == ["buf3", "buf25"]
+
+
+def test_evaluate_dilates_no_mask(small_scene, run_cli, monkeypatch):
+    """One distance map stands for every buffer: no per-width dilation."""
+    radii = []
+    real = raster.dilate_mask
+
+    def counting(mask, radius):
+        radii.append(radius)
+        return real(mask, radius)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("dsmsharp") and hasattr(module, "dilate_mask"):
+            monkeypatch.setattr(module, "dilate_mask", counting)
+    code = run_cli(
+        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
+        "--variant", f"perfect={small_scene['truth']}", "--out", small_scene["out"],
+        *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert radii == []
+
+
+def _evaluate_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, *argv):
+    """Run evaluate; it must exit 2 before reading a variant or creating the
+    output directory. Returns standard error."""
+    real = raster.load_heightfield
+
+    def truth_only(path):
+        if Path(path) != small_scene["truth"]:
+            raise AssertionError(f"grid read before the arguments were checked: {path}")
+        return real(path)
+
+    monkeypatch.setattr(raster, "load_heightfield", truth_only)
+    code = run_cli(
+        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
+        "--out", small_scene["out"], *argv, *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not small_scene["out"].exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "variants",
+    [
+        ["original={dsm}"],
+        ["truth={dsm}"],
+        ["={dsm}"],
+        [" ={dsm}"],
+        ["a/b={dsm}"],
+        [f"a{os.sep}b={{dsm}}"],
+        ["p={dsm}", "p={truth}"],
+    ],
+    ids=["original", "truth", "empty", "blank", "slash", "os-sep", "repeated"],
+)
+def test_evaluate_rejects_colliding_or_escaping_variant_names(
+    small_scene, run_cli, capsys, monkeypatch, variants
+):
+    argv = []
+    for v in variants:
+        argv += ["--variant", v.format(dsm=small_scene["dsm"], truth=small_scene["truth"])]
+    err = _evaluate_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, *argv)
+    assert "--variant" in err
+
+
+def test_evaluate_checks_section_against_truth_grid_first(small_scene, run_cli, capsys,
+                                                         monkeypatch):
+    err = _evaluate_rejected_before_any_work(
+        small_scene, run_cli, capsys, monkeypatch, "--variant", f"p={small_scene['dsm']}",
+        "--set", "eval.section=10,32,64,32",
+    )
+    assert "eval.section" in err and "64x64" in err
+
+
+def test_run_all_checks_section_before_the_pipeline(small_scene, run_cli, capsys):
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"],
+        "--set", "eval.section=-1,32,54,32", *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval.section") and "64x64" in err
+    assert not small_scene["out"].exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmsharp import evaluate as ev
-from dsmsharp.raster import BinaryMask, Heightfield
+from dsmsharp.raster import DEFAULT_NODATA, BinaryMask, Heightfield, dilate_mask
 
 
 def field(vals, **kw):
@@ -139,23 +141,76 @@ def boundary(shape, sl):
 
 def test_boundary_scopes_nested():
     b = boundary((40, 40), (slice(18, 22), slice(10, 30)))
-    scopes = ev.boundary_scopes(b)
-    assert sorted(scopes) == [5, 10, 20]
-    assert (scopes[5].bits <= scopes[10].bits).all()
-    assert (scopes[10].bits <= scopes[20].bits).all()
+    distance = ev.boundary_distance(b)
+    assert ((distance <= 5) <= (distance <= 10)).all()
+    assert ((distance <= 10) <= (distance <= 20)).all()
 
 
 def test_boundary_scopes_nested_random():
     rng = np.random.default_rng(72)
     b = BinaryMask(rng.random((30, 30)) < 0.05)
-    scopes = ev.boundary_scopes(b, (2, 4, 9))
-    assert (scopes[2].bits <= scopes[4].bits).all()
-    assert (scopes[4].bits <= scopes[9].bits).all()
+    distance = ev.boundary_distance(b)
+    assert ((distance <= 2) <= (distance <= 4)).all()
+    assert ((distance <= 4) <= (distance <= 9)).all()
 
 
 def test_boundary_scopes_empty_boundary():
-    scopes = ev.boundary_scopes(BinaryMask(np.zeros((10, 10), bool)))
-    assert all(m.count() == 0 for m in scopes.values())
+    distance = ev.boundary_distance(BinaryMask(np.zeros((10, 10), bool)))
+    assert not (distance <= 10**6).any()
+
+
+def oracle_per_buffer(computed, truth, boundary_mask, widths):
+    """One dilated scope per width: what the distance map replaces."""
+    return {w: ev.rmse(computed, truth, dilate_mask(boundary_mask, w)) for w in widths}
+
+
+@st.composite
+def _scored_grids(draw):
+    """A boundary mask with few bits (none, or on the border, as drawn) and
+    two fields on its grid with nodata cells in either; one side may be 1 px."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bits = np.zeros(h * w, bool)
+    bits[draw(st.lists(st.integers(0, h * w - 1), max_size=5))] = True
+    cell = st.one_of(st.floats(-50, 50), st.just(DEFAULT_NODATA))
+
+    def grid():
+        cells = draw(st.lists(cell, min_size=h * w, max_size=h * w))
+        return Heightfield(np.array(cells).reshape(h, w))
+
+    widths = tuple(draw(st.lists(st.integers(1, 15), min_size=1, max_size=5)))
+    return BinaryMask(bits.reshape(h, w)), grid(), grid(), widths
+
+
+@settings(max_examples=300)
+@given(case=_scored_grids())
+def test_distance_buffers_match_dilation_oracle(case):
+    mask, computed, truth, widths = case
+    distance = ev.boundary_distance(mask)
+    for w in range(0, 16):
+        assert np.array_equal(distance <= w, dilate_mask(mask, w).bits)
+    try:
+        want = oracle_per_buffer(computed, truth, mask, widths)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            ev.report(computed, truth, distance, widths)
+        return
+    assert ev.report(computed, truth, distance, widths).per_buffer == want
+
+
+def test_sweep_matches_oracle_on_one_pixel_wide_raster():
+    rng = np.random.default_rng(74)
+    truth = field(rng.normal(size=(40, 1)))
+    computed = field(rng.normal(size=(40, 1)))
+    b = boundary((40, 1), (slice(0, 1), slice(None)))  # one border bit
+    want = oracle_per_buffer(computed, truth, b, range(1, 40))
+    assert ev.sweep(computed, truth, b, 39) == sorted(want.items())
+
+
+def test_report_rejects_nonpositive_width():
+    b = boundary((10, 10), (slice(4, 6), slice(2, 8)))
+    hf = field(np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="positive"):
+        ev.report(hf, hf, ev.boundary_distance(b), (0, 5))
 
 
 def test_sweep_identical_all_zero():
@@ -170,8 +225,6 @@ def test_sweep_nonincreasing_for_banded_error():
     truth = field(np.zeros((50, 50)))
     vals = np.zeros((50, 50))
     b = boundary((50, 50), (slice(24, 26), slice(5, 45)))
-    from dsmsharp.raster import dilate_mask
-
     band = dilate_mask(b, 3).bits
     vals[band] = 1.0  # constant-magnitude error confined to a 3-px band
     comp = field(vals)
@@ -181,8 +234,6 @@ def test_sweep_nonincreasing_for_banded_error():
 
 
 def test_sweep_width1_matches_rmse():
-    from dsmsharp.raster import dilate_mask
-
     rng = np.random.default_rng(73)
     truth = field(np.zeros((20, 20)))
     comp = field(rng.normal(size=(20, 20)))
@@ -207,11 +258,9 @@ def test_report_counts_and_values():
     vals[14, 14] = 3.0
     comp = field(vals)
     b = boundary((30, 30), (slice(14, 16), slice(10, 20)))
-    rep = ev.report(comp, truth, b, (5, 10, 20))
+    rep = ev.report(comp, truth, ev.boundary_distance(b), (5, 10, 20))
     assert rep.whole_image == pytest.approx(math.sqrt(9.0 / 900))
     assert set(rep.per_buffer) == {5, 10, 20}
-    assert rep.pixel_counts["whole"] == 900
-    assert rep.pixel_counts["buf5"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +315,7 @@ def test_cross_section_unknown_truth():
 
 
 def test_report_csv_layout(tmp_path):
-    rep = ev.RmseReport(1.2345, {5: 1.0, 10: 0.5, 20: 0.25}, {"whole": 100})
+    rep = ev.RmseReport(1.2345, {5: 1.0, 10: 0.5, 20: 0.25})
     p = tmp_path / "r.csv"
     ev.write_report_csv([("region1", "original", rep)], p)
     lines = p.read_text().splitlines()

@@ -145,3 +145,42 @@ def test_scene_config_unknown_key(tmp_path):
     p.write_text("width = 10\nheight = 10\nwibble = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
         synth.parse_scene_config(p)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("width = x\n", "line 1: bad value 'x' for width"),
+        ("width = 10\nheight = 10\nbuilding = 1 2 3 4 y\n", "line 3: bad value 'y' for building"),
+        ("width = 10.7\n", "line 1: width must be a whole number, got '10.7'"),
+        ("height = 8\nseed = 1.5\n", "line 2: seed must be a whole number, got '1.5'"),
+        ("blur_sigma = nan\n", "line 1: bad value 'nan' for blur_sigma"),
+        ("noise_sigma = inf\n", "line 1: bad value 'inf' for noise_sigma"),
+        ("building = 5 5 4 4 1e400\n", "line 1: bad value '1e400' for building"),
+    ],
+)
+def test_scene_config_bad_values_name_file_and_line(tmp_path, body, message):
+    p = tmp_path / "scene.cfg"
+    p.write_text(body)
+    with pytest.raises(ValueError) as exc:
+        synth.parse_scene_config(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_scene_config_whole_float_accepted(tmp_path):
+    p = tmp_path / "scene.cfg"
+    p.write_text("width = 16.0\nheight = 12\nseed = 3.0\n")
+    spec = synth.parse_scene_config(p)
+    assert spec.dims == (16, 12) and spec.seed == 3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_scene_fields_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Building((bad, 5.0), (4.0, 4.0), 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        Building((5.0, 5.0), (4.0, 4.0), 3.0, rotation_deg=bad)
+    with pytest.raises(ValueError, match="finite"):
+        SceneSpec(dims=(10, 10), boundary_blur_sigma=bad)
+    with pytest.raises(ValueError, match="finite"):
+        SceneSpec(dims=(10, 10), ground_height=bad)
