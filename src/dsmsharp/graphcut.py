@@ -51,6 +51,9 @@ from .lines import LineSegment
 from .tophat import TophatParams, white_tophat
 
 LABEL_RADIUS = 5
+# grid pixels per slab of KD-tree queries in interpolate_offsets; bounds
+# its (pixels x neighbours) distance, index and weight arrays
+_QUERY_BLOCK = 1 << 14
 
 # band layers of a problem, and the ramp levels that pick their contours
 GROUND, ROOF = 0, 1
@@ -339,11 +342,15 @@ def smooth_cost(l_p, l_q, near: int = 2, far: int = 100, radius: float = 5.0) ->
 
 
 def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
-    """(n_labels, n_points) int data costs."""
-    xs = problem.points[:, 0][None, :] + labels[:, 0][:, None]
-    ys = problem.points[:, 1][None, :] + labels[:, 1][:, None]
-    hit = _hits(problem, np.arange(problem.size)[None, :], xs, ys)
-    return np.where(hit, problem.data_cost_hit, problem.data_cost_miss).astype(np.int64)
+    """(n_labels, n_points) int data costs, filled one label at a time so
+    the temporaries hold one row."""
+    table = np.empty((len(labels), problem.size), dtype=np.int64)
+    ids = np.arange(problem.size)
+    xs, ys = problem.points[:, 0], problem.points[:, 1]
+    for row, (dx, dy) in zip(table, labels):
+        hit = _hits(problem, ids, xs + dx, ys + dy)
+        row[:] = np.where(hit, problem.data_cost_hit, problem.data_cost_miss)
+    return table
 
 
 def _smooth_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
@@ -568,6 +575,12 @@ def interpolate_offsets(
     (offset zero). Remaining pixels take an inverse-square-distance weighted
     mean of their idw_neighbors nearest anchors; anchors keep their exact
     values. A problem without points gives the zero field.
+
+    The remaining pixels are queried one slab of rows at a time, at most
+    _QUERY_BLOCK grid pixels a slab (one row when a row is longer); a
+    pixel's neighbours and sums do not depend on its slab. Beyond the two
+    output grids, the grid masks and the anchors, memory follows the block
+    size, not the band.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
@@ -588,34 +601,44 @@ def interpolate_offsets(
     off_contour = np.ones((h, w), dtype=bool)
     off_contour[ays, axs] = False
     dist = ndimage.distance_transform_cdt(off_contour, metric="chessboard")
-    anchor_mask = dist >= far_distance
-    anchor_mask[ays, axs] = True
-
-    query_ys, query_xs = np.nonzero(~anchor_mask)
-    if len(query_xs) == 0:
+    far = dist >= far_distance
+    band = off_contour & ~far  # the pixels left to interpolate
+    del off_contour, dist
+    if not band.any():
         return OffsetField(dx, dy)
 
-    far_ys, far_xs = np.nonzero(dist >= far_distance)
-    # contour anchors first so exact offsets win any coordinate duplication
-    anchor_xy = np.concatenate(
-        [
-            np.column_stack([axs, ays]).astype(np.float64),
-            np.column_stack([far_xs, far_ys]).astype(np.float64),
-        ]
-    )
-    anchor_dx = np.concatenate([offs[:, 0].astype(np.float64), np.zeros(len(far_xs))])
-    anchor_dy = np.concatenate([offs[:, 1].astype(np.float64), np.zeros(len(far_xs))])
+    # contour anchors first so exact offsets win any coordinate duplication,
+    # then the far anchors in row-major order
+    n = len(uniq)
+    far_flat = np.flatnonzero(far)
+    del far
+    anchor_xy = np.empty((n + len(far_flat), 2))
+    anchor_xy[:n] = uniq
+    np.divmod(far_flat, w, out=(anchor_xy[n:, 1], anchor_xy[n:, 0]))
+    del far_flat
+    # anchor offsets; every far anchor reads the zero at index n
+    anchor_dx = np.zeros(n + 1)
+    anchor_dy = np.zeros(n + 1)
+    anchor_dx[:n] = offs[:, 0]
+    anchor_dy[:n] = offs[:, 1]
 
     k = min(idw_neighbors, len(anchor_xy))
     tree = cKDTree(anchor_xy)
-    dists, idx = tree.query(np.column_stack([query_xs, query_ys]).astype(np.float64), k=k)
-    if k == 1:
-        dists = dists[:, None]
-        idx = idx[:, None]
-    weights = 1.0 / np.maximum(dists, 1e-12) ** 2
-    wsum = weights.sum(axis=1)
-    dx[query_ys, query_xs] = (weights * anchor_dx[idx]).sum(axis=1) / wsum
-    dy[query_ys, query_xs] = (weights * anchor_dy[idx]).sum(axis=1) / wsum
+    rows = max(1, _QUERY_BLOCK // w)
+    for top in range(0, h, rows):
+        ys, xs = np.nonzero(band[top : top + rows])
+        if len(ys) == 0:
+            continue
+        ys += top
+        dists, idx = tree.query(np.column_stack([xs, ys]).astype(np.float64), k=k)
+        if k == 1:
+            dists = dists[:, None]
+            idx = idx[:, None]
+        idx = np.minimum(idx, n)
+        weights = 1.0 / np.maximum(dists, 1e-12) ** 2
+        wsum = weights.sum(axis=1)
+        dx[ys, xs] = (weights * anchor_dx[idx]).sum(axis=1) / wsum
+        dy[ys, xs] = (weights * anchor_dy[idx]).sum(axis=1) / wsum
     return OffsetField(dx, dy)
 
 
@@ -623,17 +646,19 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
     """Backward-map the DSM through the offset field with bilinear sampling.
 
     Sample positions clamp to the border; a sample whose bilinear support
-    touches nodata becomes nodata. The zero field reproduces the input
-    exactly.
+    touches nodata becomes nodata. Only the pixels with a non-zero offset
+    are sampled: every other pixel gets what the bilinear sample at its own
+    centre gives, its cell plus 0.0 (a -0.0 cell reads 0.0), or nodata where
+    the cell is nodata. So the zero field reproduces the input, and beyond
+    the output grid memory follows the moved pixels, not the grid.
     """
     if field.dx.shape != dsm.values.shape or field.dy.shape != dsm.values.shape:
         raise ValueError("offset field dimensions do not match the DSM")
-    h, w = dsm.values.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    sx = xx.astype(np.float64) - field.dx
-    sy = yy.astype(np.float64) - field.dy
-    vals, valid = sample_bilinear(dsm, sx.ravel(), sy.ravel(), skip_nodata=False)
-    out = np.where(valid, vals, dsm.nodata).reshape(h, w)
+    out = dsm.values + 0.0
+    out[~dsm.valid_mask()] = dsm.nodata
+    ys, xs = np.nonzero((field.dx != 0) | (field.dy != 0))
+    vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
+    out[ys, xs] = np.where(valid, vals, dsm.nodata)
     return dsm.like(out)
 
 

@@ -186,13 +186,22 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
     return _suppress_duplicates(segments)
 
 
+# more than the rounding of the fit's projections can add to its extent
+_FIT_SLACK = 1e-6
+
+
 def _fit_segment(region, pw, mag, min_length) -> LineSegment | None:
     """Principal axis of a pixel region, weighted by gradient magnitude.
 
     region holds flat indices into mag's grid padded by one cell, whose rows
-    are pw cells long.
+    are pw cells long. The fit's extent along any axis is at most the
+    diagonal of the pixel centres' bounding box, so a region whose diagonal
+    falls short of min_length by more than _FIT_SLACK gives None unfitted.
     """
     rows, cols = np.divmod(np.array(region), pw)
+    span = math.hypot(int(cols.max() - cols.min()), int(rows.max() - rows.min()))
+    if span < min_length - _FIT_SLACK:
+        return None
     rows -= 1
     cols -= 1
     w = mag[rows, cols]

@@ -22,6 +22,16 @@ GROUND_INTENSITY = 70
 ROOF_INTENSITY = 200
 
 
+class SceneError(ValueError):
+    """A scene field that fails its check. ``key`` is the scene-file key the
+    field comes from; ``building`` is the index of the building at fault."""
+
+    def __init__(self, message: str, key: str, building: int | None = None):
+        super().__init__(message)
+        self.key = key
+        self.building = building
+
+
 @dataclass(frozen=True)
 class Building:
     """Axis sizes in pixels, rotated about the center by rotation_deg."""
@@ -47,19 +57,24 @@ class SceneSpec:
 
     def __post_init__(self):
         w, h = self.dims
-        fields = (w, h, self.ground_height, self.boundary_blur_sigma, self.noise_sigma, self.seed)
-        if not all(map(math.isfinite, fields)):
-            raise ValueError("scene fields must be finite")
-        if w <= 0 or h <= 0:
-            raise ValueError("scene dimensions must be positive")
-        if self.boundary_blur_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
-        for b in self.buildings:
+        fields = {"width": w, "height": h, "ground_height": self.ground_height,
+                  "blur_sigma": self.boundary_blur_sigma, "noise_sigma": self.noise_sigma,
+                  "seed": self.seed}
+        for key, value in fields.items():
+            if not math.isfinite(value):
+                raise SceneError("scene fields must be finite", key)
+            if key in ("width", "height") and value <= 0:
+                raise SceneError(f"{key} must be positive, got {value}", key)
+            if key in ("blur_sigma", "noise_sigma", "seed") and value < 0:
+                raise SceneError(f"{key} must be >= 0, got {value}", key)
+        for i, b in enumerate(self.buildings):
             if b.height <= 0:
-                raise ValueError("building heights must be positive")
+                raise SceneError("building heights must be positive", "building", i)
             for cx, cy in _corners(b):
                 if not (0 <= cx < w and 0 <= cy < h):
-                    raise ValueError(f"building at {b.center} extends outside the scene")
+                    raise SceneError(
+                        f"building at {b.center} extends outside the scene", "building", i
+                    )
 
 
 def _corners(b: Building):
@@ -140,10 +155,14 @@ def parse_scene_config(path: str | Path) -> SceneSpec:
     Recognised keys: width, height, ground_height, blur_sigma, noise_sigma,
     seed, and one `building = cx cy width height roof_height [rotation]`
     line per building. '#' starts a comment. Every value must be a finite
-    number, and width, height and seed whole ones.
+    number, and width, height and seed whole ones. A scene the SceneSpec
+    checks reject names the file and the line of the building or key at
+    fault (only the file when that key is not given).
     """
     values: dict[str, float] = {"width": 0, "height": 0, "ground_height": 0.0,
                                 "blur_sigma": 0.0, "noise_sigma": 0.0, "seed": 0}
+    key_lines: dict[str, int] = {}
+    building_lines: list[int] = []
     buildings: list[Building] = []
     for lineno, key, val in read_key_values(path, {"building", *values}):
         if key == "building":
@@ -155,13 +174,20 @@ def parse_scene_config(path: str | Path) -> SceneSpec:
             nums = [_scene_value(path, lineno, key, p) for p in parts]
             rot = nums[5] if len(nums) == 6 else 0.0
             buildings.append(Building((nums[0], nums[1]), (nums[2], nums[3]), nums[4], rot))
+            building_lines.append(lineno)
         else:
             values[key] = _scene_value(path, lineno, key, val)
-    return SceneSpec(
-        dims=(int(values["width"]), int(values["height"])),
-        ground_height=values["ground_height"],
-        buildings=buildings,
-        boundary_blur_sigma=values["blur_sigma"],
-        noise_sigma=values["noise_sigma"],
-        seed=int(values["seed"]),
-    )
+            key_lines[key] = lineno
+    try:
+        return SceneSpec(
+            dims=(int(values["width"]), int(values["height"])),
+            ground_height=values["ground_height"],
+            buildings=buildings,
+            boundary_blur_sigma=values["blur_sigma"],
+            noise_sigma=values["noise_sigma"],
+            seed=int(values["seed"]),
+        )
+    except SceneError as exc:
+        lineno = key_lines.get(exc.key) if exc.building is None else building_lines[exc.building]
+        where = "" if lineno is None else f"line {lineno}: "
+        raise ValueError(f"{path}: {where}{exc}") from None

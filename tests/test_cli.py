@@ -53,6 +53,25 @@ def test_synth_writes_roundtrippable_files(tmp_path, run_cli):
     assert ortho.bands == 1
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("width = 16\nheight = 16\nseed = -1\n", "line 3: seed must be >= 0, got -1"),
+        (
+            "width = 16\nheight = 16\nbuilding = 7 7 20 4 3\n",
+            "line 3: building at (7.0, 7.0) extends outside the scene",
+        ),
+    ],
+    ids=["negative-seed", "building-past-the-edge"],
+)
+def test_synth_scene_errors_name_file_and_line(tmp_path, run_cli, capsys, body, message):
+    scene = scene_file(tmp_path, body)
+    out = tmp_path / "o"
+    assert run_cli("synth", "--scene", scene, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {scene}: {message}"]
+    assert not out.exists()
+
+
 def test_synth_empty_scene_three_files(tmp_path, run_cli):
     scene = scene_file(tmp_path, "width = 16\nheight = 16\n")
     out = tmp_path / "o"

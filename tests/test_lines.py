@@ -280,6 +280,44 @@ def test_detector_matches_reference_random_params(kind, shape, seed, params):
     assert _as_tuples(lines.detect_segments(img, params)) == _as_tuples(expected)
 
 
+def _seeded_regions(rng, h, w):
+    """Random blobs of two or more distinct pixels and straight runs (whose
+    fit spans the whole diagonal), as (row, col) lists."""
+    for _ in range(40):
+        r0, c0 = rng.integers(0, h - 12), rng.integers(0, w - 12)
+        n = int(rng.integers(2, 40))
+        rows, cols = (r0 + rng.integers(0, 12, n)).tolist(), (c0 + rng.integers(0, 12, n)).tolist()
+        region = list(dict.fromkeys(zip(rows, cols)))
+        if len(region) > 1:
+            yield region
+    # on some of these runs the fit's extent rounds to above the diagonal
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, 3), (3, 1), (-1, 1)):
+        for n in range(2, 16):
+            yield [(20 + k * dr, 1 + k * dc) for k in range(n)]
+
+
+def test_fit_guard_matches_unguarded_fit():
+    # min_length at, just below and just above each region's bounding-box
+    # diagonal and its fitted extent, down to 1e-9 and one ulp apart
+    rng = np.random.default_rng(12)
+    h, w = 64, 64
+    mag = rng.uniform(0.5, 9.0, (h, w))
+    pw = w + 2
+    nudges = (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3)
+    for region in _seeded_regions(rng, h, w):
+        rows, cols = np.array(region).T
+        diag = math.hypot(int(np.ptp(cols)), int(np.ptp(rows)))
+        flat = [(r + 1) * pw + c + 1 for r, c in region]
+        fitted = _reference_fit_segment(region, mag, 0.0).length()
+        for length in (diag, fitted, diag + 1.0, max(diag - 1.0, 0.1)):
+            for min_length in [length + nudge for nudge in nudges] + [math.nextafter(length, 99)]:
+                want = _reference_fit_segment(region, mag, min_length)
+                got = lines._fit_segment(flat, pw, mag, min_length)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert (got.p1, got.p2) == (want.p1, want.p2)
+
+
 def test_duplicate_suppression():
     base = LineSegment((10.0, 10.0), (50.0, 10.0))
     near = LineSegment((11.0, 11.0), (48.0, 10.5))

@@ -157,6 +157,20 @@ def test_scene_config_unknown_key(tmp_path):
         ("blur_sigma = nan\n", "line 1: bad value 'nan' for blur_sigma"),
         ("noise_sigma = inf\n", "line 1: bad value 'inf' for noise_sigma"),
         ("building = 5 5 4 4 1e400\n", "line 1: bad value '1e400' for building"),
+        # SceneSpec's own checks, at the line of the key or building at fault
+        ("width = 16\nseed = -1\nheight = 16\n", "line 2: seed must be >= 0, got -1"),
+        ("width = 16\nheight = 0\n", "line 2: height must be positive, got 0"),
+        ("height = 16\n", "width must be positive, got 0"),  # no width line
+        ("width = 9\nheight = 9\n\nblur_sigma = -1\n", "line 4: blur_sigma must be >= 0, got -1.0"),
+        (
+            "width = 16\nheight = 16\nbuilding = 8 8 4 4 3\n# past the edge\n"
+            "building = 7 7 20 4 3\nseed = 2\n",
+            "line 5: building at (7.0, 7.0) extends outside the scene",
+        ),
+        (
+            "width = 16\nbuilding = 8 8 4 4 3\nbuilding = 8 8 2 2 -1\nheight = 16\n",
+            "line 3: building heights must be positive",
+        ),
     ],
 )
 def test_scene_config_bad_values_name_file_and_line(tmp_path, body, message):
@@ -165,6 +179,11 @@ def test_scene_config_bad_values_name_file_and_line(tmp_path, body, message):
     with pytest.raises(ValueError) as exc:
         synth.parse_scene_config(p)
     assert str(exc.value) == f"{p}: {message}"
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SceneSpec(dims=(10, 10), seed=-1)
 
 
 def test_scene_config_whole_float_accepted(tmp_path):
