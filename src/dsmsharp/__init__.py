@@ -52,6 +52,7 @@ from .lines import (
 )
 from .graphcut import (
     ContourProblem,
+    GraphcutConfig,
     Labeling,
     OffsetField,
     OffsetLabel,
@@ -89,6 +90,6 @@ from .evaluate import (
     sweep,
 )
 from .synth import Building, SceneSpec, generate
-from .config import GraphcutConfig, PipelineConfig, build_config
+from .config import PipelineConfig, build_config
 
 __version__ = "0.1.0"

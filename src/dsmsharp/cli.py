@@ -103,17 +103,9 @@ def _sharpen_graphcut(dsm, segments, cfg, outdir, debug):
     if not ground and not roof:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy()
-    gcc = cfg.graphcut
-    problem = gc.build_problem(
-        ground,
-        roof,
-        segments,
-        dsm,
-        line_buffer_radius=gcc.line_buffer_radius,
-        **gcc.problem_constants(),
-    )
+    problem = gc.build_problem(ground, roof, segments, dsm, cfg.graphcut)
     labeling = gc.minimize(problem)
-    field = gc.interpolate_offsets(problem, labeling, far_distance=gcc.far_distance)
+    field = gc.interpolate_offsets(problem, labeling, far_distance=cfg.graphcut.far_distance)
     if debug:
         gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
         raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")

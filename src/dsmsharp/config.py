@@ -15,41 +15,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .graphcut import GraphcutConfig
 from .lines import DetectorParams
 from .planefit import FitConfig
 from .raster import read_text
 from .tophat import TophatParams
-
-
-@dataclass(frozen=True)
-class GraphcutConfig:
-    """Energy constants and densification settings for the offset solver."""
-
-    data_cost_hit: int = 0
-    data_cost_miss: int = 10
-    smooth_cost_near: int = 2
-    smooth_cost_far: int = 100
-    smooth_radius: float = 5.0
-    neighbor_reach: int = 8
-    line_buffer_radius: int = 2
-    far_distance: int = 20
-
-    def __post_init__(self):
-        # the cost orders graphcut.ContourProblem needs, checked before any work
-        if not self.data_cost_hit < self.data_cost_miss:
-            raise ValueError("require data_cost_hit < data_cost_miss")
-        if not self.smooth_cost_near < self.smooth_cost_far:
-            raise ValueError("require smooth_cost_near < smooth_cost_far")
-
-    def problem_constants(self) -> dict:
-        return {
-            "data_cost_hit": self.data_cost_hit,
-            "data_cost_miss": self.data_cost_miss,
-            "smooth_cost_near": self.smooth_cost_near,
-            "smooth_cost_far": self.smooth_cost_far,
-            "smooth_radius": self.smooth_radius,
-            "neighbor_reach": self.neighbor_reach,
-        }
 
 
 @dataclass
@@ -83,34 +53,23 @@ def _tuple_of(conv):
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
 
-# key -> (config attribute path, converter)
+# key -> (config attribute path, converter); a parameter group's keys are
+# its fields, read by the type of their defaults
 _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "dsm": (("dsm",), Path),
     "ortho": (("ortho",), Path),
     "truth": (("truth",), Path),
     "out": (("out",), Path),
     "region": (("region",), str),
-    "tophat.scale_min": (("tophat", "scale_min"), int),
-    "tophat.scale_max": (("tophat", "scale_max"), int),
-    "tophat.scale_step": (("tophat", "scale_step"), int),
-    "tophat.height_threshold": (("tophat", "height_threshold"), _finite_float),
-    "detector.gradient_threshold": (("detector", "gradient_threshold"), _finite_float),
-    "detector.angle_tolerance": (("detector", "angle_tolerance"), _finite_float),
-    "detector.min_length": (("detector", "min_length"), _finite_float),
-    "detector.min_region_pixels": (("detector", "min_region_pixels"), int),
-    "detector.smoothing_sigma": (("detector", "smoothing_sigma"), _finite_float),
-    "fit.width_multiplier": (("fit", "width_multiplier"), int),
-    "fit.buffer_cap": (("fit", "buffer_cap"), int),
-    "fit.min_points": (("fit", "min_points"), int),
-    "fit.feather_band": (("fit", "feather_band"), int),
-    "graphcut.data_cost_hit": (("graphcut", "data_cost_hit"), int),
-    "graphcut.data_cost_miss": (("graphcut", "data_cost_miss"), int),
-    "graphcut.smooth_cost_near": (("graphcut", "smooth_cost_near"), int),
-    "graphcut.smooth_cost_far": (("graphcut", "smooth_cost_far"), int),
-    "graphcut.smooth_radius": (("graphcut", "smooth_radius"), _finite_float),
-    "graphcut.neighbor_reach": (("graphcut", "neighbor_reach"), int),
-    "graphcut.line_buffer_radius": (("graphcut", "line_buffer_radius"), int),
-    "graphcut.far_distance": (("graphcut", "far_distance"), int),
+    **{
+        f"{group.name}.{f.name}": (
+            (group.name, f.name),
+            {int: int, float: _finite_float}[type(f.default)],
+        )
+        for group in dataclasses.fields(PipelineConfig)
+        if dataclasses.is_dataclass(group.default_factory)
+        for f in dataclasses.fields(group.default_factory)
+    },
     "lines.boundary_buffer_radius": (("boundary_buffer_radius",), int),
     "lines.overlap_radius": (("overlap_radius",), int),
     "eval.buffer_widths": (("eval_widths",), _tuple_of(int)),

@@ -8,8 +8,10 @@ the side where the DSM is higher. Every contour pixel picks one 2-d integer
 offset out of an 11x11 grid. A pixel whose shifted position lands in the
 band on its own side is free, a miss costs 10; neighbouring contour pixels
 pay 2 when their offsets agree within a 5-pixel radius and 100 otherwise.
-Snapping the foot and the top of a ramp onto the same line narrows the ramp
-instead of only translating it.
+These constants, the band width and the densification reach are defined
+once, in GraphcutConfig, which every problem carries. Snapping the foot
+and the top of a ramp onto the same line narrows the ramp instead of only
+translating it.
 
 The multilabel energy is minimised by expansion moves, each solved as a
 two-terminal minimum cut with integer capacities; non-submodular pairwise
@@ -20,9 +22,8 @@ graphs. A move is scored by cutting only the contours whose lower bound for
 that move lies below their current energy; the others end any move at
 exactly their current energy, so they cannot decide it and are cut only
 when the move is accepted. The labeling is the same as cutting every point
-at once (see minimize). The winning
-offsets are densified by inverse-distance interpolation and applied as a
-backward bilinear warp.
+at once (see minimize). The winning offsets are densified by
+inverse-distance interpolation and applied as a backward bilinear warp.
 """
 
 from __future__ import annotations
@@ -81,9 +82,50 @@ def _label_array(labels) -> np.ndarray:
     return np.asarray([(l[0], l[1]) for l in labels], dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class GraphcutConfig:
+    """Energy constants, band width and densification reach of the solver.
+
+    A shifted point costs ``data_cost_hit`` inside its band and
+    ``data_cost_miss`` outside; two neighbours (the next ``neighbor_reach``
+    points along a contour) pay ``smooth_cost_near`` when their offsets lie
+    strictly closer than ``smooth_radius`` and ``smooth_cost_far`` otherwise.
+    ``line_buffer_radius`` is the half width of each segment's band (see
+    side_bands) and ``far_distance`` the reach of interpolate_offsets.
+    """
+
+    data_cost_hit: int = 0
+    data_cost_miss: int = 10
+    smooth_cost_near: int = 2
+    smooth_cost_far: int = 100
+    smooth_radius: float = 5.0
+    neighbor_reach: int = 8
+    line_buffer_radius: int = 2
+    far_distance: int = 20
+
+    def __post_init__(self):
+        if not self.data_cost_hit < self.data_cost_miss:
+            raise ValueError("require data_cost_hit < data_cost_miss")
+        if not self.smooth_cost_near < self.smooth_cost_far:
+            raise ValueError("require smooth_cost_near < smooth_cost_far")
+        if not 0 <= self.smooth_radius < math.inf:
+            raise ValueError("smooth_radius must be >= 0 and finite")
+        if self.neighbor_reach < 0:
+            raise ValueError("neighbor_reach must be >= 0")
+
+    def data_costs(self, hit) -> np.ndarray:
+        """The data cost of each shifted point, by whether it hits its band."""
+        return np.where(hit, self.data_cost_hit, self.data_cost_miss)
+
+    def smooth_costs(self, d) -> np.ndarray:
+        """The smoothness cost of each pair whose offsets differ by d (..., 2)."""
+        near = d[..., 0] ** 2 + d[..., 1] ** 2 < self.smooth_radius**2
+        return np.where(near, self.smooth_cost_near, self.smooth_cost_far)
+
+
 @dataclass(eq=False)
 class ContourProblem:
-    """Data points, neighbourhood structure and cost constants of one solve.
+    """Data points, neighbourhood structure and settings of one solve.
 
     ``contour_spans`` holds (start, stop, closed) index ranges partitioning
     ``points`` back into the source contours; they must tile ``0..n`` in
@@ -97,12 +139,7 @@ class ContourProblem:
     points: np.ndarray  # (n, 2) int pixel coordinates
     contour_spans: list[tuple[int, int, bool]]
     line_buffer: np.ndarray  # (k, h, w) bool; (h, w) becomes (1, h, w)
-    data_cost_hit: int = 0
-    data_cost_miss: int = 10
-    smooth_cost_near: int = 2
-    smooth_cost_far: int = 100
-    smooth_radius: float = 5.0
-    neighbor_reach: int = 8
+    params: GraphcutConfig = field(default_factory=GraphcutConfig)
     point_band: np.ndarray | None = None  # (n,) layer index; all 0 by default
     pairs: np.ndarray = field(init=False)  # (m, 2) unique unordered neighbour pairs
 
@@ -124,19 +161,11 @@ class ContourProblem:
         xs, ys = self.points[:, 0], self.points[:, 1]
         if ((xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)).any():
             raise ValueError("contour points must lie inside the raster")
-        if not self.data_cost_hit < self.data_cost_miss:
-            raise ValueError("require data_cost_hit < data_cost_miss")
-        if not self.smooth_cost_near < self.smooth_cost_far:
-            raise ValueError("require smooth_cost_near < smooth_cost_far")
-        if not 0 <= self.smooth_radius < math.inf:
-            raise ValueError("smooth_radius must be >= 0 and finite")
-        if self.neighbor_reach < 0:
-            raise ValueError("neighbor_reach must be >= 0")
         edges = [0] + [stop for _, stop, _ in self.contour_spans]
         starts = [start for start, _, _ in self.contour_spans]
         if starts != edges[:-1] or edges != sorted(edges) or edges[-1] != self.size:
             raise ValueError("contour spans must tile the points in order")
-        self.pairs = _neighbor_pairs(self.contour_spans, self.neighbor_reach)
+        self.pairs = _neighbor_pairs(self.contour_spans, self.params.neighbor_reach)
 
     @property
     def size(self) -> int:
@@ -192,8 +221,7 @@ def build_problem(
     roof: list[Contour],
     segments: list[LineSegment],
     dsm: Heightfield,
-    line_buffer_radius: int = 2,
-    **constants,
+    params: GraphcutConfig | None = None,
 ) -> ContourProblem:
     """Assemble the optimisation problem from the ground-side and roof-side
     contours of ramp_contours and the filtered segments on the grid of ``dsm``.
@@ -202,6 +230,7 @@ def build_problem(
     the segments (see side_bands). The points are the ground contours
     followed by the roof contours; empty contours are left out.
     """
+    params = params or GraphcutConfig()
     kept = [(c, side) for side, cs in ((GROUND, ground), (ROOF, roof)) for c in cs if len(c)]
     if not kept:
         raise ValueError("nothing to adjust")
@@ -212,11 +241,13 @@ def build_problem(
         start += len(c)
     points = np.vstack([c.points for c, _ in kept])
     point_band = np.concatenate([np.full(len(c), side) for c, side in kept])
-    bands = side_bands(dsm, segments, line_buffer_radius)
-    return ContourProblem(points, spans, bands, point_band=point_band, **constants)
+    bands = side_bands(dsm, segments, params.line_buffer_radius)
+    return ContourProblem(points, spans, bands, params, point_band=point_band)
 
 
-def side_bands(dsm: Heightfield, segments: list[LineSegment], radius: int = 2) -> np.ndarray:
+def side_bands(
+    dsm: Heightfield, segments: list[LineSegment], radius: int = GraphcutConfig.line_buffer_radius
+) -> np.ndarray:
     """(2, h, w) bool stack of the GROUND and ROOF bands of all segments.
 
     Each segment's raster walk dilated by ``radius`` (its two-sided line
@@ -324,21 +355,18 @@ def _hits(problem: ContourProblem, point_index, xs, ys) -> np.ndarray:
 
 
 def data_cost(problem: ContourProblem, point_index: int, label) -> int:
-    """0 when the shifted point lands in its line buffer, else 10.
-    Shifts that leave the raster count as misses."""
+    """The hit cost (0) when the shifted point lands in its line buffer, else
+    the miss cost (10). Shifts that leave the raster count as misses."""
     x = int(problem.points[point_index, 0]) + int(label[0])
     y = int(problem.points[point_index, 1]) + int(label[1])
-    if _hits(problem, point_index, x, y):
-        return problem.data_cost_hit
-    return problem.data_cost_miss
+    return int(problem.params.data_costs(_hits(problem, point_index, x, y)))
 
 
-def smooth_cost(l_p, l_q, near: int = 2, far: int = 100, radius: float = 5.0) -> int:
-    """2 when the two offsets differ by strictly less than the radius, else 100.
-    Note the near cost applies even to identical labels."""
-    ddx = l_p[0] - l_q[0]
-    ddy = l_p[1] - l_q[1]
-    return near if ddx * ddx + ddy * ddy < radius * radius else far
+def smooth_cost(l_p, l_q, params: GraphcutConfig | None = None) -> int:
+    """The near cost (2) when the two offsets differ by strictly less than the
+    radius (5), else the far cost (100); the costs and the radius are those of
+    ``params``. Note the near cost applies even to identical labels."""
+    return int((params or GraphcutConfig()).smooth_costs(np.subtract(l_p, l_q)))
 
 
 def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
@@ -349,16 +377,14 @@ def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     xs, ys = problem.points[:, 0], problem.points[:, 1]
     for row, (dx, dy) in zip(table, labels):
         hit = _hits(problem, ids, xs + dx, ys + dy)
-        row[:] = np.where(hit, problem.data_cost_hit, problem.data_cost_miss)
+        row[:] = problem.params.data_costs(hit)
     return table
 
 
 def _smooth_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     """(n_labels, n_labels) int smooth costs."""
     d = labels[:, None, :] - labels[None, :, :]
-    d2 = (d[..., 0] ** 2 + d[..., 1] ** 2).astype(np.float64)
-    near = d2 < problem.smooth_radius**2
-    return np.where(near, problem.smooth_cost_near, problem.smooth_cost_far).astype(np.int64)
+    return problem.params.smooth_costs(d).astype(np.int64)
 
 
 def energy(problem: ContourProblem, labeling: Labeling) -> int:
@@ -369,14 +395,10 @@ def energy(problem: ContourProblem, labeling: Labeling) -> int:
     xs = problem.points[:, 0] + offs[:, 0]
     ys = problem.points[:, 1] + offs[:, 1]
     hit = _hits(problem, np.arange(problem.size), xs, ys)
-    total = int(np.where(hit, problem.data_cost_hit, problem.data_cost_miss).sum())
+    total = int(problem.params.data_costs(hit).sum())
     if len(problem.pairs):
         d = offs[problem.pairs[:, 0]] - offs[problem.pairs[:, 1]]
-        d2 = (d[:, 0] ** 2 + d[:, 1] ** 2).astype(np.float64)
-        near = d2 < problem.smooth_radius**2
-        total += int(
-            np.where(near, problem.smooth_cost_near, problem.smooth_cost_far).sum()
-        )
+        total += int(problem.params.smooth_costs(d).sum())
     return total
 
 
@@ -565,7 +587,7 @@ def _assign_energy(problem, assign, dtable, vtable) -> int:
 def interpolate_offsets(
     problem: ContourProblem,
     labeling: Labeling,
-    far_distance: int = 20,
+    far_distance: int = GraphcutConfig.far_distance,
     idw_neighbors: int = 8,
 ) -> OffsetField:
     """Densify sparse contour offsets to every pixel of the problem's grid.

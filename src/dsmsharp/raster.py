@@ -360,7 +360,8 @@ def erode(hf: Heightfield, se_half: int) -> Heightfield:
     if se_half == 0:
         return hf.copy()
     work = np.where(hf.valid_mask(), hf.values, np.inf)
-    out = ndimage.minimum_filter(work, size=2 * se_half + 1, mode="constant", cval=np.inf)
+    size = _window(se_half, work.shape)
+    out = ndimage.minimum_filter(work, size=size, mode="constant", cval=np.inf)
     return hf.like(np.where(np.isinf(out), hf.nodata, out))
 
 
@@ -371,7 +372,8 @@ def dilate(hf: Heightfield, se_half: int) -> Heightfield:
     if se_half == 0:
         return hf.copy()
     work = np.where(hf.valid_mask(), hf.values, -np.inf)
-    out = ndimage.maximum_filter(work, size=2 * se_half + 1, mode="constant", cval=-np.inf)
+    size = _window(se_half, work.shape)
+    out = ndimage.maximum_filter(work, size=size, mode="constant", cval=-np.inf)
     return hf.like(np.where(np.isinf(out), hf.nodata, out))
 
 
@@ -382,9 +384,16 @@ def dilate_mask(mask: BinaryMask, radius: int) -> BinaryMask:
     if radius == 0:
         return BinaryMask(mask.bits.copy())
     out = ndimage.maximum_filter(
-        mask.bits.astype(np.uint8), size=2 * radius + 1, mode="constant", cval=0
+        mask.bits.astype(np.uint8), size=_window(radius, mask.bits.shape), mode="constant", cval=0
     )
     return BinaryMask(out > 0)
+
+
+def _window(half: int, shape: tuple[int, int]) -> int:
+    """Side of a square window of the given half size, clamped so it spans
+    the grid from any cell and no further: clipped to the grid, a wider
+    window covers the same cells, so the filters give the same result."""
+    return 2 * min(half, max(shape) - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +538,14 @@ def sample_bilinear(
     vals = [hf.values[y0, x0], hf.values[y0, x1], hf.values[y1, x0], hf.values[y1, x1]]
     weights = [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy]
     valids = [v != hf.nodata for v in vals]
+    # nodata cells count as 0.0, so an infinite nodata of zero weight adds nothing
+    vsum = sum(w * np.where(ok, v, 0.0) for w, v, ok in zip(weights, vals, valids))
 
     if skip_nodata:
         wsum = sum(w * ok for w, ok in zip(weights, valids))
-        vsum = sum(w * np.where(ok, v, 0.0) for w, v, ok in zip(weights, vals, valids))
         valid = wsum > 0
         out = np.where(valid, vsum / np.where(valid, wsum, 1.0), hf.nodata)
         return out, valid
 
     valid = np.logical_and.reduce([ok | (w == 0) for w, ok in zip(weights, valids)])
-    out = sum(w * v for w, v in zip(weights, vals))
-    return np.where(valid, out, hf.nodata), valid
+    return np.where(valid, vsum, hf.nodata), valid

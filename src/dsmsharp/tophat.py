@@ -62,7 +62,7 @@ class TophatParams:
     def top_scale(self) -> int:
         """The ladder's largest element: scale_max only when the step divides
         the range. The building mask and the ramp contours both use it."""
-        return self.scales()[-1]
+        return self.scale_max - (self.scale_max - self.scale_min) % self.scale_step
 
 
 class Rung(NamedTuple):
@@ -126,7 +126,7 @@ def ladder(
     first rung equal to it: the masks are nested, so every later one is too.
     """
     params = params or TophatParams()
-    for scale in params.scales():
+    for scale in range(params.scale_min, params.scale_max + 1, params.scale_step):
         if building is not None and scale == params.top_scale:
             mask = building
         else:

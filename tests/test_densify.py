@@ -29,7 +29,8 @@ def reference_data_cost_table(problem, labels):
     xs = problem.points[:, 0][None, :] + labels[:, 0][:, None]
     ys = problem.points[:, 1][None, :] + labels[:, 1][:, None]
     hit = gc._hits(problem, np.arange(problem.size)[None, :], xs, ys)
-    return np.where(hit, problem.data_cost_hit, problem.data_cost_miss).astype(np.int64)
+    params = problem.params
+    return np.where(hit, params.data_cost_hit, params.data_cost_miss).astype(np.int64)
 
 
 def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighbors=8):
@@ -132,7 +133,7 @@ def test_data_cost_table_matches_reference(seed):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(5, 40, 2)
     problem = random_problem(rng, h, w, int(rng.integers(3, 200)))
-    problem.data_cost_hit, problem.data_cost_miss = 3, 17
+    problem.params = gc.GraphcutConfig(data_cost_hit=3, data_cost_miss=17)
     labels = gc._label_array(gc.offset_labels(int(rng.integers(1, 8))))
     table = gc._data_cost_table(problem, labels)
     assert table.dtype == np.int64
@@ -145,7 +146,7 @@ def test_data_cost_table_of_labels_beyond_the_grid():
     labels = np.array([[0, 0], [40, 0], [0, -40], [-8, 5], [8, -5]])
     table = gc._data_cost_table(problem, labels)
     assert table.tobytes() == reference_data_cost_table(problem, labels).tobytes()
-    assert (table[1:3] == problem.data_cost_miss).all()
+    assert (table[1:3] == problem.params.data_cost_miss).all()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,19 @@ def test_warp_zero_field_turns_negative_zero_positive():
     out = gc.warp_dsm(dsm, field).values
     assert out.tobytes() == np.array([[0.0, 1.0, NODATA], [2.0, 0.0, -3.5]]).tobytes()
     assert out.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+
+
+def test_warp_next_to_an_infinite_nodata_hole():
+    vals = np.arange(16.0).reshape(4, 4)
+    vals[1, 2] = -np.inf
+    dsm = Heightfield(vals, nodata=-np.inf)
+    dx, dy = np.zeros((4, 4)), np.zeros((4, 4))
+    dy[1, 1] = 1.0  # (1, 1) reads (1, 0), whose support holds the hole at (2, 1) at zero weight
+    dy[2, 2] = 1.0  # (2, 2) reads the hole itself
+    out = gc.warp_dsm(dsm, gc.OffsetField(dx, dy)).values
+    want = vals.copy()
+    want[1, 1], want[2, 2] = 1.0, -np.inf
+    assert out.tobytes() == want.tobytes()
 
 
 def test_warp_end_to_end_matches_reference():

@@ -5,9 +5,11 @@ from dsmsharp import graphcut as gc
 from dsmsharp.raster import Contour, Heightfield
 
 
-def small_problem(points, buffer_bits, closed=True, **constants):
+def small_problem(points, buffer_bits, closed=True, **params):
     spans = [(0, len(points), closed)]
-    return gc.ContourProblem(np.asarray(points), spans, np.asarray(buffer_bits, bool), **constants)
+    return gc.ContourProblem(
+        np.asarray(points), spans, np.asarray(buffer_bits, bool), gc.GraphcutConfig(**params)
+    )
 
 
 def brute_force_energy(problem, larr):
@@ -77,6 +79,9 @@ def test_smooth_cost_values():
     assert gc.smooth_cost((0, 0), (3, 4)) == 100  # norm exactly 5.0 is far
     assert gc.smooth_cost((-5, -5), (5, 5)) == 100
     assert gc.smooth_cost((0, 0), (3, 3)) == 2  # ~4.24 < 5
+    params = gc.GraphcutConfig(smooth_cost_near=1, smooth_cost_far=7, smooth_radius=1.5)
+    assert gc.smooth_cost((0, 0), (1, 1), params) == 1  # ~1.41 < 1.5
+    assert gc.smooth_cost((0, 0), (0, 2), params) == 7
 
 
 def test_cost_ranges_exhaustive():

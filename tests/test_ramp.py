@@ -382,9 +382,8 @@ def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
     for x, y in b:
         buf[y + 1, x] = True
     buf[11, 5] = True
-    prob = gc.ContourProblem(
-        np.array(a + b), [(0, 10, False), (10, 16, False)], buf, smooth_radius=1.0
-    )
+    spans = [(0, 10, False), (10, 16, False)]
+    prob = gc.ContourProblem(np.array(a + b), spans, buf, gc.GraphcutConfig(smooth_radius=1.0))
     sizes = []
     real = gc.maximum_flow
 

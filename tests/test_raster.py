@@ -445,6 +445,23 @@ def test_fully_nodata_window_stays_nodata():
     assert out.values[0, 0] == 5.0
 
 
+@pytest.mark.parametrize("shape", [(16, 12), (1, 7)])
+@pytest.mark.parametrize("beyond", [1, 10**7])
+def test_windows_beyond_the_grid_equal_the_grid_sized_window(shape, beyond):
+    rng = np.random.default_rng(sum(shape))
+    vals = rng.normal(size=shape)
+    vals[rng.random(shape) < 0.2] = -9999.0
+    hf = Heightfield(vals)
+    bits = BinaryMask(rng.random(shape) < 0.1)
+    grid = max(shape) - 1  # this half size already spans the grid from any cell
+    eroded = raster.erode(hf, grid + beyond).values
+    assert eroded.tobytes() == naive_erode(vals, hf.valid_mask(), grid, hf.nodata).tobytes()
+    for op in (raster.erode, raster.dilate):
+        assert op(hf, grid + beyond).values.tobytes() == op(hf, grid).values.tobytes()
+    dilated = raster.dilate_mask(bits, grid + beyond).bits
+    assert dilated.tobytes() == raster.dilate_mask(bits, grid).bits.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Mask dilation
 # ---------------------------------------------------------------------------
@@ -610,6 +627,20 @@ def test_bilinear_ignores_nodata_of_zero_weight():
     assert valid.tolist() == [True, False, True, False, True]
     assert got[0] == 5.0 and got[2] == 7.0 and got[4] == 7.0
     assert got[1] == hf.nodata and got[3] == hf.nodata
+
+
+@pytest.mark.parametrize("skip_nodata", [False, True])
+def test_bilinear_ignores_infinite_nodata_of_zero_weight(skip_nodata):
+    vals = np.arange(16.0).reshape(4, 4)
+    vals[1, 2] = -np.inf
+    hf = Heightfield(vals, nodata=-np.inf)
+    got, valid = raster.sample_bilinear(
+        hf, np.array([1.0, 1.0, 1.5]), np.array([1.0, 0.5, 1.0]), skip_nodata=skip_nodata
+    )
+    # (1, 1) and (1, 0.5) weigh the hole at (2, 1) by zero; (1.5, 1) by one half
+    assert valid.tolist() == [True, True, skip_nodata]
+    assert got[0] == 5.0 and got[1] == 3.0
+    assert got[2] == (5.0 if skip_nodata else -np.inf)
 
 
 def test_bilinear_exact_at_integer_coords():

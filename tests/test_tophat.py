@@ -90,6 +90,21 @@ def test_default_stack_has_40_scales():
     assert len(stack) == 40
 
 
+@pytest.mark.parametrize("scale_min, scale_max, scale_step", [(10, 400, 10), (10, 45, 10),
+                                                            (7, 7, 3), (3, 50, 47), (5, 51, 2)])
+def test_top_scale_is_the_last_scale(scale_min, scale_max, scale_step):
+    params = TophatParams(scale_min=scale_min, scale_max=scale_max, scale_step=scale_step)
+    assert params.top_scale == params.scales()[-1]
+
+
+def test_top_scale_and_ladder_do_not_list_the_scales(monkeypatch):
+    params = TophatParams(scale_max=10**7 + 5)
+    monkeypatch.setattr(TophatParams, "scales", lambda self: pytest.fail("listed the scales"))
+    assert params.top_scale == 10**7
+    rungs = tophat.ladder(Heightfield(np.zeros((8, 8))), params)
+    assert [next(rungs).scale, next(rungs).scale] == [10, 20]
+
+
 def test_flat_field_gives_empty_stack():
     hf = Heightfield(np.zeros((32, 32)))
     params = TophatParams(scale_min=5, scale_max=25, scale_step=5)
