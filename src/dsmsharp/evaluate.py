@@ -104,11 +104,31 @@ def report(
     widths: tuple[int, ...] = (5, 10, 20),
 ) -> RmseReport:
     """Whole-image plus boundary-buffer RMSE in one record; the buffer of
-    width w is ``distance <= w``, thresholded one width at a time."""
+    width w is ``distance <= w``. Each value is ``rmse`` over its scope: one
+    grid of squared errors serves every scope, read in the same cells and
+    order. A width at or beyond the largest distance covers the whole grid,
+    so every such width reads the whole-image value; the work follows the
+    grid, not the widths."""
     if any(w <= 0 for w in widths):
         raise ValueError("buffer widths must be positive")
-    per_buffer = {w: rmse(computed, truth, BinaryMask(distance <= w)) for w in widths}
-    return RmseReport(rmse(computed, truth), per_buffer)
+    if computed.values.shape != truth.values.shape:
+        raise ValueError("fields must share one grid; resample first")
+    if distance.shape != truth.values.shape:
+        raise ValueError("scope mask dimensions do not match")
+    both = computed.valid_mask() & truth.valid_mask()
+    squared = np.zeros(truth.values.shape)
+    np.subtract(computed.values, truth.values, out=squared, where=both)
+    squared *= squared
+
+    def scoped(select: np.ndarray) -> float:
+        if not select.any():
+            raise ValueError("no valid cells in scope")
+        return float(math.sqrt(float(squared[select].mean())))
+
+    whole = scoped(both)
+    reach = int(distance.max())
+    per_buffer = {w: whole if w >= reach else scoped(both & (distance <= w)) for w in widths}
+    return RmseReport(whole, per_buffer)
 
 
 def sweep(

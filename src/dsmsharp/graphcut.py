@@ -24,6 +24,10 @@ exactly their current energy, so they cannot decide it and are cut only
 when the move is accepted. The labeling is the same as cutting every point
 at once (see minimize). The winning offsets are densified by
 inverse-distance interpolation and applied as a backward bilinear warp.
+
+The solvers (scipy's sparse max-flow and breadth-first search for the cuts,
+its KD-tree for the densification) are imported on first use, not with the
+module, so the commands that never run graph-cut do not load them.
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-from scipy.spatial import cKDTree
 
 from .raster import (
     BinaryMask,
@@ -407,6 +408,13 @@ def energy(problem: ContourProblem, labeling: Labeling) -> int:
 # ---------------------------------------------------------------------------
 
 
+def maximum_flow(graph, source, sink):
+    """scipy's ``maximum_flow``, imported on the first cut."""
+    from scipy.sparse.csgraph import maximum_flow
+
+    return maximum_flow(graph, source, sink)
+
+
 def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     """Best move of the ``movable`` points to alpha as a minimum cut; returns
     the proposed assignment, or None when no point is movable.
@@ -470,6 +478,9 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     rows = np.concatenate(rows_list + [np.full(len(src), source, dtype=np.int64), snk])
     cols = np.concatenate(cols_list + [src, np.full(len(snk), sink, dtype=np.int64)])
     caps = np.concatenate(caps_list + [cap_src[src], cap_snk[snk]])
+
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
 
     graph = csr_matrix((caps, (rows, cols)), shape=(nv + 2, nv + 2), dtype=np.int64)
     flow = maximum_flow(graph, source, sink).flow
@@ -643,6 +654,8 @@ def interpolate_offsets(
     anchor_dy = np.zeros(n + 1)
     anchor_dx[:n] = offs[:, 0]
     anchor_dy[:n] = offs[:, 1]
+
+    from scipy.spatial import cKDTree
 
     k = min(idw_neighbors, len(anchor_xy))
     tree = cKDTree(anchor_xy)

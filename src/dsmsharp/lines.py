@@ -90,7 +90,7 @@ def _gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The gradient at index (y, x) belongs to image point (x + 0.5, y + 0.5),
     which keeps detected lines registered with inter-pixel edges.
     """
-    a = img.astype(np.float64)
+    a = np.asarray(img, dtype=np.float64)
     gx = (a[:-1, 1:] + a[1:, 1:] - a[:-1, :-1] - a[1:, :-1]) / 2.0
     gy = (a[1:, :-1] + a[1:, 1:] - a[:-1, :-1] - a[:-1, 1:]) / 2.0
     mag = np.hypot(gx, gy)
@@ -124,9 +124,17 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
         return []
     img = img.astype(np.float64)
     if params.smoothing_sigma > 0:
-        img = ndimage.gaussian_filter(img, params.smoothing_sigma, truncate=3.0, mode="reflect")
+        ndimage.gaussian_filter(
+            img, params.smoothing_sigma, output=img, truncate=3.0, mode="reflect"
+        )
 
+    # the image and the gradients are freed as soon as the padded angles exist
     gx, gy, mag = _gradients(img)
+    del img
+    pw = mag.shape[1] + 2
+    angle = np.zeros((mag.shape[0] + 2, pw))
+    np.arctan2(gy, gx, out=angle[1:-1, 1:-1])  # gradient orientation; compared mod pi
+    del gx, gy
     usable = mag > params.gradient_threshold
     if not usable.any():
         return []
@@ -135,16 +143,15 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
     # flat grid padded by one cell; the border and the unusable cells start
     # visited, so neighbour lookups need no bounds checks. Memoryviews hand
     # the loop Python ints and floats without a Python object per pixel.
-    pw = mag.shape[1] + 2
-    inner = np.zeros((mag.shape[0] + 2, pw), dtype=bool)
+    inner = np.zeros(angle.shape, dtype=bool)
     inner[1:-1, 1:-1] = usable
     visited = bytearray((~inner).tobytes())
-    # usable cells in row-major order, stably sorted by magnitude descending
-    seeds = memoryview(np.flatnonzero(inner)[np.argsort(-mag[usable], kind="stable")])
-    angle = np.zeros(inner.shape)
-    angle[1:-1, 1:-1] = np.arctan2(gy, gx)  # gradient orientation; compared mod pi
+    # usable cells in row-major order, stably sorted by magnitude descending;
+    # the flat indices are gathered into the sort order's own array
+    order = np.argsort(-mag[usable], kind="stable")
+    seeds = memoryview(np.take(np.flatnonzero(inner), order, out=order, mode="clip"))
     angle = memoryview(angle.ravel())
-    del inner, usable, gx, gy
+    del inner, usable
 
     # flat steps to the up-left, up and up-right neighbours; adding a step
     # instead of subtracting it reaches the mirrored neighbour below

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .raster import BinaryMask, Heightfield
+from .raster import BinaryMask, Heightfield, finite_or_nodata
 from .lines import LineSegment
 
 logger = logging.getLogger(__name__)
@@ -160,10 +160,15 @@ def apply_plane(dsm: Heightfield, sample: SideSample, plane: PlaneParams) -> Hei
     """Overwrite exactly the sample pixels with plane heights; returns a copy."""
     out = dsm.values.copy()
     if len(sample):
-        xs = sample.pixels[:, 0].astype(np.int64)
-        ys = sample.pixels[:, 1].astype(np.int64)
-        out[ys, xs] = plane.evaluate(sample.pixels[:, 0], sample.pixels[:, 1])
+        ys, xs, heights = _plane_cells(sample, plane)
+        out[ys, xs] = heights
     return dsm.like(out)
+
+
+def _plane_cells(sample: SideSample, plane: PlaneParams):
+    """Rows, columns and plane heights of the sample pixels."""
+    xs, ys = sample.pixels[:, 0], sample.pixels[:, 1]
+    return ys.astype(np.int64), xs.astype(np.int64), plane.evaluate(xs, ys)
 
 
 def feather(dsm: Heightfield, region: BinaryMask, band: int) -> Heightfield:
@@ -181,16 +186,23 @@ def feather(dsm: Heightfield, region: BinaryMask, band: int) -> Heightfield:
         return dsm.copy()
     if region.bits.shape != dsm.values.shape:
         raise ValueError("region dimensions do not match the DSM")
-    dist, (iy, ix) = ndimage.distance_transform_cdt(
-        ~region.bits, metric="chessboard", return_distances=True, return_indices=True
-    )
-    ring = (dist > 0) & (dist <= band)
     out = dsm.values.copy()
-    src = dsm.values[iy, ix]
-    ok = ring & (dsm.values != dsm.nodata) & (src != dsm.nodata)
-    wgt = (band + 1 - dist[ok]) / float(band + 1)
-    out[ok] = wgt * src[ok] + (1.0 - wgt) * dsm.values[ok]
+    _feather_in_place(out, dsm.nodata, region.bits, band)
     return dsm.like(out)
+
+
+def _feather_in_place(values: np.ndarray, nodata: float, region: np.ndarray, band: int) -> None:
+    """``feather`` on a grid of cells, written in place. Only ring pixels
+    change, and they read only themselves and region pixels."""
+    dist, (iy, ix) = ndimage.distance_transform_cdt(
+        ~region, metric="chessboard", return_distances=True, return_indices=True
+    )
+    ry, rx = np.nonzero((dist > 0) & (dist <= band))
+    src = values[iy[ry, rx], ix[ry, rx]]
+    own = values[ry, rx]
+    ok = (own != nodata) & (src != nodata)
+    wgt = (band + 1 - dist[ry[ok], rx[ok]]) / float(band + 1)
+    values[ry[ok], rx[ok]] = wgt * src[ok] + (1.0 - wgt) * own[ok]
 
 
 def adjust_all(
@@ -205,6 +217,7 @@ def adjust_all(
     back to the constant plane at their mean height; empty sides are skipped.
     One feather pass runs at the end over the union of all adjusted pixels.
     ``debug_rows`` collects one fitted-plane record per side when given.
+    The planes and the feather are written into one copy of the DSM.
     """
     config = config or FitConfig()
     work = dsm.copy()
@@ -224,10 +237,11 @@ def adjust_all(
                     sample.side, seg.p1, seg.p2, exc,
                 )
                 plane = PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
-            work = apply_plane(work, sample, plane)
-            adjusted[
-                sample.pixels[:, 1].astype(np.int64), sample.pixels[:, 0].astype(np.int64)
-            ] = True
+            ys, xs, heights = _plane_cells(sample, plane)
+            if not finite_or_nodata(heights, dsm.nodata):
+                raise ValueError("non-nodata cells must be finite")
+            work.values[ys, xs] = heights
+            adjusted[ys, xs] = True
             if debug_rows is not None:
                 debug_rows.append(
                     (
@@ -235,7 +249,9 @@ def adjust_all(
                         sample.side, repr(plane.a), repr(plane.b), repr(plane.c), len(sample),
                     )
                 )
-    return feather(work, BinaryMask(adjusted), config.feather_band)
+    if config.feather_band > 0 and adjusted.any():
+        _feather_in_place(work.values, dsm.nodata, adjusted, config.feather_band)
+    return dsm.like(work.values)
 
 
 def save_planes_csv(rows: list[tuple], path: str | Path) -> None:

@@ -10,6 +10,8 @@ they are safe to share between threads.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,8 +56,7 @@ class Heightfield:
             raise ValueError("cell_size must be positive and finite")
         if len(self.origin) != 2 or not all(math.isfinite(v) for v in self.origin):
             raise ValueError("origin must be two finite coordinates")
-        valid = self.values != self.nodata
-        if not np.all(np.isfinite(self.values[valid])):
+        if not finite_or_nodata(self.values, self.nodata):
             raise ValueError("non-nodata cells must be finite")
 
     @property
@@ -75,6 +76,15 @@ class Heightfield:
 
     def copy(self) -> "Heightfield":
         return self.like(self.values.copy())
+
+
+def finite_or_nodata(values: np.ndarray, nodata: float) -> bool:
+    """Whether every cell is finite or equal to nodata. The common case, all
+    finite, is read off the minimum and maximum (NaN propagates into both),
+    so no copy or mask of the cells is made."""
+    if math.isfinite(values.min()) and math.isfinite(values.max()):
+        return True
+    return bool((np.isfinite(values) | (values == nodata)).all())
 
 
 @dataclass(eq=False)
@@ -154,6 +164,10 @@ class Contour:
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
+def _not_utf8(path, line: int, byte: int, error: type[ValueError]) -> ValueError:
+    return error(f"{path}: line {line}: not UTF-8 text (byte {byte:#04x})")
+
+
 def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
     """The file's text, decoded as UTF-8. A byte that does not decode raises
     ``error`` naming the path and the line (as splitlines counts them)."""
@@ -162,70 +176,100 @@ def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        byte = data[exc.start]
-        raise error(f"{path}: line {line}: not UTF-8 text (byte {byte:#04x})") from None
+        raise _not_utf8(path, line, data[exc.start], error) from None
+
+
+# an undecodable byte b read with errors="surrogateescape" becomes U+DC00 + b;
+# valid UTF-8 never decodes to a lone surrogate
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _text_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the file, numbered and split as
+    ``read_text(path).splitlines()`` would, read one line at a time. A byte
+    that does not decode raises ``error`` as read_text does."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        lineno = 0
+        # the reader ends a line at \n, \r or \r\n; splitlines also splits
+        # at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+        for chunk in fh:
+            if not chunk.isascii():
+                bad = _ESCAPED_BYTE.search(chunk)
+                if bad:
+                    line = lineno + len((chunk[: bad.start()] + ".").splitlines())
+                    raise _not_utf8(path, line, ord(bad.group()) - 0xDC00, error)
+            for line in chunk.splitlines():
+                lineno += 1
+                yield lineno, line
 
 
 def load_heightfield(path: str | Path) -> Heightfield:
-    """Read an ESRI ASCII grid. Raises GridFormatError with the offending line."""
+    """Read an ESRI ASCII grid. Raises GridFormatError with the offending line.
+
+    The file is read one line at a time, so a load holds the cells and one
+    line of text. A byte that is not UTF-8 anywhere in the file is reported
+    before any other fault, as if the whole text had been decoded first.
+    """
     path = Path(path)
-    lines = read_text(path, GridFormatError).splitlines()
+    lines = _text_lines(path, GridFormatError)
+
+    def fail(lineno: int, message: str) -> GridFormatError:
+        for _ in lines:  # reading the rest raises for a byte that is not UTF-8
+            pass
+        return GridFormatError(f"{path}: line {lineno}: {message}")
 
     header: dict[str, float] = {}
     for lineno, key in enumerate(_HEADER_KEYS, start=1):
-        if lineno > len(lines):
-            raise GridFormatError(f"{path}: line {lineno}: malformed header: missing '{key}'")
-        parts = lines[lineno - 1].split()
+        text = next(lines, (lineno, None))[1]
+        if text is None:
+            raise fail(lineno, f"malformed header: missing '{key}'")
+        parts = text.split()
         if len(parts) != 2 or parts[0].lower() != key:
-            raise GridFormatError(f"{path}: line {lineno}: malformed header: expected '{key}'")
+            raise fail(lineno, f"malformed header: expected '{key}'")
         try:
             header[key] = float(parts[1])
         except ValueError:
-            raise GridFormatError(
-                f"{path}: line {lineno}: malformed header: bad value {parts[1]!r}"
-            ) from None
+            raise fail(lineno, f"malformed header: bad value {parts[1]!r}") from None
         # the nodata marker is only compared against, so it may be infinite
         if key != "nodata_value" and not math.isfinite(header[key]):
-            raise GridFormatError(
-                f"{path}: line {lineno}: malformed header: non-finite {key} {parts[1]!r}"
-            )
+            raise fail(lineno, f"malformed header: non-finite {key} {parts[1]!r}")
 
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
     if ncols <= 0 or nrows <= 0 or ncols != header["ncols"] or nrows != header["nrows"]:
-        raise GridFormatError(f"{path}: line 1: malformed header: bad grid dimensions")
+        raise fail(1, "malformed header: bad grid dimensions")
     if header["cellsize"] <= 0:
-        raise GridFormatError(f"{path}: line 5: malformed header: cellsize must be positive")
+        raise fail(5, "malformed header: cellsize must be positive")
     nodata = header["nodata_value"]
 
-    # The file holds at most one row per line and one value per character, so
-    # larger dimensions are not allocated; such a file fails the checks below.
-    cells = np.empty(
-        (min(nrows, len(lines)), min(ncols, max(map(len, lines)))), dtype=np.float64
-    )
+    # Every cell takes a character and a separator, so a file smaller than
+    # that cannot hold the grid and fails the checks below: its cells are not
+    # allocated up front but kept row by row (as are those of a file that
+    # reports no size).
+    fits = 2 * nrows * ncols <= path.stat().st_size + 1
+    cells = np.empty((nrows, ncols)) if fits else []
     row = 0
-    for lineno in range(len(_HEADER_KEYS) + 1, len(lines) + 1):
-        tokens = lines[lineno - 1].split()
+    for lineno, text in lines:
+        tokens = text.split()
         if not tokens:
             continue
         if row >= nrows:
-            raise GridFormatError(f"{path}: line {lineno}: cell count mismatch: extra data row")
+            raise fail(lineno, "cell count mismatch: extra data row")
         if len(tokens) != ncols:
-            raise GridFormatError(
-                f"{path}: line {lineno}: cell count mismatch: "
-                f"expected {ncols} values, found {len(tokens)}"
+            raise fail(
+                lineno, f"cell count mismatch: expected {ncols} values, found {len(tokens)}"
             )
+        values = cells[row] if fits else np.empty(ncols)
         try:
-            cells[row] = [float(t) for t in tokens]
+            values[:] = [float(t) for t in tokens]
         except ValueError:
-            raise GridFormatError(f"{path}: line {lineno}: bad cell value") from None
-        if not (np.isfinite(cells[row]) | (cells[row] == nodata)).all():
-            raise GridFormatError(f"{path}: line {lineno}: non-finite cell value")
+            raise fail(lineno, "bad cell value") from None
+        if not (np.isfinite(values) | (values == nodata)).all():
+            raise fail(lineno, "non-finite cell value")
+        if not fits:
+            cells.append(values)
         row += 1
     if row != nrows:
-        raise GridFormatError(
-            f"{path}: line {len(lines)}: cell count mismatch: "
-            f"expected {nrows} data rows, found {row}"
-        )
+        raise fail(lineno, f"cell count mismatch: expected {nrows} data rows, found {row}")
 
     return Heightfield(
         cells,

@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy import ndimage
 
 from .raster import (
     BinaryMask,
     Contour,
     Heightfield,
-    dilate,
-    erode,
+    _window,
     rasterize_contours,
     trace_contours,
 )
@@ -100,15 +100,25 @@ def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
 
     Responds to bright structures smaller than the element; the response is
     non-negative on valid cells and nodata where the DSM (or its opening)
-    is nodata.
+    is nodata. The opening is ``dilate(erode(dsm))``, computed in one work
+    array: nodata cells are +inf to the erosion, cells whose window held
+    only nodata are -inf to the dilation, and the constant border is the
+    same infinity, so both clip the window to the grid.
     """
     if se_size < 1:
         raise ValueError("se_size must be >= 1")
-    se_half = se_size // 2
-    opened = dilate(erode(dsm, se_half), se_half)
-    ok = dsm.valid_mask() & opened.valid_mask()
-    resp = np.where(ok, dsm.values - opened.values, dsm.nodata)
-    return dsm.like(resp)
+    size = _window(se_size // 2, dsm.values.shape)
+    valid = dsm.valid_mask()
+    work = np.where(valid, dsm.values, np.inf)
+    for axis in (0, 1):
+        ndimage.minimum_filter1d(work, size, axis, work, mode="constant", cval=np.inf)
+    work[work == np.inf] = -np.inf
+    for axis in (0, 1):
+        ndimage.maximum_filter1d(work, size, axis, work, mode="constant", cval=-np.inf)
+    valid &= work != -np.inf
+    np.subtract(dsm.values, work, out=work, where=valid)
+    work[~valid] = dsm.nodata
+    return dsm.like(work)
 
 
 def _hits(dsm: Heightfield, scale: int, threshold: float) -> np.ndarray:

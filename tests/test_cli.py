@@ -1,12 +1,16 @@
 import importlib.util
+import io
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dsmsharp import cli, graphcut, raster, synth, tophat
+from dsmsharp import cli, config, graphcut, raster, synth, tophat
 from dsmsharp.lines import load_segments_csv, save_segments_csv
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
@@ -814,3 +818,66 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}"
         )
+
+
+# ---------------------------------------------------------------------------
+# every subcommand ends in 0 or 2 under random settings
+# ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "synth": ["synth", "--scene", "{scene}"],
+    "extract-mask": ["extract-mask", "--dsm", "{dsm}"],
+    "detect-lines": ["detect-lines", "--dsm", "{dsm}", "--ortho", "{ortho}"],
+    "sharpen-planefit": ["sharpen", "--method", "planefit", "--dsm", "{dsm}",
+                         "--segments", "{segments}"],
+    "sharpen-graphcut": ["sharpen", "--method", "graphcut", "--dsm", "{dsm}",
+                         "--segments", "{segments}"],
+    "evaluate": ["evaluate", "--dsm", "{dsm}", "--truth", "{truth}", "--variant", "v={dsm}"],
+    "run-all": ["run-all", "--dsm", "{dsm}", "--ortho", "{ortho}", "--truth", "{truth}"],
+}
+
+# every key but the output directory, which the flag sets
+_SET_KEYS = sorted(k for k in config._KEYS if k != "out")
+
+_SET_VALUES = st.one_of(
+    st.integers(-10, 10**4).map(str),
+    st.floats(-1e4, 1e4).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "0", "1,2", "3,4,5,6", "0,0,0,0", "x"]),
+    st.text(alphabet="0123456789.,-+eEnaif x", max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def scene_inputs(tmp_path_factory):
+    """The 64x64 one-building scene, its filtered segments and its scene file."""
+    base = tmp_path_factory.mktemp("scene")
+    spec = SceneSpec(dims=(64, 64), buildings=[Building((32, 32), (28, 28), 10.0)],
+                     boundary_blur_sigma=1.5, noise_sigma=0.02, seed=5)
+    truth, smeared, ortho = synth.generate(spec)
+    paths = {"truth": base / "truth.asc", "dsm": base / "dsm.asc", "ortho": base / "ortho.pgm",
+             "scene": scene_file(base, SCENE), "segments": base / "segments_filtered.csv"}
+    raster.save_heightfield(truth, paths["truth"])
+    raster.save_heightfield(smeared, paths["dsm"])
+    raster.save_image(ortho, paths["ortho"])
+    assert cli.main(["detect-lines", "--dsm", str(paths["dsm"]), "--ortho", str(paths["ortho"]),
+                     "--out", str(base), *SMALL_SCALE_ARGS]) == 0
+    return paths
+
+
+@settings(max_examples=80)
+@given(
+    command=st.sampled_from(sorted(_COMMANDS)),
+    pairs=st.lists(st.tuples(st.sampled_from(_SET_KEYS), _SET_VALUES), min_size=1, max_size=3),
+)
+def test_random_settings_end_in_exit_0_or_2(scene_inputs, tmp_path_factory, command, pairs):
+    argv = [a.format(**scene_inputs) for a in _COMMANDS[command]]
+    argv += ["--out", str(tmp_path_factory.mktemp("out")), *SMALL_SCALE_ARGS]
+    for key, value in pairs:
+        argv += ["--set", f"{key}={value}"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as stderr:
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code == 2)
+    assert "Traceback" not in err

@@ -1,0 +1,477 @@
+"""The grid loader, the white tophat, the plane fit and the RMSE report
+against the straightforward versions they replace, and guards on the memory
+they take and the modules a run imports.
+
+The references hold whole grids where the package works in place or line by
+line: the loader decodes the whole file and splits its lines, the tophat
+builds its opening from ``raster.erode`` and ``raster.dilate``, the plane fit
+copies the DSM for every side and feathers the whole grid, and the report
+thresholds the distance map once per width. The package must reproduce them
+bit for bit, and raise the same errors.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+import dsmsharp
+from dsmsharp import evaluate as ev
+from dsmsharp import planefit as pf
+from dsmsharp import raster
+from dsmsharp.lines import LineSegment
+from dsmsharp.raster import BinaryMask, GridFormatError, Heightfield
+from dsmsharp.tophat import white_tophat
+
+NODATAS = [-9999.0, -np.inf, np.inf]
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def reference_load_heightfield(path):
+    path = Path(path)
+    lines = raster.read_text(path, GridFormatError).splitlines()
+    header = {}
+    for lineno, key in enumerate(raster._HEADER_KEYS, start=1):
+        if lineno > len(lines):
+            raise GridFormatError(f"{path}: line {lineno}: malformed header: missing '{key}'")
+        parts = lines[lineno - 1].split()
+        if len(parts) != 2 or parts[0].lower() != key:
+            raise GridFormatError(f"{path}: line {lineno}: malformed header: expected '{key}'")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise GridFormatError(
+                f"{path}: line {lineno}: malformed header: bad value {parts[1]!r}"
+            ) from None
+        if key != "nodata_value" and not math.isfinite(header[key]):
+            raise GridFormatError(
+                f"{path}: line {lineno}: malformed header: non-finite {key} {parts[1]!r}"
+            )
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    if ncols <= 0 or nrows <= 0 or ncols != header["ncols"] or nrows != header["nrows"]:
+        raise GridFormatError(f"{path}: line 1: malformed header: bad grid dimensions")
+    if header["cellsize"] <= 0:
+        raise GridFormatError(f"{path}: line 5: malformed header: cellsize must be positive")
+    nodata = header["nodata_value"]
+    cells = np.empty(
+        (min(nrows, len(lines)), min(ncols, max(map(len, lines)))), dtype=np.float64
+    )
+    row = 0
+    for lineno in range(7, len(lines) + 1):
+        tokens = lines[lineno - 1].split()
+        if not tokens:
+            continue
+        if row >= nrows:
+            raise GridFormatError(f"{path}: line {lineno}: cell count mismatch: extra data row")
+        if len(tokens) != ncols:
+            raise GridFormatError(
+                f"{path}: line {lineno}: cell count mismatch: "
+                f"expected {ncols} values, found {len(tokens)}"
+            )
+        try:
+            cells[row] = [float(t) for t in tokens]
+        except ValueError:
+            raise GridFormatError(f"{path}: line {lineno}: bad cell value") from None
+        if not (np.isfinite(cells[row]) | (cells[row] == nodata)).all():
+            raise GridFormatError(f"{path}: line {lineno}: non-finite cell value")
+        row += 1
+    if row != nrows:
+        raise GridFormatError(
+            f"{path}: line {len(lines)}: cell count mismatch: "
+            f"expected {nrows} data rows, found {row}"
+        )
+    return Heightfield(cells, header["cellsize"], (header["xllcorner"], header["yllcorner"]), nodata)
+
+
+def reference_white_tophat(dsm, se_size):
+    se_half = se_size // 2
+    opened = raster.dilate(raster.erode(dsm, se_half), se_half)
+    ok = dsm.valid_mask() & opened.valid_mask()
+    with np.errstate(invalid="ignore"):  # nodata minus nodata, when infinite
+        return dsm.like(np.where(ok, dsm.values - opened.values, dsm.nodata))
+
+
+def reference_feather(dsm, region, band):
+    if band == 0 or not region.bits.any():
+        return dsm.copy()
+    dist, (iy, ix) = ndimage.distance_transform_cdt(
+        ~region.bits, metric="chessboard", return_distances=True, return_indices=True
+    )
+    ring = (dist > 0) & (dist <= band)
+    out = dsm.values.copy()
+    src = dsm.values[iy, ix]
+    ok = ring & (dsm.values != dsm.nodata) & (src != dsm.nodata)
+    wgt = (band + 1 - dist[ok]) / float(band + 1)
+    out[ok] = wgt * src[ok] + (1.0 - wgt) * dsm.values[ok]
+    return dsm.like(out)
+
+
+def reference_adjust_all(dsm, segments, config, debug_rows):
+    work = dsm.copy()
+    adjusted = np.zeros(dsm.values.shape, dtype=bool)
+    for seg in segments:
+        half_width = pf.buffer_half_width(seg.width_index, config)
+        for sample in pf.collect_side_pixels(work, seg, half_width):
+            if len(sample) == 0:
+                continue
+            try:
+                plane = pf.fit_plane(sample, config.min_points)
+            except (pf.InsufficientSupportError, pf.DegenerateGeometryError):
+                plane = pf.PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
+            work = pf.apply_plane(work, sample, plane)
+            adjusted[
+                sample.pixels[:, 1].astype(np.int64), sample.pixels[:, 0].astype(np.int64)
+            ] = True
+            debug_rows.append(
+                (
+                    repr(seg.p1[0]), repr(seg.p1[1]), repr(seg.p2[0]), repr(seg.p2[1]),
+                    sample.side, repr(plane.a), repr(plane.b), repr(plane.c), len(sample),
+                )
+            )
+    return reference_feather(work, BinaryMask(adjusted), config.feather_band)
+
+
+def reference_report(computed, truth, distance, widths):
+    per_buffer = {w: ev.rmse(computed, truth, BinaryMask(distance <= w)) for w in widths}
+    return ev.RmseReport(ev.rmse(computed, truth), per_buffer)
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def same_field(a, b):
+    return (
+        a.values.tobytes() == b.values.tobytes()
+        and a.values.shape == b.values.shape
+        and (a.cell_size, a.origin) == (b.cell_size, b.origin)
+        and a.nodata == b.nodata or (math.isnan(a.nodata) and math.isnan(b.nodata))
+    )
+
+
+def holey_field(rng, shape, nodata, holes=3):
+    """Random heights with rectangular nodata holes, one of them large."""
+    values = rng.normal(20.0, 8.0, shape)
+    h, w = shape
+    for k in range(holes):
+        size = max(h, w) // 2 if k == 0 else int(rng.integers(1, 4))
+        y, x = int(rng.integers(0, h)), int(rng.integers(0, w))
+        values[y : y + size, x : x + size] = nodata
+    return Heightfield(values, nodata=nodata)
+
+
+# ---------------------------------------------------------------------------
+# Grid loader
+# ---------------------------------------------------------------------------
+
+# the separators str.splitlines splits at
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82A", b"\x80", b"\xf8"]
+
+
+def _grid_text(rng, nodata):
+    """The lines of a small grid with nodata holes."""
+    h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    hf = holey_field(rng, (h, w), nodata, holes=1)
+    lines = [f"ncols {w}", f"nrows {h}", "xllcorner 10.5", "yllcorner -3.0", "cellsize 0.5",
+             f"NODATA_value {nodata!r}"]
+    lines += [" ".join(repr(float(v)) for v in row) for row in hf.values]
+    return lines
+
+
+def _corrupt(rng, lines):
+    edits = ["header", "cell", "drop", "repeat", "blank", "extra", "token"]
+    for _ in range(int(rng.integers(0, 3))):
+        kind = edits[int(rng.integers(len(edits)))]
+        i = int(rng.integers(len(lines)))
+        if kind == "header":
+            key = (lines[min(i, 5)].split() or ["ncols"])[0]
+            lines[min(i, 5)] = key + " " + ["x", "nan", "-1", "0"][i % 4]
+        elif kind == "cell" and len(lines) > 6:
+            lines[max(i, 6)] = lines[max(i, 6)].replace(" ", " nan ", 1) + " inf"
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "blank":
+            lines.insert(i, " \t")
+        elif kind == "extra":
+            lines.append("1.0 " * 3)
+        else:
+            lines[i] = lines[i] + " 7"
+    return lines
+
+
+def _ended(rng, lines):
+    """Each line with a random line break after it."""
+    return [line + _BREAKS[int(rng.integers(len(_BREAKS)))] for line in lines]
+
+
+def _join(rng, lines):
+    text = "".join(_ended(rng, lines))
+    return text[: len(text) - int(rng.integers(0, 2))]  # sometimes no final break
+
+
+@pytest.mark.parametrize("nodata", NODATAS)
+def test_load_matches_the_whole_text_loader(tmp_path, nodata):
+    rng = np.random.default_rng(NODATAS.index(nodata))
+    path = tmp_path / "g.asc"
+    loaded = failed = 0
+    for _ in range(400):
+        data = _join(rng, _corrupt(rng, _grid_text(rng, nodata))).encode("utf-8")
+        path.write_bytes(data)
+        want = outcome(reference_load_heightfield, path)
+        got = outcome(raster.load_heightfield, path)
+        if isinstance(want, Heightfield):
+            loaded += 1
+            assert same_field(got, want), data
+        else:
+            failed += 1
+            assert got == want, data
+    assert loaded > 50 and failed > 50
+
+
+def test_bytes_that_are_not_utf8_win_over_every_other_fault(tmp_path):
+    # a bad header line comes first; the undecodable bytes sit anywhere after it
+    rng = np.random.default_rng(11)
+    path = tmp_path / "g.asc"
+    for _ in range(300):
+        lines = _grid_text(rng, -9999.0)
+        bad = int(rng.integers(6))
+        lines[bad] = "nonsense 1"
+        ended = _ended(rng, lines)
+        data = bytearray("".join(ended).encode("utf-8"))
+        start = len("".join(ended[: bad + 1]).encode("utf-8"))
+        at = int(rng.integers(start, len(data) + 1))
+        data[at:at] = _NOT_UTF8[int(rng.integers(len(_NOT_UTF8)))]
+        path.write_bytes(bytes(data))
+        want = outcome(reference_load_heightfield, path)
+        assert "not UTF-8 text" in want[1]
+        assert outcome(raster.load_heightfield, path) == want, bytes(data)
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\u2028"])
+def test_line_breaks_across_the_read_buffer(tmp_path, brk):
+    # the reader decodes the file in blocks of 8 KiB; rows are 19 characters
+    # plus the break, so at one of the paddings a break straddles a block end
+    path = tmp_path / "g.asc"
+    header = ["ncols 3", "nrows 1000", "xllcorner 0", "yllcorner 0", "cellsize 1",
+              "NODATA_value -9999"]
+    rows = [f"{r:5d}.25 {r:5d}.5 1" for r in range(1000)]
+    for pad in range(22):
+        text = brk.join(header + [" " * pad + rows[0]] + rows[1:])
+        path.write_bytes(text.encode("utf-8"))
+        assert same_field(raster.load_heightfield(path), reference_load_heightfield(path))
+        path.write_bytes((text + brk).encode("utf-8") + b"\xff")
+        assert outcome(raster.load_heightfield, path) == outcome(reference_load_heightfield, path)
+
+
+def test_load_without_a_file_size_keeps_rows_as_read(tmp_path, monkeypatch):
+    # a file that reports no size (a pipe, say) still loads, row by row
+    path = tmp_path / "g.asc"
+    raster.save_heightfield(holey_field(np.random.default_rng(2), (6, 5), -np.inf), path)
+    want = reference_load_heightfield(path)
+    real_stat = Path.stat
+    monkeypatch.setattr(Path, "stat", lambda p, **kw: os.stat_result((0,) * 10)
+                        if p == path else real_stat(p, **kw))
+    assert same_field(raster.load_heightfield(path), want)
+
+
+# ---------------------------------------------------------------------------
+# White tophat, plane fit, report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nodata", NODATAS)
+def test_white_tophat_matches_erode_then_dilate(nodata):
+    rng = np.random.default_rng(21)
+    for shape in [(1, 1), (1, 7), (9, 1), (17, 23), (40, 31)]:
+        dsm = holey_field(rng, shape, nodata)
+        for se_size in (1, 2, 3, 4, 7, 15, 200):
+            got = white_tophat(dsm, se_size)
+            assert same_field(got, reference_white_tophat(dsm, se_size)), (shape, se_size)
+
+
+def _segments(rng, n, h, w):
+    segs = []
+    while len(segs) < n:
+        p1 = (float(rng.uniform(0, w)), float(rng.uniform(0, h)))
+        p2 = (float(rng.uniform(0, w)), float(rng.uniform(0, h)))
+        if p1 != p2:
+            segs.append(LineSegment(p1, p2, width_index=int(rng.integers(1, 5))))
+    return segs
+
+
+@pytest.mark.parametrize("nodata", NODATAS)
+def test_adjust_all_matches_a_copy_per_side(nodata):
+    rng = np.random.default_rng(31)
+    for band, min_points in [(2, 3), (0, 3), (3, 40)]:
+        config = pf.FitConfig(feather_band=band, min_points=min_points)
+        dsm = holey_field(rng, (48, 56), nodata)
+        segments = _segments(rng, 12, 48, 56)
+        got_rows, want_rows = [], []
+        got = pf.adjust_all(dsm, segments, config, debug_rows=got_rows)
+        want = reference_adjust_all(dsm, segments, config, want_rows)
+        assert same_field(got, want)
+        assert got_rows == want_rows
+
+
+@pytest.mark.parametrize("nodata", NODATAS)
+def test_feather_matches_the_whole_grid_blend(nodata):
+    rng = np.random.default_rng(41)
+    for band in (0, 1, 2, 5):
+        dsm = holey_field(rng, (30, 35), nodata)
+        region = BinaryMask(rng.random((30, 35)) < 0.03)
+        assert same_field(pf.feather(dsm, region, band), reference_feather(dsm, region, band))
+
+
+@pytest.mark.parametrize("nodata", NODATAS)
+def test_report_matches_one_threshold_per_width(nodata):
+    rng = np.random.default_rng(51)
+    shape = (37, 29)
+    computed = holey_field(rng, shape, nodata)
+    truth = holey_field(rng, shape, nodata)
+    boundary = np.zeros(shape, dtype=bool)
+    boundary[10:20, 12] = True
+    distance = ev.boundary_distance(BinaryMask(boundary))
+    widths = tuple(range(1, int(distance.max()) + 4)) + (5, 1000)
+    got = ev.report(computed, truth, distance, widths)
+    want = reference_report(computed, truth, distance, widths)
+    assert got.whole_image == want.whole_image
+    assert got.per_buffer == want.per_buffer
+    # no boundary: every width scopes nothing
+    empty = ev.boundary_distance(BinaryMask(np.zeros(shape, dtype=bool)))
+    assert outcome(ev.report, computed, truth, empty, (3,)) == outcome(
+        reference_report, computed, truth, empty, (3,)
+    )
+
+
+def test_report_work_is_bounded_by_the_grid():
+    # widths beyond the largest distance all read the whole grid; scoring a
+    # million of them takes no longer than a few hundred threshold passes
+    rng = np.random.default_rng(61)
+    computed = Heightfield(rng.normal(size=(32, 32)))
+    truth = Heightfield(rng.normal(size=(32, 32)))
+    boundary = np.zeros((32, 32), dtype=bool)
+    boundary[16, 8:24] = True
+    distance = ev.boundary_distance(BinaryMask(boundary))
+    reach = int(distance.max())
+    widths = tuple(range(1, 10**6 + 1))
+    start = time.perf_counter()
+    rep = ev.report(computed, truth, distance, widths)
+    elapsed = time.perf_counter() - start
+    want = reference_report(computed, truth, distance, tuple(range(1, reach + 3)))
+    assert [rep.per_buffer[w] for w in range(1, reach + 3)] == list(want.per_buffer.values())
+    assert rep.per_buffer[10**6] == rep.whole_image == want.whole_image
+    assert len(rep.per_buffer) == 10**6
+    assert elapsed < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Memory guards
+# ---------------------------------------------------------------------------
+
+N = 512
+GRID = N * N * 8
+
+
+def traced_peak(fn, *args):
+    """Peak bytes the call allocates beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_load_holds_its_cells_and_one_line(tmp_path):
+    path = tmp_path / "g.asc"
+    raster.save_heightfield(holey_field(np.random.default_rng(71), (N, N), -9999.0), path)
+    longest = max(map(len, path.read_bytes().splitlines()))
+    hf, peak = traced_peak(raster.load_heightfield, path)
+    # a line's text, its tokens (a str object each) and their floats take a
+    # small multiple of its length; the file is over 500 such lines
+    assert peak - hf.values.nbytes < 16 * longest
+    assert 16 * longest < path.stat().st_size / 16
+
+
+def test_white_tophat_peaks_under_three_grids():
+    dsm = holey_field(np.random.default_rng(72), (N, N), -9999.0)
+    _, peak = traced_peak(white_tophat, dsm, 41)
+    assert peak < 3 * GRID
+
+
+def test_adjust_all_peak_does_not_grow_with_the_sides():
+    dsm = holey_field(np.random.default_rng(73), (N, N), -9999.0)
+
+    def rows(k):
+        return [LineSegment((20.0, 10.5 + 12 * i), (480.0, 10.5 + 12 * i), width_index=2)
+                for i in range(k)]
+
+    peaks = []
+    for k in (1, 40):
+        out, peak = traced_peak(pf.adjust_all, dsm, rows(k))
+        # beyond the output: the adjusted mask and the feather's distance and
+        # nearest-pixel transforms (one grid and a half of int32)
+        assert peak - out.values.nbytes < 4 * GRID
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < GRID / 8
+
+
+# ---------------------------------------------------------------------------
+# Imports
+# ---------------------------------------------------------------------------
+
+_SOLVERS = ("scipy.sparse", "scipy.spatial")
+
+
+def _python(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(dsmsharp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_graphcut_solvers_load_only_when_graphcut_runs(small_scene, tmp_path, run_cli):
+    scene = {k: str(v) for k, v in small_scene.items()}
+    assert run_cli("detect-lines", "--dsm", scene["dsm"], "--ortho", scene["ortho"],
+                   "--out", scene["out"], "--set", "tophat.scale_max=40") == 0
+    segments = str(small_scene["out"] / "segments_filtered.csv")
+    assert run_cli("sharpen", "--method", "graphcut", "--dsm", scene["dsm"], "--segments",
+                   segments, "--out", tmp_path / "here", "--set", "tophat.scale_max=40") == 0
+    code = f"""
+import sys
+import dsmsharp.cli
+
+def solvers():
+    return sorted(m for m in sys.modules if m.startswith({_SOLVERS!r}))
+
+print(solvers())
+for method in ("planefit", "graphcut"):
+    code = dsmsharp.cli.main(["sharpen", "--method", method, "--dsm", {scene["dsm"]!r},
+                              "--out", {scene["out"]!r}, "--set", "tophat.scale_max=40"])
+    print(code, solvers() == [])
+"""
+    printed = _python(code, tmp_path).splitlines()
+    assert printed == ["[]", "0 True", "0 False"]
+    name = "adjusted_graphcut.asc"
+    assert (small_scene["out"] / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
