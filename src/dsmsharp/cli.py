@@ -38,6 +38,19 @@ def _outdir(cfg: PipelineConfig) -> Path:
     return out
 
 
+def _load_dsm_and_ortho(cfg: PipelineConfig):
+    """The DSM and the ortho, whose line pixels are taken as DSM cells, so
+    the two must have the same size."""
+    dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
+    ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
+    if (ortho.height, ortho.width) != dsm.values.shape:
+        raise ValueError(
+            f"ortho is {ortho.width}x{ortho.height} but the DSM is {dsm.width}x{dsm.height};"
+            " the ortho must be on the DSM's grid"
+        )
+    return dsm, ortho
+
+
 def _config_from_args(args) -> PipelineConfig:
     overrides: dict[str, str] = {}
     for item in args.set or []:
@@ -105,7 +118,7 @@ def _sharpen_graphcut(dsm, segments, cfg, outdir, debug):
         return dsm.copy()
     problem = gc.build_problem(ground, roof, segments, dsm, cfg.graphcut)
     labeling = gc.minimize(problem)
-    field = gc.interpolate_offsets(problem, labeling, far_distance=cfg.graphcut.far_distance)
+    field = gc.interpolate_offsets(problem, labeling)
     if debug:
         gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
         raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")
@@ -204,8 +217,7 @@ def cmd_extract_mask(args) -> int:
 
 def cmd_detect_lines(args) -> int:
     cfg = _config_from_args(args)
-    dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
+    dsm, ortho = _load_dsm_and_ortho(cfg)
     mask, contour_mask = _mask_stage(dsm, cfg)
     _lines_stage(dsm, ortho, mask, contour_mask, cfg, _outdir(cfg))
     return 0
@@ -255,8 +267,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _config_from_args(args)
-    dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    ortho = raster.load_image(_require_file(cfg.ortho, "ortho"))
+    dsm, ortho = _load_dsm_and_ortho(cfg)
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
     _check_section(cfg, truth)
     out = _outdir(cfg)

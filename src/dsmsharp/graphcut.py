@@ -53,6 +53,8 @@ from .lines import LineSegment
 from .tophat import TophatParams, white_tophat
 
 LABEL_RADIUS = 5
+# anchors whose offsets interpolate_offsets blends into each band pixel
+IDW_NEIGHBORS = 8
 # grid pixels per slab of KD-tree queries in interpolate_offsets; bounds
 # its (pixels x neighbours) distance, index and weight arrays
 _QUERY_BLOCK = 1 << 14
@@ -113,6 +115,10 @@ class GraphcutConfig:
             raise ValueError("smooth_radius must be >= 0 and finite")
         if self.neighbor_reach < 0:
             raise ValueError("neighbor_reach must be >= 0")
+        if self.line_buffer_radius < 0:
+            raise ValueError("line_buffer_radius must be >= 0")
+        if self.far_distance < 0:
+            raise ValueError("far_distance must be >= 0")
 
     def data_costs(self, hit) -> np.ndarray:
         """The data cost of each shifted point, by whether it hits its band."""
@@ -133,27 +139,22 @@ class ContourProblem:
     order (ValueError otherwise), and closed spans wrap their neighbour
     reach. ``line_buffer`` is a (k, h, w) bool stack of which
     ``point_band`` picks each point's layer (GROUND or ROOF for the
-    one-sided bands of build_problem); an (h, w) raster is taken as the one
-    layer shared by all points.
+    one-sided bands of build_problem).
     """
 
     points: np.ndarray  # (n, 2) int pixel coordinates
     contour_spans: list[tuple[int, int, bool]]
-    line_buffer: np.ndarray  # (k, h, w) bool; (h, w) becomes (1, h, w)
+    line_buffer: np.ndarray  # (k, h, w) bool
     params: GraphcutConfig = field(default_factory=GraphcutConfig)
-    point_band: np.ndarray | None = None  # (n,) layer index; all 0 by default
+    point_band: np.ndarray = field(kw_only=True)  # (n,) layer index
     pairs: np.ndarray = field(init=False)  # (m, 2) unique unordered neighbour pairs
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.int64)
         self.line_buffer = np.asarray(self.line_buffer, dtype=bool)
-        if self.line_buffer.ndim == 2:
-            self.line_buffer = self.line_buffer[None]
         if self.line_buffer.ndim != 3:
-            raise ValueError("line buffer must be (h, w) or (k, h, w)")
+            raise ValueError("line buffer must be (k, h, w)")
         layers, h, w = self.line_buffer.shape
-        if self.point_band is None:
-            self.point_band = np.zeros(self.points.shape[0], dtype=np.int64)
         self.point_band = np.asarray(self.point_band, dtype=np.int64)
         if self.point_band.shape != (self.points.shape[0],):
             raise ValueError("point_band needs one layer index per point")
@@ -436,10 +437,8 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     theta0 = dtable[assign[var_ids], var_ids].astype(np.int64)  # keep current
     theta1 = dtable[alpha_idx, var_ids].astype(np.int64)  # switch to alpha
 
-    rows_list = []
-    cols_list = []
-    caps_list = []
-
+    # arcs between two movable points
+    pair_rows = pair_cols = pair_caps = np.empty(0, dtype=np.int64)
     pairs = problem.pairs
     if len(pairs):
         pa, pb = pairs[:, 0], pairs[:, 1]
@@ -457,9 +456,7 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
             np.add.at(theta1, idx_of[ib], d_cost - c_cost)
             cap = b_cost + c_cost - a_cost - d_cost
             keep = cap > 0
-            rows_list.append(idx_of[ia[keep]])
-            cols_list.append(idx_of[ib[keep]])
-            caps_list.append(cap[keep])
+            pair_rows, pair_cols, pair_caps = idx_of[ia[keep]], idx_of[ib[keep]], cap[keep]
 
         # one end fixed: a unary term on the movable end
         for fixed, moving, only in ((pa, pb, vb & ~va), (pb, pa, va & ~vb)):
@@ -475,9 +472,9 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     source, sink = nv, nv + 1
 
     src, snk = np.nonzero(cap_src > 0)[0], np.nonzero(cap_snk > 0)[0]
-    rows = np.concatenate(rows_list + [np.full(len(src), source, dtype=np.int64), snk])
-    cols = np.concatenate(cols_list + [src, np.full(len(snk), sink, dtype=np.int64)])
-    caps = np.concatenate(caps_list + [cap_src[src], cap_snk[snk]])
+    rows = np.concatenate([pair_rows, np.full(len(src), source, dtype=np.int64), snk])
+    cols = np.concatenate([pair_cols, src, np.full(len(snk), sink, dtype=np.int64)])
+    caps = np.concatenate([pair_caps, cap_src[src], cap_snk[snk]])
 
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order
@@ -552,14 +549,14 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     smooth_floor = int(vtable.min()) * per_contour(None, pair_contour)
 
     assign = np.full(problem.size, zero_idx, dtype=np.int64)
-    best = _assign_energy(problem, assign, dtable, vtable)
+    current, contour_energy = contour_state(assign)
+    best = int(contour_energy.sum())
     if energy_trace is not None:
         energy_trace.append(best)
 
     improved = True
     while improved:
         improved = False
-        current, contour_energy = contour_state(assign)
         for alpha_idx in range(len(labels)):
             bound = per_contour(np.minimum(current, dtable[alpha_idx])) + smooth_floor
             open_points = (bound < contour_energy)[contour_of]
@@ -569,7 +566,7 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
             )
             if proposal is None:
                 continue
-            cand = _assign_energy(problem, proposal, dtable, vtable)
+            cand = int(contour_state(proposal)[1].sum())
             if cand < best:
                 rest = _expansion_move(
                     problem, proposal, alpha_idx, dtable, vtable, movable & ~open_points
@@ -583,31 +580,20 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     return Labeling(larr[assign])
 
 
-def _assign_energy(problem, assign, dtable, vtable) -> int:
-    total = int(dtable[assign, np.arange(problem.size)].sum())
-    if len(problem.pairs):
-        total += int(vtable[assign[problem.pairs[:, 0]], assign[problem.pairs[:, 1]]].sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Densification and warping
 # ---------------------------------------------------------------------------
 
 
-def interpolate_offsets(
-    problem: ContourProblem,
-    labeling: Labeling,
-    far_distance: int = GraphcutConfig.far_distance,
-    idw_neighbors: int = 8,
-) -> OffsetField:
+def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetField:
     """Densify sparse contour offsets to every pixel of the problem's grid.
 
     Anchors are the contour pixels (with their solved offsets) plus every
-    pixel at Chebyshev distance >= far_distance from all contour pixels
-    (offset zero). Remaining pixels take an inverse-square-distance weighted
-    mean of their idw_neighbors nearest anchors; anchors keep their exact
-    values. A problem without points gives the zero field.
+    pixel at Chebyshev distance >= ``far_distance`` from all contour pixels
+    (offset zero); the reach is that of the problem's GraphcutConfig.
+    Remaining pixels take an inverse-square-distance weighted mean of their
+    IDW_NEIGHBORS nearest anchors; anchors keep their exact values. A
+    problem without points gives the zero field.
 
     The remaining pixels are queried one slab of rows at a time, at most
     _QUERY_BLOCK grid pixels a slab (one row when a row is longer); a
@@ -617,8 +603,6 @@ def interpolate_offsets(
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
-    if far_distance < 0:
-        raise ValueError("far_distance must be >= 0")
     h, w = problem.line_buffer.shape[1:]
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
@@ -634,7 +618,7 @@ def interpolate_offsets(
     off_contour = np.ones((h, w), dtype=bool)
     off_contour[ays, axs] = False
     dist = ndimage.distance_transform_cdt(off_contour, metric="chessboard")
-    far = dist >= far_distance
+    far = dist >= problem.params.far_distance
     band = off_contour & ~far  # the pixels left to interpolate
     del off_contour, dist
     if not band.any():
@@ -657,7 +641,7 @@ def interpolate_offsets(
 
     from scipy.spatial import cKDTree
 
-    k = min(idw_neighbors, len(anchor_xy))
+    k = min(IDW_NEIGHBORS, len(anchor_xy))
     tree = cKDTree(anchor_xy)
     rows = max(1, _QUERY_BLOCK // w)
     for top in range(0, h, rows):

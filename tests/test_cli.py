@@ -1,5 +1,7 @@
 import importlib.util
+import inspect
 import io
+import logging
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmsharp import cli, config, graphcut, raster, synth, tophat
+from dsmsharp import cli, config, graphcut, planefit, raster, synth, tophat
 from dsmsharp.lines import load_segments_csv, save_segments_csv
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
@@ -196,6 +198,30 @@ def test_detect_lines_constant_ortho(small_scene, tmp_path, run_cli):
     assert code == 0
     assert load_segments_csv(small_scene["out"] / "segments_raw.csv") == []
     assert load_segments_csv(small_scene["out"] / "segments_filtered.csv") == []
+
+
+@pytest.mark.parametrize("command", ["detect-lines", "run-all"])
+@pytest.mark.parametrize("shape", [(32, 48), (64, 63), (65, 64)])
+def test_ortho_off_the_dsm_grid_is_rejected(small_scene, tmp_path, run_cli, capsys, command,
+                                            shape):
+    # line pixels are taken as DSM cells, so a differently sized ortho would
+    # put the lines on the wrong cells
+    ortho = raster.load_image(small_scene["ortho"])
+    h, w = shape
+    other = np.zeros(shape, dtype=np.uint8)
+    other[:64, :64] = ortho.samples[:h, :w]  # the scene, cropped or padded
+    p = tmp_path / "other.pgm"
+    raster.save_image(raster.RasterImage(other), p)
+    truth = ("--truth", small_scene["truth"]) if command == "run-all" else ()
+    code = run_cli(
+        command, "--dsm", small_scene["dsm"], "--ortho", p, *truth,
+        "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert f"{w}x{h}" in err and "64x64" in err
+    assert not small_scene["out"].exists()
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +559,41 @@ def test_run_all_single_method(small_scene, run_cli):
     assert "adjusted_graphcut.asc" not in names
 
 
+def test_run_all_on_a_dsm_with_holes(small_scene, tmp_path, run_cli):
+    # holes across the building's left edge (x = 18) and inside its roof,
+    # written with each nodata encoding the grid loader takes
+    smeared = raster.load_heightfield(small_scene["dsm"])
+    holes = np.zeros(smeared.values.shape, bool)
+    holes[30:34, 16:21] = True
+    holes[26:29, 36:40] = True
+    runs = []
+    for nodata in (-9999.0, -np.inf, np.inf):
+        dsm = tmp_path / f"holes{nodata}.asc"
+        raster.save_heightfield(
+            raster.Heightfield(np.where(holes, nodata, smeared.values), nodata=nodata), dsm
+        )
+        out = tmp_path / f"out{nodata}"
+        code = run_cli(
+            "run-all", "--dsm", dsm, "--ortho", small_scene["ortho"],
+            "--truth", small_scene["truth"], "--method", "both", "--out", out,
+            *SMALL_SCALE_ARGS,
+        )
+        assert code == 0
+        runs.append(out)
+    for method in ("graphcut", "planefit"):
+        grids = [raster.load_heightfield(out / f"adjusted_{method}.asc") for out in runs]
+        valid = grids[0].valid_mask()
+        for grid in grids[1:]:
+            assert np.array_equal(grid.valid_mask(), valid)
+            assert grid.values[valid].tobytes() == grids[0].values[valid].tobytes()
+        if method == "planefit":
+            assert not valid[holes].any()
+            assert (grids[0].values[valid] != smeared.values[valid]).any()
+    reports = {(out / "rmse_report.csv").read_text() for out in runs}
+    assert len(reports) == 1
+    assert {"graphcut", "planefit"} <= {line.split(",")[1] for line in reports.pop().splitlines()}
+
+
 def test_subcommands_rerun_byte_identical(small_scene, run_cli):
     args = (
         "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
@@ -806,18 +867,52 @@ def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, rung_builds
     assert [r.split(",")[1] for r in rows[1:]] == ["original", "planefit"]
 
 
-def test_traced_names_resolve():
-    """Every (module, attribute) the benchmark tracer wraps still exists, so
-    a refactor that drops one fails here instead of breaking a traced run."""
+def _tracing():
+    """The benchmark's tracer module, loaded from its file as it is."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) the benchmark tracer wraps still exists and
+    takes the keywords the tracer passes, so a refactor that drops one fails
+    here instead of breaking a traced run."""
+    tracing = _tracing()
     assert tracing.WRAPPED
     for module_name, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}"
         )
+    # the tracer hands these two a list of its own by keyword
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for fn, name in ((graphcut.minimize, "energy_trace"), (planefit.adjust_all, "debug_rows")):
+        param = inspect.signature(fn).parameters.get(name)
+        assert param is not None and param.kind in keyword, f"{fn.__name__}({name}=...)"
+
+
+def test_traced_run_all_counts_every_graph_cut_step(small_scene, run_cli, monkeypatch):
+    tracing = _tracing()
+    # the tracer replaces module attributes and adds a log handler; the
+    # originals come back after the test
+    for module_name, attr, _ in tracing.WRAPPED:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(logging.getLogger("dsmsharp.planefit"), "handlers", [])
+    tracer = tracing.Tracer(0)
+    tracer.install()
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    values = tracing.layer_values(tracer.spans, tracer.counts)
+    for step in ("build_problem", "minimize", "interpolate_offsets", "warp_dsm"):
+        assert values[f"graphcut.{step}.calls"] == 1, step
+    assert values["graphcut.points"] > 0 and values["graphcut.pairs"] > 0
+    assert values["planefit.adjust_all.calls"] == 1 and values["planefit.sides"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,14 @@ def test_settings_are_checked_on_their_final_values(tmp_path):
 
 
 def _problem_with(points, spans, line_buffer, **params):
-    return graphcut.ContourProblem(points, spans, line_buffer, graphcut.GraphcutConfig(**params))
+    return graphcut.ContourProblem(
+        points, spans, line_buffer, graphcut.GraphcutConfig(**params),
+        point_band=np.zeros(len(points), int),
+    )
 
 
 _ONE_POINT_PROBLEM = functools.partial(
-    _problem_with, np.zeros((1, 2), int), [(0, 1, False)], np.zeros((2, 2), bool)
+    _problem_with, np.zeros((1, 2), int), [(0, 1, False)], np.zeros((1, 2, 2), bool)
 )
 
 

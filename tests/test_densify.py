@@ -89,7 +89,7 @@ def reference_warp_dsm(dsm, field):
 # ---------------------------------------------------------------------------
 
 
-def random_problem(rng, h, w, n_points, n_contours=3):
+def random_problem(rng, h, w, n_points, n_contours=3, far_distance=20):
     """Random contour points (duplicates allowed) on an (h, w) grid with a
     two-layer band stack; points lie anywhere, including the border."""
     points = np.column_stack([rng.integers(0, w, n_points), rng.integers(0, h, n_points)])
@@ -98,7 +98,8 @@ def random_problem(rng, h, w, n_points, n_contours=3):
     spans = [(a, b, bool(rng.integers(2))) for a, b in zip(edges[:-1], edges[1:])]
     bands = rng.random((2, h, w)) < 0.3
     point_band = rng.integers(0, 2, n_points)
-    return gc.ContourProblem(points, spans, bands, point_band=point_band)
+    params = gc.GraphcutConfig(far_distance=far_distance)
+    return gc.ContourProblem(points, spans, bands, params, point_band=point_band)
 
 
 def random_labeling(rng, n, radius=gc.LABEL_RADIUS):
@@ -158,12 +159,13 @@ def test_data_cost_table_of_labels_beyond_the_grid():
     "seed, far_distance, idw_neighbors",
     [(0, 20, 8), (1, 0, 8), (2, 1, 8), (3, 5, 1), (4, 200, 8), (5, 3, 3), (6, 7, 2)],
 )
-def test_interpolate_matches_reference(seed, far_distance, idw_neighbors):
+def test_interpolate_matches_reference(monkeypatch, seed, far_distance, idw_neighbors):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(20, 90, 2)
-    problem = random_problem(rng, h, w, int(rng.integers(5, 120)), n_contours=4)
+    problem = random_problem(rng, h, w, int(rng.integers(5, 120)), 4, far_distance)
     labeling = random_labeling(rng, problem.size)
-    got = gc.interpolate_offsets(problem, labeling, far_distance, idw_neighbors)
+    monkeypatch.setattr(gc, "IDW_NEIGHBORS", idw_neighbors)
+    got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance, idw_neighbors)
     assert same_field(got, want)
 
@@ -174,22 +176,23 @@ def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_
     # a band far larger than one block, split into slabs of one or more rows
     # and a last, partial slab
     rng = np.random.default_rng(block + far_distance)
-    problem = random_problem(rng, 61, 47, 40)
+    problem = random_problem(rng, 61, 47, 40, far_distance=far_distance)
     labeling = random_labeling(rng, problem.size)
     monkeypatch.setattr(gc, "_QUERY_BLOCK", block)
-    got = gc.interpolate_offsets(problem, labeling, far_distance)
+    got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance)
     assert same_field(got, want)
 
 
-def test_interpolate_with_more_neighbors_than_anchors():
+def test_interpolate_with_more_neighbors_than_anchors(monkeypatch):
     # far_distance beyond the grid: the contour points are the only anchors
     rng = np.random.default_rng(11)
-    problem = random_problem(rng, 30, 25, 6, n_contours=2)
+    problem = random_problem(rng, 30, 25, 6, n_contours=2, far_distance=40)
     labeling = random_labeling(rng, problem.size)
     n_anchors = len(np.unique(problem.points, axis=0))
     for k in (1, n_anchors, n_anchors + 1, 50):
-        got = gc.interpolate_offsets(problem, labeling, 40, k)
+        monkeypatch.setattr(gc, "IDW_NEIGHBORS", k)
+        got = gc.interpolate_offsets(problem, labeling)
         want = reference_interpolate_offsets(problem, labeling, 40, k)
         assert same_field(got, want)
 
@@ -197,9 +200,9 @@ def test_interpolate_with_more_neighbors_than_anchors():
 def test_interpolate_of_zero_labels_is_positive_zero():
     # the warp samples only pixels with a non-zero offset; a zero labeling
     # must give +0.0 everywhere, as the one-query densification did
-    problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2)
+    problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2, far_distance=6)
     labeling = gc.Labeling(np.zeros((problem.size, 2), int))
-    got = gc.interpolate_offsets(problem, labeling, 6)
+    got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, 6)
     assert same_field(got, want)
     assert not np.signbit(got.dx).any() and not np.signbit(got.dy).any()
@@ -276,8 +279,8 @@ def test_warp_end_to_end_matches_reference():
     # a solved problem: densified offsets of a random labeling on a holey DSM
     rng = np.random.default_rng(21)
     h, w = 70, 90
-    problem = random_problem(rng, h, w, 150, n_contours=5)
-    field = gc.interpolate_offsets(problem, random_labeling(rng, problem.size), 9)
+    problem = random_problem(rng, h, w, 150, n_contours=5, far_distance=9)
+    field = gc.interpolate_offsets(problem, random_labeling(rng, problem.size))
     dsm = holey_dsm(rng, h, w)
     got = gc.warp_dsm(dsm, field)
     assert got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
@@ -320,13 +323,16 @@ def test_interpolate_memory_follows_the_block_not_the_band():
     n = 512
     rng = np.random.default_rng(6)
     ring = [(x, 200) for x in range(200, 300)] + [(300, y) for y in range(200, 300)]
-    problem = gc.ContourProblem(np.array(ring), [(0, len(ring), False)], np.zeros((n, n), bool))
+    problem = gc.ContourProblem(
+        np.array(ring), [(0, len(ring), False)], np.zeros((1, n, n), bool),
+        gc.GraphcutConfig(far_distance=n), point_band=np.zeros(len(ring), int),
+    )
     labeling = random_labeling(rng, problem.size)
-    field, peak = traced_peak(gc.interpolate_offsets, problem, labeling, n)
+    field, peak = traced_peak(gc.interpolate_offsets, problem, labeling)
     outputs = field.dx.nbytes + field.dy.nbytes
     # the grid's masks and int32 distances (8 bytes a pixel), and six
     # (pixels x neighbours) float64 or int64 arrays of one query block
-    k = 8
+    k = gc.IDW_NEIGHBORS
     bound = 8 * n * n + 6 * gc._QUERY_BLOCK * k * 8
     assert peak - outputs < bound
     assert bound < n * n * k * 8  # less than one array of the whole band's neighbours

@@ -6,9 +6,14 @@ from dsmsharp.raster import Contour, Heightfield
 
 
 def small_problem(points, buffer_bits, closed=True, **params):
+    """One contour whose points all use the single (h, w) buffer layer."""
     spans = [(0, len(points), closed)]
     return gc.ContourProblem(
-        np.asarray(points), spans, np.asarray(buffer_bits, bool), gc.GraphcutConfig(**params)
+        np.asarray(points),
+        spans,
+        np.asarray(buffer_bits, bool)[None],
+        gc.GraphcutConfig(**params),
+        point_band=np.zeros(len(points), int),
     )
 
 
@@ -120,20 +125,31 @@ def test_build_problem_empty_errors():
         gc.build_problem([], [], [], Heightfield(np.zeros((10, 10))))
 
 
-def test_flat_line_buffer_is_one_layer():
-    prob = small_problem([(1, 1), (2, 1)], np.eye(4, dtype=bool), closed=False)
-    assert prob.line_buffer.shape == (1, 4, 4)
-    assert np.array_equal(prob.line_buffer[0], np.eye(4, dtype=bool))
-    assert list(prob.point_band) == [0, 0]
+def one_point_problem(line_buffer):
+    return gc.ContourProblem(
+        np.array([[0, 0]]), [(0, 1, False)], line_buffer, point_band=np.zeros(1, int)
+    )
+
+
+def test_flat_line_buffer_is_rejected():
+    # an (h, w) buffer is not taken as one layer
+    with pytest.raises(ValueError, match=r"line buffer must be \(k, h, w\)"):
+        one_point_problem(np.eye(4, dtype=bool))
+    assert one_point_problem(np.eye(4, dtype=bool)[None]).line_buffer.shape == (1, 4, 4)
 
 
 @pytest.mark.parametrize("shape", [(4,), (1, 1, 4, 4)])
-def test_line_buffer_needs_two_or_three_axes(shape):
-    with pytest.raises(ValueError, match="line buffer"):
-        small_problem([(0, 0)], np.zeros(shape, bool), closed=False)
+def test_line_buffer_needs_three_axes(shape):
+    with pytest.raises(ValueError, match=r"line buffer must be \(k, h, w\)"):
+        one_point_problem(np.zeros(shape, bool))
 
 
-@pytest.mark.parametrize("name", ["smooth_radius", "neighbor_reach"])
+def test_point_band_is_required():
+    with pytest.raises(TypeError, match="point_band"):
+        gc.ContourProblem(np.array([[0, 0]]), [(0, 1, False)], np.zeros((1, 4, 4), bool))
+
+
+@pytest.mark.parametrize("name", ["smooth_radius", "neighbor_reach", "line_buffer_radius"])
 def test_problem_rejects_negative_reach(name):
     small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: 0})
     with pytest.raises(ValueError, match=f"{name} must be >= 0"):
@@ -304,25 +320,38 @@ def test_interpolate_exact_at_anchors():
         assert field.dy[y, x] == dy
 
 
-def test_interpolate_midpoint_between_two_anchors():
+def test_interpolate_midpoint_between_two_anchors(monkeypatch):
     # one contour anchor with offset (4, 0); nearest zero anchors start 20 px
     # away, so the probe half way is equidistant from both anchor kinds
+    monkeypatch.setattr(gc, "IDW_NEIGHBORS", 2)
     h, w = 3, 25
     pts = [(2, 1)]
-    prob = small_problem(pts, np.zeros((h, w), bool), closed=False)
+    prob = small_problem(pts, np.zeros((h, w), bool), closed=False, far_distance=20)
     labeling = gc.Labeling(np.array([[4, 0]]))
-    field = gc.interpolate_offsets(prob, labeling, far_distance=20, idw_neighbors=2)
+    field = gc.interpolate_offsets(prob, labeling)
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
     assert abs(field.dx[1, 12] - 2.0) < 1e-6
     assert abs(field.dy[1, 12]) < 1e-6
 
 
 def test_interpolate_rejects_negative_far_distance():
-    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
-    labeling = gc.Labeling(np.array([[1, 0]]))
-    gc.interpolate_offsets(prob, labeling, far_distance=0)
+    # the problem's config rejects the reach before anything is densified
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=0)
+    gc.interpolate_offsets(prob, gc.Labeling(np.array([[1, 0]])))
     with pytest.raises(ValueError, match="far_distance must be >= 0"):
-        gc.interpolate_offsets(prob, labeling, far_distance=-3)
+        small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=-3)
+
+
+def test_interpolate_reads_far_distance_from_the_problem():
+    labeling = gc.Labeling(np.array([[1, 0]]))
+    # reach 0: every pixel off the contour is a zero anchor
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=0)
+    field = gc.interpolate_offsets(prob, labeling)
+    assert field.dx[1, 2] == 1 and np.count_nonzero(field.dx) == 1
+    # reach 2: the ring around the point blends in its offset
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=2)
+    field = gc.interpolate_offsets(prob, labeling)
+    assert 0 < field.dx[1, 3] < 1 and field.dx[1, 4] == 0
 
 
 def test_interpolate_takes_the_grid_of_the_problem():
@@ -335,7 +364,9 @@ def test_interpolate_takes_the_grid_of_the_problem():
 
 
 def test_interpolate_without_points_gives_the_zero_field():
-    prob = gc.ContourProblem(np.zeros((0, 2), int), [], np.zeros((5, 7), bool))
+    prob = gc.ContourProblem(
+        np.zeros((0, 2), int), [], np.zeros((1, 5, 7), bool), point_band=np.zeros(0, int)
+    )
     field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
     assert field.dx.shape == field.dy.shape == (5, 7)
     assert not field.dx.any() and not field.dy.any()

@@ -235,8 +235,8 @@ def test_build_problem_needs_the_dsm():
 
 
 def test_point_band_must_name_a_layer():
-    with pytest.raises(ValueError):
-        gc.ContourProblem(np.array([[1, 1]]), [(0, 1, False)], np.zeros((5, 5), bool),
+    with pytest.raises(ValueError, match="missing buffer layer"):
+        gc.ContourProblem(np.array([[1, 1]]), [(0, 1, False)], np.zeros((1, 5, 5), bool),
                           point_band=np.array([1]))
 
 
@@ -246,13 +246,14 @@ def test_point_band_must_name_a_layer():
 
 
 def reference_minimize(problem, labels):
-    """Plain expansion-move loop: try every label, keep strict improvements."""
+    """Plain expansion-move loop: try every label, keep strict improvements;
+    each assignment is scored with the public energy."""
     larr = gc._label_array(labels)
     zero = int(np.nonzero((larr[:, 0] == 0) & (larr[:, 1] == 0))[0][0])
     dtable = gc._data_cost_table(problem, larr)
     vtable = gc._smooth_cost_table(problem, larr)
     assign = np.full(problem.size, zero, dtype=np.int64)
-    best = gc._assign_energy(problem, assign, dtable, vtable)
+    best = gc.energy(problem, gc.Labeling(larr[assign]))
     trace = [best]
     improved = True
     while improved:
@@ -261,7 +262,7 @@ def reference_minimize(problem, labels):
             proposal = gc._expansion_move(problem, assign, alpha, dtable, vtable, assign != alpha)
             if proposal is None:
                 continue
-            cand = gc._assign_energy(problem, proposal, dtable, vtable)
+            cand = gc.energy(problem, gc.Labeling(larr[proposal]))
             if cand < best:
                 assign, best, improved = proposal, cand, True
                 trace.append(best)
@@ -383,7 +384,10 @@ def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
         buf[y + 1, x] = True
     buf[11, 5] = True
     spans = [(0, 10, False), (10, 16, False)]
-    prob = gc.ContourProblem(np.array(a + b), spans, buf, gc.GraphcutConfig(smooth_radius=1.0))
+    prob = gc.ContourProblem(
+        np.array(a + b), spans, buf[None], gc.GraphcutConfig(smooth_radius=1.0),
+        point_band=np.zeros(len(a + b), int),
+    )
     sizes = []
     real = gc.maximum_flow
 
@@ -419,4 +423,4 @@ def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
 def test_contour_spans_must_tile_the_points(spans):
     pts = np.array([[1, 1], [2, 1], [3, 1], [4, 1], [5, 1]])
     with pytest.raises(ValueError, match="tile"):
-        gc.ContourProblem(pts, spans, np.zeros((8, 8), bool))
+        gc.ContourProblem(pts, spans, np.zeros((1, 8, 8), bool), point_band=np.zeros(5, int))
