@@ -77,7 +77,6 @@ from .planefit import (
     apply_plane,
     buffer_half_width,
     collect_side_pixels,
-    feather,
     fit_plane,
 )
 from .evaluate import (

@@ -228,6 +228,13 @@ def cmd_sharpen(args) -> int:
     # the segments are checked before the DSM is read or anything is written
     seg_path = Path(args.segments) if args.segments else Path(cfg.out) / "segments_filtered.csv"
     segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
+    if args.method == "planefit":
+        missing = sum(seg.width_index is None for seg in segments)
+        if missing:
+            raise ValueError(
+                f"{seg_path}: {missing} of {len(segments)} segments have no width_index;"
+                " plane fit sizes its buffers from it (detect-lines writes it)"
+            )
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     _sharpen_stage(args.method, dsm, segments, cfg, _outdir(cfg), args.debug)
     return 0

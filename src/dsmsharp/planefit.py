@@ -4,8 +4,7 @@ Every filtered line segment gets a rectangular buffer whose half width
 adapts to the building-width index, min(3 * width, 30). DSM pixels strictly
 on each side of the segment are fitted with a least-squares plane
 h = a*x + b*y + c and overwritten from it, which forces a crisp height
-break along the segment. A final feather blends the ring just outside the
-adjusted pixels back into the surroundings.
+break along the segment. No other cell changes.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from .raster import BinaryMask, Heightfield, finite_or_nodata
+from .raster import Heightfield, finite_or_nodata
 from .lines import LineSegment
 
 logger = logging.getLogger(__name__)
@@ -70,10 +68,9 @@ class FitConfig:
     width_multiplier: int = 3
     buffer_cap: int = 30
     min_points: int = 3
-    feather_band: int = 2
 
     def __post_init__(self):
-        if min(self.width_multiplier, self.buffer_cap) <= 0 or self.feather_band < 0:
+        if min(self.width_multiplier, self.buffer_cap) <= 0:
             raise ValueError("fit config values must be positive")
         if self.min_points < 3:
             raise ValueError("min_points must be >= 3")
@@ -171,40 +168,6 @@ def _plane_cells(sample: SideSample, plane: PlaneParams):
     return ys.astype(np.int64), xs.astype(np.int64), plane.evaluate(xs, ys)
 
 
-def feather(dsm: Heightfield, region: BinaryMask, band: int) -> Heightfield:
-    """Blend the band-wide ring just outside the region toward it.
-
-    A ring pixel at Chebyshev distance d from the region mixes the value of
-    its nearest region pixel with weight (band + 1 - d) / (band + 1), so the
-    weight approaches one at the region edge and every ring pixel stays
-    strictly between the two levels across a height step. Pixels inside the
-    region or beyond the ring are untouched.
-    """
-    if band < 0:
-        raise ValueError("band must be >= 0")
-    if band == 0 or not region.bits.any():
-        return dsm.copy()
-    if region.bits.shape != dsm.values.shape:
-        raise ValueError("region dimensions do not match the DSM")
-    out = dsm.values.copy()
-    _feather_in_place(out, dsm.nodata, region.bits, band)
-    return dsm.like(out)
-
-
-def _feather_in_place(values: np.ndarray, nodata: float, region: np.ndarray, band: int) -> None:
-    """``feather`` on a grid of cells, written in place. Only ring pixels
-    change, and they read only themselves and region pixels."""
-    dist, (iy, ix) = ndimage.distance_transform_cdt(
-        ~region, metric="chessboard", return_distances=True, return_indices=True
-    )
-    ry, rx = np.nonzero((dist > 0) & (dist <= band))
-    src = values[iy[ry, rx], ix[ry, rx]]
-    own = values[ry, rx]
-    ok = (own != nodata) & (src != nodata)
-    wgt = (band + 1 - dist[ry[ok], rx[ok]]) / float(band + 1)
-    values[ry[ok], rx[ok]] = wgt * src[ok] + (1.0 - wgt) * own[ok]
-
-
 def adjust_all(
     dsm: Heightfield,
     segments: list[LineSegment],
@@ -215,13 +178,11 @@ def adjust_all(
 
     Later segments see earlier adjustments. Sides that cannot be fitted fall
     back to the constant plane at their mean height; empty sides are skipped.
-    One feather pass runs at the end over the union of all adjusted pixels.
-    ``debug_rows`` collects one fitted-plane record per side when given.
-    The planes and the feather are written into one copy of the DSM.
+    Only the side pixels change: the planes are written into one copy of the
+    DSM. ``debug_rows`` collects one fitted-plane record per side when given.
     """
     config = config or FitConfig()
     work = dsm.copy()
-    adjusted = np.zeros(dsm.values.shape, dtype=bool)
     for seg in segments:
         if seg.width_index is None:
             raise ValueError("segment is missing its width_index")
@@ -241,7 +202,6 @@ def adjust_all(
             if not finite_or_nodata(heights, dsm.nodata):
                 raise ValueError("non-nodata cells must be finite")
             work.values[ys, xs] = heights
-            adjusted[ys, xs] = True
             if debug_rows is not None:
                 debug_rows.append(
                     (
@@ -249,9 +209,7 @@ def adjust_all(
                         sample.side, repr(plane.a), repr(plane.b), repr(plane.c), len(sample),
                     )
                 )
-    if config.feather_band > 0 and adjusted.any():
-        _feather_in_place(work.values, dsm.nodata, adjusted, config.feather_band)
-    return dsm.like(work.values)
+    return work
 
 
 def save_planes_csv(rows: list[tuple], path: str | Path) -> None:

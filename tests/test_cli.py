@@ -377,6 +377,42 @@ def test_sharpen_rejects_bad_segment_rows(small_scene, tmp_path, run_cli, capsys
     assert not small_scene["out"].exists()
 
 
+@pytest.mark.parametrize("dsm_present", [True, False])
+def test_sharpen_planefit_rejects_segments_without_width_first(
+    small_scene, tmp_path, run_cli, capsys, monkeypatch, dsm_present
+):
+    # raw detector output has no widths: plane fit cannot size its buffers,
+    # and says so before it reads the DSM (or finds it missing) or makes --out
+    seg_path = tmp_path / "segments_raw.csv"
+    seg_path.write_text("x1,y1,x2,y2,width_index\n1,2,30,2,1\n1,5,30,5,\n4,9,4,40,\n")
+    dsm = small_scene["dsm"] if dsm_present else tmp_path / "absent.asc"
+
+    def no_reads(path):
+        raise AssertionError(f"DSM read before the segments were checked: {path}")
+
+    monkeypatch.setattr(raster, "load_heightfield", no_reads)
+    code = run_cli(
+        "sharpen", "--method", "planefit", "--dsm", dsm,
+        "--segments", seg_path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {seg_path}: 2 of 3 segments have no width_index")
+    assert not small_scene["out"].exists()
+
+
+def test_sharpen_graphcut_takes_segments_without_width(small_scene, tmp_path, run_cli):
+    # graph-cut reads only the lines' geometry
+    seg_path = tmp_path / "segments_raw.csv"
+    seg_path.write_text("x1,y1,x2,y2,width_index\n18,18,46,18,\n")
+    code = run_cli(
+        "sharpen", "--method", "graphcut", "--dsm", small_scene["dsm"],
+        "--segments", seg_path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert (small_scene["out"] / "adjusted_graphcut.asc").is_file()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -628,6 +664,23 @@ def test_unknown_config_key_rejected(tmp_path, run_cli, capsys):
     cfg.write_text("nonsense.key = 1\n")
     assert run_cli("extract-mask", "--config", cfg) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_removed_feather_band_key_rejected(small_scene, tmp_path, run_cli, capsys):
+    # plane fit has no feather ring any more; the old key is an unknown one
+    cfg = tmp_path / "pipe.cfg"
+    cfg.write_text("fit.feather_band = 2\n")
+    for args, reason in [
+        (("--config", cfg), f"{cfg}: line 1: unknown key 'fit.feather_band'"),
+        (("--set", "fit.feather_band=2"), "unknown configuration key 'fit.feather_band'"),
+    ]:
+        code = run_cli(
+            "sharpen", "--method", "planefit", "--dsm", small_scene["dsm"],
+            "--out", small_scene["out"], *args,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not small_scene["out"].exists()
 
 
 def test_bad_set_value_rejected(small_scene, run_cli, capsys):

@@ -5,9 +5,9 @@ they take and the modules a run imports.
 The references hold whole grids where the package works in place or line by
 line: the loader decodes the whole file and splits its lines, the tophat
 builds its opening from ``raster.erode`` and ``raster.dilate``, the plane fit
-copies the DSM for every side and feathers the whole grid, and the report
-thresholds the distance map once per width. The package must reproduce them
-bit for bit, and raise the same errors.
+copies the DSM for every side, and the report thresholds the distance map
+once per width. The package must reproduce them bit for bit, and raise the
+same errors.
 """
 
 import math
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 import dsmsharp
 from dsmsharp import evaluate as ev
@@ -102,24 +101,8 @@ def reference_white_tophat(dsm, se_size):
         return dsm.like(np.where(ok, dsm.values - opened.values, dsm.nodata))
 
 
-def reference_feather(dsm, region, band):
-    if band == 0 or not region.bits.any():
-        return dsm.copy()
-    dist, (iy, ix) = ndimage.distance_transform_cdt(
-        ~region.bits, metric="chessboard", return_distances=True, return_indices=True
-    )
-    ring = (dist > 0) & (dist <= band)
-    out = dsm.values.copy()
-    src = dsm.values[iy, ix]
-    ok = ring & (dsm.values != dsm.nodata) & (src != dsm.nodata)
-    wgt = (band + 1 - dist[ok]) / float(band + 1)
-    out[ok] = wgt * src[ok] + (1.0 - wgt) * dsm.values[ok]
-    return dsm.like(out)
-
-
 def reference_adjust_all(dsm, segments, config, debug_rows):
     work = dsm.copy()
-    adjusted = np.zeros(dsm.values.shape, dtype=bool)
     for seg in segments:
         half_width = pf.buffer_half_width(seg.width_index, config)
         for sample in pf.collect_side_pixels(work, seg, half_width):
@@ -130,16 +113,13 @@ def reference_adjust_all(dsm, segments, config, debug_rows):
             except (pf.InsufficientSupportError, pf.DegenerateGeometryError):
                 plane = pf.PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
             work = pf.apply_plane(work, sample, plane)
-            adjusted[
-                sample.pixels[:, 1].astype(np.int64), sample.pixels[:, 0].astype(np.int64)
-            ] = True
             debug_rows.append(
                 (
                     repr(seg.p1[0]), repr(seg.p1[1]), repr(seg.p2[0]), repr(seg.p2[1]),
                     sample.side, repr(plane.a), repr(plane.b), repr(plane.c), len(sample),
                 )
             )
-    return reference_feather(work, BinaryMask(adjusted), config.feather_band)
+    return work
 
 
 def reference_report(computed, truth, distance, widths):
@@ -320,8 +300,8 @@ def _segments(rng, n, h, w):
 @pytest.mark.parametrize("nodata", NODATAS)
 def test_adjust_all_matches_a_copy_per_side(nodata):
     rng = np.random.default_rng(31)
-    for band, min_points in [(2, 3), (0, 3), (3, 40)]:
-        config = pf.FitConfig(feather_band=band, min_points=min_points)
+    for min_points in (3, 8, 40):
+        config = pf.FitConfig(min_points=min_points)
         dsm = holey_field(rng, (48, 56), nodata)
         segments = _segments(rng, 12, 48, 56)
         got_rows, want_rows = [], []
@@ -329,15 +309,6 @@ def test_adjust_all_matches_a_copy_per_side(nodata):
         want = reference_adjust_all(dsm, segments, config, want_rows)
         assert same_field(got, want)
         assert got_rows == want_rows
-
-
-@pytest.mark.parametrize("nodata", NODATAS)
-def test_feather_matches_the_whole_grid_blend(nodata):
-    rng = np.random.default_rng(41)
-    for band in (0, 1, 2, 5):
-        dsm = holey_field(rng, (30, 35), nodata)
-        region = BinaryMask(rng.random((30, 35)) < 0.03)
-        assert same_field(pf.feather(dsm, region, band), reference_feather(dsm, region, band))
 
 
 @pytest.mark.parametrize("nodata", NODATAS)
@@ -429,9 +400,9 @@ def test_adjust_all_peak_does_not_grow_with_the_sides():
     peaks = []
     for k in (1, 40):
         out, peak = traced_peak(pf.adjust_all, dsm, rows(k))
-        # beyond the output: the adjusted mask and the feather's distance and
-        # nearest-pixel transforms (one grid and a half of int32)
-        assert peak - out.values.nbytes < 4 * GRID
+        # beyond the output: the copy's finite-or-nodata check on a grid
+        # with holes (three bool grids, 3/8 of a grid) and one side's window
+        assert peak - out.values.nbytes < GRID / 2
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < GRID / 8
 

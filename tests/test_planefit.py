@@ -3,7 +3,7 @@ import pytest
 
 from dsmsharp import planefit as pf
 from dsmsharp.lines import LineSegment
-from dsmsharp.raster import BinaryMask, Heightfield
+from dsmsharp.raster import Heightfield
 from dsmsharp.planefit import (
     DegenerateGeometryError,
     FitConfig,
@@ -194,56 +194,6 @@ def test_apply_touches_exactly_sample_pixels():
 
 
 # ---------------------------------------------------------------------------
-# Feathering
-# ---------------------------------------------------------------------------
-
-
-def region_mask(shape, sl):
-    bits = np.zeros(shape, bool)
-    bits[sl] = True
-    return BinaryMask(bits)
-
-
-def test_feather_band_zero_identity():
-    rng = np.random.default_rng(61)
-    dsm = Heightfield(rng.normal(size=(10, 10)))
-    region = region_mask((10, 10), (slice(3, 6), slice(3, 6)))
-    assert np.array_equal(pf.feather(dsm, region, 0).values, dsm.values)
-
-
-def test_feather_equal_heights_identity():
-    dsm = Heightfield(np.full((12, 12), 4.0))
-    region = region_mask((12, 12), (slice(4, 8), slice(4, 8)))
-    assert np.allclose(pf.feather(dsm, region, 3).values, 4.0)
-
-
-def test_feather_step_monotone_ring():
-    vals = np.zeros((20, 20))
-    vals[:, :8] = 10.0
-    dsm = Heightfield(vals)
-    region = region_mask((20, 20), (slice(0, 20), slice(0, 8)))
-    out = pf.feather(dsm, region, 2)
-    # ring columns 8 and 9 blend toward the 10 m side, strictly between levels
-    col8, col9 = out.values[10, 8], out.values[10, 9]
-    assert 0.0 < col9 < col8 < 10.0
-    # inside region and beyond the ring untouched
-    assert (out.values[:, :8] == 10.0).all()
-    assert (out.values[:, 10:] == 0.0).all()
-
-
-def test_feather_weights_by_hand():
-    vals = np.zeros((5, 9))
-    vals[:, :3] = 6.0
-    dsm = Heightfield(vals)
-    region = region_mask((5, 9), (slice(0, 5), slice(0, 3)))
-    out = pf.feather(dsm, region, 2)
-    # weight (band+1-d)/(band+1): d=1 -> 2/3, d=2 -> 1/3
-    assert np.allclose(out.values[:, 3], 6.0 * 2 / 3)
-    assert np.allclose(out.values[:, 4], 6.0 * 1 / 3)
-    assert np.allclose(out.values[:, 5], 0.0)
-
-
-# ---------------------------------------------------------------------------
 # Full adjustment
 # ---------------------------------------------------------------------------
 
@@ -261,6 +211,16 @@ def test_adjust_all_requires_width():
         pf.adjust_all(dsm, [LineSegment((1.0, 1.0), (8.0, 1.0))])
 
 
+def side_cells(dsm, segments, config):
+    """Cells of every side sample, each collected from the original DSM (a
+    later segment's buffer does not depend on an earlier one's heights)."""
+    region = np.zeros(dsm.values.shape, bool)
+    for seg in segments:
+        for s in pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(seg.width_index, config)):
+            region[s.pixels[:, 1].astype(int), s.pixels[:, 0].astype(int)] = True
+    return region
+
+
 def test_adjust_all_planar_sides_change_nothing_outside_ring():
     yy, xx = np.mgrid[0:30, 0:30]
     vals = (0.2 * xx + 0.1 * yy + 5.0).astype(float)
@@ -268,17 +228,11 @@ def test_adjust_all_planar_sides_change_nothing_outside_ring():
     seg = LineSegment((14.5, 4.0), (14.5, 25.0), width_index=1)
     config = FitConfig()
     out = pf.adjust_all(dsm, [seg], config)
-    # the fitted planes reproduce the data, so adjusted pixels are unchanged;
-    # only the feather ring may drift (it blends toward nearest-region values)
-    left, right = pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(1, config))
-    region = np.zeros((30, 30), bool)
-    for s in (left, right):
-        region[s.pixels[:, 1].astype(int), s.pixels[:, 0].astype(int)] = True
-    from scipy.ndimage import distance_transform_cdt
-
-    dist = distance_transform_cdt(~region, metric="chessboard")
-    outside_ring = dist > config.feather_band
-    assert np.allclose(out.values[outside_ring], dsm.values[outside_ring], atol=1e-9)
+    # the fitted planes reproduce the data, so adjusted pixels are unchanged
+    # to rounding; every other cell keeps its exact bits
+    region = side_cells(dsm, [seg], config)
+    assert region.any() and not region.all()
+    assert np.array_equal(out.values[~region], dsm.values[~region])
     assert np.allclose(out.values[region], dsm.values[region], atol=1e-9)
 
 
@@ -305,10 +259,34 @@ def test_adjust_all_touches_only_buffers_and_ring():
     config = FitConfig()
     out = pf.adjust_all(dsm, [seg], config)
     hw = pf.buffer_half_width(2, config)
-    changed = np.nonzero(out.values != dsm.values)
-    for y, x in zip(*changed):
-        assert abs(x - 20) <= hw + config.feather_band
-        assert 5 - config.feather_band <= y <= 34 + config.feather_band
+    changed = out.values != dsm.values
+    assert changed.any()
+    assert not (changed & ~side_cells(dsm, [seg], config)).any()
+    for y, x in zip(*np.nonzero(changed)):
+        assert abs(x - 20) <= hw
+        assert 5 <= y <= 34
+
+
+@pytest.mark.parametrize("nodata", [-9999.0, -np.inf, np.inf])
+def test_adjust_all_crossing_segments_change_only_side_cells(nodata):
+    rng = np.random.default_rng(64)
+    vals = rng.normal(10.0, 3.0, size=(48, 52))
+    vals[20:27, 22:30] = nodata  # a hole where the segments cross
+    vals[rng.random(vals.shape) < 0.05] = nodata
+    dsm = Heightfield(vals, nodata=nodata)
+    segments = [
+        LineSegment((4.0, 24.5), (47.0, 24.5), width_index=2),
+        LineSegment((25.5, 3.0), (25.5, 44.0), width_index=3),
+        LineSegment((6.0, 6.0), (44.0, 40.0), width_index=1),
+    ]
+    config = FitConfig()
+    out = pf.adjust_all(dsm, segments, config)
+    changed = out.values != dsm.values
+    region = side_cells(dsm, segments, config)
+    assert changed.any() and not region.all()
+    assert not (changed & ~region).any()
+    # a nodata cell is never a side pixel, so it stays nodata
+    assert (out.values[vals == nodata] == nodata).all()
 
 
 def test_adjust_all_constant_fallback_for_degenerate_side():

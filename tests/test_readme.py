@@ -1,22 +1,54 @@
 """The README's library example runs as written against the current API,
+the reference-scene numbers its text states are the ones the example prints,
 and its configuration table names every dotted key with its default."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
+
+import pytest
 
 from dsmsharp.config import _KEYS, PipelineConfig, build_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_library_example_runs(capsys):
+@pytest.fixture(scope="module")
+def printed() -> dict[str, str]:
+    """name -> value of each row the README's library example prints."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    rows = [line.split() for line in out.getvalue().splitlines()]
     assert [name for name, _ in rows] == ["original", "planefit", "graphcut"]
-    original, planefit, graphcut = (float(value) for _, value in rows)
+    return dict(rows)
+
+
+def test_readme_library_example_runs(printed):
+    original, planefit, graphcut = (float(value) for value in printed.values())
     assert planefit < original and graphcut < original
+
+
+def test_readme_states_the_printed_numbers(printed):
+    text = " ".join(README.read_text().split())
+    rows = re.findall(r"\(original ([\d.]+), planefit ([\d.]+), graphcut ([\d.]+)\)", text)
+    assert rows == [(printed["original"], printed["planefit"], printed["graphcut"])]
+    # "<method> [cuts boundary-5 RMSE] by about N% ([original] to X)"
+    names = {"graph-cut": "graphcut", "plane fit": "planefit"}
+    claims = re.findall(
+        r"(graph-cut|plane fit)(?: cuts boundary-5 RMSE)? by about (\d+)% "
+        r"\((?:([\d.]+) )?to ([\d.]+)\)",
+        text,
+    )
+    assert sorted(method for method, *_ in claims) == sorted(names)
+    original = float(printed["original"])
+    for method, percent, before, after in claims:
+        assert after == printed[names[method]], method
+        assert before in ("", printed["original"]), method
+        assert int(percent) == round(100 * (original - float(after)) / original), method
 
 
 def _key_table() -> dict[str, str]:
