@@ -31,12 +31,13 @@ from .raster import (
 )
 from .tophat import (
     Rung,
+    Tophat,
     TophatParams,
     TophatStack,
     boundary_contours,
     build_stack,
-    building_mask,
     ladder,
+    top_tophat,
     white_tophat,
 )
 from .lines import (

@@ -19,9 +19,11 @@ from . import lines as ln
 from . import planefit as pf
 from . import raster, synth
 from .config import PipelineConfig, build_config
-from .tophat import boundary_contours, build_stack, building_mask, ladder
+from .tophat import boundary_contours, build_stack, ladder, top_tophat
 
 logger = logging.getLogger("dsmsharp")
+
+_NO_CONTOURS = "no boundary contours on the original DSM; nothing to evaluate against"
 
 
 def _require_file(path: Path | None, what: str) -> Path:
@@ -72,14 +74,14 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _mask_stage(dsm, cfg, out=None):
-    """Building mask and its rasterised outer contours; written to out if given."""
-    mask = building_mask(dsm, cfg.tophat)
-    contour_mask = raster.rasterize_contours(boundary_contours(mask), dsm.values.shape)
+    """The top-scale tophat and its mask's rasterised contours; masks written to out if given."""
+    top = top_tophat(dsm, cfg.tophat)
+    contour_mask = raster.rasterize_contours(boundary_contours(top.mask), dsm.values.shape)
     if out is not None:
-        raster.save_mask(mask, out / "building_mask.pgm")
+        raster.save_mask(top.mask, out / "building_mask.pgm")
         raster.save_mask(contour_mask, out / "boundary_contours.pgm")
-        logger.info("extract-mask: %d building pixels", mask.count())
-    return mask, contour_mask
+        logger.info("extract-mask: %d building pixels", top.mask.count())
+    return top, contour_mask
 
 
 def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
@@ -97,10 +99,10 @@ def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
     return filtered
 
 
-def _sharpen_stage(method, dsm, segments, cfg, out, debug):
-    """Adjust the DSM with one method."""
+def _sharpen_stage(method, dsm, segments, ramps, cfg, out, debug):
+    """Adjust the DSM with one method; graph-cut moves the ``ramps`` contours."""
     if method == "graphcut":
-        adjusted = _sharpen_graphcut(dsm, segments, cfg, out, debug)
+        adjusted = _sharpen_graphcut(dsm, segments, ramps, cfg, out, debug)
     else:
         rows: list | None = [] if debug else None
         adjusted = pf.adjust_all(dsm, segments, cfg.fit, debug_rows=rows)
@@ -111,8 +113,8 @@ def _sharpen_stage(method, dsm, segments, cfg, out, debug):
     return adjusted
 
 
-def _sharpen_graphcut(dsm, segments, cfg, outdir, debug):
-    ground, roof = gc.ramp_contours(dsm, cfg.tophat)
+def _sharpen_graphcut(dsm, segments, ramps, cfg, outdir, debug):
+    ground, roof = ramps
     if not ground and not roof:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy()
@@ -159,9 +161,9 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
         on_truth[name] = hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
 
     if contour_mask is None or not _same_grid(truth, original):
-        _, contour_mask = _mask_stage(on_truth["original"], cfg)
+        contour_mask = _mask_stage(on_truth["original"], cfg)[1]
     if contour_mask.count() == 0:
-        raise ValueError("no boundary contours on the original DSM; nothing to evaluate against")
+        raise ValueError(_NO_CONTOURS)
 
     distance = ev.boundary_distance(contour_mask)
     sweep_widths = range(1, cfg.sweep_max_width + 1)
@@ -218,7 +220,9 @@ def cmd_extract_mask(args) -> int:
 def cmd_detect_lines(args) -> int:
     cfg = _config_from_args(args)
     dsm, ortho = _load_dsm_and_ortho(cfg)
-    mask, contour_mask = _mask_stage(dsm, cfg)
+    top, contour_mask = _mask_stage(dsm, cfg)
+    mask = top.mask
+    del top  # the response is not kept past the mask stage
     _lines_stage(dsm, ortho, mask, contour_mask, cfg, _outdir(cfg))
     return 0
 
@@ -236,7 +240,8 @@ def cmd_sharpen(args) -> int:
                 " plane fit sizes its buffers from it (detect-lines writes it)"
             )
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
-    _sharpen_stage(args.method, dsm, segments, cfg, _outdir(cfg), args.debug)
+    ramps = gc.ramp_contours(top_tophat(dsm, cfg.tophat)) if args.method == "graphcut" else None
+    _sharpen_stage(args.method, dsm, segments, ramps, cfg, _outdir(cfg), args.debug)
     return 0
 
 
@@ -278,10 +283,16 @@ def cmd_run_all(args) -> int:
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
     _check_section(cfg, truth)
     out = _outdir(cfg)
-    mask, contour_mask = _mask_stage(dsm, cfg, out)
-    segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
+    top, contour_mask = _mask_stage(dsm, cfg, out)
+    # on the DSM's grid the evaluation scores against these contours; off it,
+    # the resampled original may hold buildings the DSM's tophat misses
+    if _same_grid(truth, dsm) and contour_mask.count() == 0:
+        raise ValueError(_NO_CONTOURS)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
-    variants = {m: _sharpen_stage(m, dsm, segments, cfg, out, args.debug) for m in methods}
+    mask, ramps = top.mask, gc.ramp_contours(top) if "graphcut" in methods else None
+    del top  # the response is not kept past the ramps
+    segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
+    variants = {m: _sharpen_stage(m, dsm, segments, ramps, cfg, out, args.debug) for m in methods}
     _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
     return 0
 

@@ -50,7 +50,7 @@ from .raster import (
     trace_contours,
 )
 from .lines import LineSegment
-from .tophat import TophatParams, white_tophat
+from .tophat import Tophat
 
 LABEL_RADIUS = 5
 # anchors whose offsets interpolate_offsets blends into each band pixel
@@ -295,45 +295,35 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else -math.inf
 
 
-def ramp_contours(
-    dsm: Heightfield, params: TophatParams
-) -> tuple[list[Contour], list[Contour]]:
+def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
     """Ground-side and roof-side contours of every building's smeared ramp.
 
-    One white tophat at ``params.top_scale`` gives both the buildings and
-    their ramps. A building is an 8-connected component of the response
-    above ``params.height_threshold`` (the bits of tophat.building_mask);
-    its height is the 95th percentile of the response inside it. The
-    roof-side contour traces the region where the response exceeds 80 % of
-    that height, the ground-side contour is the ring of pixels just outside
-    the region above 20 %. A region counts only with its connected parts
-    that overlap the building, within LABEL_RADIUS pixels of it; a contour
-    farther out could not reach a line anyway.
+    ``top`` is tophat.top_tophat of the DSM: a building is an 8-connected
+    component of its mask, and its height is the 95th percentile of the
+    response inside it. The roof-side contour traces the region where the
+    response exceeds 80 % of that height, the ground-side contour is the
+    ring of pixels just outside the region above 20 %. A region counts only
+    with its connected parts that overlap the building, within LABEL_RADIUS
+    pixels of it; a contour farther out could not reach a line anyway.
     """
-    resp = white_tophat(dsm, params.top_scale)
-    values = np.where(resp.valid_mask(), resp.values, -np.inf)
-    del resp
+    values = top.response
     shape = values.shape
     low = np.zeros(shape, dtype=bool)
     high = np.zeros(shape, dtype=bool)
-    labels, _ = ndimage.label(values > params.height_threshold, structure=_EIGHT)
+    labels, _ = ndimage.label(top.mask.bits, structure=_EIGHT)
     pad = LABEL_RADIUS
     for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
         win = tuple(
             slice(max(0, s.start - pad), min(n, s.stop + pad)) for s, n in zip(sl, shape)
         )
         comp = labels[win] == idx
-        inside = values[win][comp]
-        inside = inside[np.isfinite(inside)]
-        if not inside.size:
-            continue
-        height = float(np.percentile(inside, HEIGHT_PERCENTILE))
+        height = float(np.percentile(values[win][comp], HEIGHT_PERCENTILE))
         reach = dilate_mask(BinaryMask(comp), pad).bits
         for region, fraction in ((low, GROUND_FRACTION), (high, ROOF_FRACTION)):
             parts, _ = ndimage.label(reach & (values[win] > fraction * height), structure=_EIGHT)
             touching = np.unique(parts[comp])
             region[win] |= np.isin(parts, touching[touching > 0])
-    del labels, values
+    del labels
     ground = trace_contours(dilate_mask(BinaryMask(low), 1))
     roof = trace_contours(BinaryMask(high))
     return ground, roof

@@ -279,23 +279,20 @@ def load_heightfield(path: str | Path) -> Heightfield:
     )
 
 
-def _fmt(v: float) -> str:
-    # shortest exact decimal representation so grids round-trip bit-exactly
-    return repr(float(v))
-
-
 def save_heightfield(hf: Heightfield, path: str | Path) -> None:
-    """Write an ESRI ASCII grid, top row first."""
+    """Write an ESRI ASCII grid, top row first. Every number is written as
+    its shortest exact decimal (``repr`` of a Python float), so grids
+    round-trip bit-exactly."""
     path = Path(path)
     with open(path, "w") as fh:
         fh.write(f"ncols {hf.width}\n")
         fh.write(f"nrows {hf.height}\n")
-        fh.write(f"xllcorner {_fmt(hf.origin[0])}\n")
-        fh.write(f"yllcorner {_fmt(hf.origin[1])}\n")
-        fh.write(f"cellsize {_fmt(hf.cell_size)}\n")
-        fh.write(f"NODATA_value {_fmt(hf.nodata)}\n")
+        fh.write(f"xllcorner {float(hf.origin[0])!r}\n")
+        fh.write(f"yllcorner {float(hf.origin[1])!r}\n")
+        fh.write(f"cellsize {float(hf.cell_size)!r}\n")
+        fh.write(f"NODATA_value {float(hf.nodata)!r}\n")
         for row in hf.values:
-            fh.write(" ".join(_fmt(v) for v in row))
+            fh.write(" ".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -6,7 +6,7 @@ takes their union. For square elements the opening shrinks as the element
 grows (Matheron's granulometry; it still holds with the border clipping and
 nodata skipping of ``raster.erode``/``dilate``), so the thresholded
 responses are nested and their union is the response at the top of the
-ladder: ``building_mask`` thresholds that one tophat.
+ladder: ``top_tophat`` thresholds that one tophat.
 
 The scale at which a building first appears doubles as a width estimate for
 the line segments along its boundary. ``ladder`` yields the rungs (mask and
@@ -61,7 +61,7 @@ class TophatParams:
     @property
     def top_scale(self) -> int:
         """The ladder's largest element: scale_max only when the step divides
-        the range. The building mask and the ramp contours both use it."""
+        the range. top_tophat uses it."""
         return self.scale_max - (self.scale_max - self.scale_min) % self.scale_step
 
 
@@ -121,9 +121,17 @@ def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
     return dsm.like(work)
 
 
-def _hits(dsm: Heightfield, scale: int, threshold: float) -> np.ndarray:
-    resp = white_tophat(dsm, scale)
-    return resp.valid_mask() & (resp.values > threshold)
+class Tophat(NamedTuple):
+    """A white tophat with -inf on nodata and its cells above the threshold."""
+
+    response: np.ndarray
+    mask: BinaryMask
+
+
+def _thresholded(dsm: Heightfield, scale: int, threshold: float) -> Tophat:
+    values = white_tophat(dsm, scale).values
+    values[values == dsm.nodata] = -np.inf
+    return Tophat(values, BinaryMask(values > threshold))
 
 
 def ladder(
@@ -140,7 +148,7 @@ def ladder(
         if building is not None and scale == params.top_scale:
             mask = building
         else:
-            mask = BinaryMask(_hits(dsm, scale, params.height_threshold))
+            mask = _thresholded(dsm, scale, params.height_threshold).mask
         yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.bits.shape))
         if building is not None and np.array_equal(mask.bits, building.bits):
             return
@@ -156,15 +164,14 @@ def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatS
     return stack
 
 
-def building_mask(dsm: Heightfield, params: TophatParams | None = None) -> BinaryMask:
-    """The union of the ladder's masks: the thresholded tophat at its top scale."""
+def top_tophat(dsm: Heightfield, params: TophatParams | None = None) -> Tophat:
+    """The tophat at the ladder's top scale; its mask, the ladder's union, is the building mask."""
     params = params or TophatParams()
-    return BinaryMask(_hits(dsm, params.top_scale, params.height_threshold))
+    return _thresholded(dsm, params.top_scale, params.height_threshold)
 
 
 def boundary_contours(mask: BinaryMask) -> list[Contour]:
     """Outer contours of the building mask. They scope segment filtering
-    and the evaluation buffers. Graph-cut does not use them: it finds the
-    same buildings in its own top-scale tophat and labels the ramp contours
-    of graphcut.ramp_contours."""
+    and the evaluation buffers; graph-cut traces its own ramp contours
+    around the same buildings (graphcut.ramp_contours)."""
     return trace_contours(mask)

@@ -263,26 +263,6 @@ def test_sharpen_graphcut_zero_optimal_is_identity(small_scene, run_cli):
     assert np.array_equal(out.values, original.values)
 
 
-def test_sharpen_graphcut_runs_one_top_scale_tophat(small_scene, run_cli, monkeypatch):
-    """Graph-cut takes its buildings from the ramp's own tophat, so sharpen
-    builds no separate building mask."""
-    _detect(small_scene, run_cli)
-    scales, real = [], tophat.white_tophat
-
-    def counting(dsm, se_size):
-        scales.append(se_size)
-        return real(dsm, se_size)
-
-    monkeypatch.setattr(tophat, "white_tophat", counting)
-    monkeypatch.setattr(graphcut, "white_tophat", counting)
-    code = run_cli(
-        "sharpen", "--method", "graphcut", "--dsm", small_scene["dsm"],
-        "--out", small_scene["out"], *SMALL_SCALE_ARGS,
-    )
-    assert code == 0
-    assert scales == [TophatParams(scale_min=10, scale_max=40).top_scale]
-
-
 def test_sharpen_planefit_improves_boundary(small_scene, run_cli):
     run_cli(
         "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"], *SMALL_SCALE_ARGS
@@ -630,6 +610,27 @@ def test_run_all_on_a_dsm_with_holes(small_scene, tmp_path, run_cli):
     assert {"graphcut", "planefit"} <= {line.split(",")[1] for line in reports.pop().splitlines()}
 
 
+@pytest.mark.parametrize("fill", [0.0, -9999.0], ids=["flat", "nodata"])
+def test_run_all_without_buildings_stops_after_the_mask(small_scene, tmp_path, run_cli, capsys,
+                                                        fill):
+    """On the truth's grid the evaluation scores against the mask stage's
+    contours, so a DSM without buildings fails before any line or method runs."""
+    dsm = tmp_path / "empty.asc"
+    raster.save_heightfield(raster.Heightfield(np.full((64, 64), fill)), dsm)
+    out = tmp_path / "o"
+    code = run_cli(
+        "run-all", "--dsm", dsm, "--ortho", small_scene["ortho"], "--truth", small_scene["truth"],
+        "--method", "both", "--out", out, *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no boundary contours on the original DSM; nothing to evaluate against"
+    ]
+    assert not {p.name for p in out.iterdir()} & {
+        "segments_raw.csv", "segments_filtered.csv", "adjusted_graphcut.asc", "adjusted_planefit.asc"
+    }
+
+
 def test_subcommands_rerun_byte_identical(small_scene, run_cli):
     args = (
         "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
@@ -836,23 +837,89 @@ def rung_builds(monkeypatch):
     """Scales of the ladder rungs whose tophat the CLI evaluates, in order;
     the building mask's own tophat is not a rung."""
     scales, in_mask = [], []
-    real_hits, real_mask = tophat._hits, cli.building_mask
+    real_thresholded, real_top = tophat._thresholded, cli.top_tophat
 
-    def hits(dsm, scale, threshold):
+    def thresholded(dsm, scale, threshold):
         if not in_mask:
             scales.append(scale)
-        return real_hits(dsm, scale, threshold)
+        return real_thresholded(dsm, scale, threshold)
 
-    def mask(*args, **kwargs):
+    def top(*args, **kwargs):
         in_mask.append(True)
         try:
-            return real_mask(*args, **kwargs)
+            return real_top(*args, **kwargs)
         finally:
             in_mask.pop()
 
-    monkeypatch.setattr(tophat, "_hits", hits)
-    monkeypatch.setattr(cli, "building_mask", mask)
+    monkeypatch.setattr(tophat, "_thresholded", thresholded)
+    monkeypatch.setattr(cli, "top_tophat", top)
     return scales
+
+
+@pytest.fixture
+def tophat_scales(monkeypatch):
+    """Scales of every white tophat the package evaluates, in order, from
+    whichever module calls it."""
+    scales, real = [], tophat.white_tophat
+
+    def counting(dsm, se_size):
+        scales.append(se_size)
+        return real(dsm, se_size)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dsmsharp") and getattr(module, "white_tophat", None) is real:
+            monkeypatch.setattr(module, "white_tophat", counting)
+    return scales
+
+
+def test_sharpen_graphcut_runs_one_top_scale_tophat(small_scene, run_cli, tophat_scales):
+    """Graph-cut traces its ramps in the top-scale tophat, whose mask is the
+    building mask, so sharpen evaluates that tophat once."""
+    _detect(small_scene, run_cli)
+    tophat_scales.clear()
+    assert not hasattr(graphcut, "white_tophat")  # tophat alone finds the buildings
+    code = run_cli(
+        "sharpen", "--method", "graphcut", "--dsm", small_scene["dsm"],
+        "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert tophat_scales == [TophatParams(scale_min=10, scale_max=40).top_scale]
+
+
+def test_run_all_runs_one_top_scale_tophat(small_scene, run_cli, tophat_scales):
+    """The building mask and graph-cut's ramp contours come from one tophat
+    at the ladder's top scale; the width walk reuses its mask."""
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--method", "both", "--out", small_scene["out"],
+        *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert tophat_scales.count(TophatParams(scale_min=10, scale_max=40).top_scale) == 1
+
+
+def test_run_all_and_sharpen_write_the_same_graphcut_grid(tmp_path, run_cli):
+    """run-all traces graph-cut's ramps in the mask stage's tophat, sharpen
+    in a tophat of its own; on the same inputs and segments both write the
+    same grid. The ramps of this scene's sigma-2 blur do move."""
+    spec = SceneSpec((64, 64), 0.0, [Building((32, 32), (28, 28), 10.0)], 2.0, 0.02, 5)
+    truth, smeared, ortho = synth.generate(spec)
+    paths = {name: tmp_path / name for name in ("truth.asc", "dsm.asc", "ortho.pgm")}
+    raster.save_heightfield(truth, paths["truth.asc"])
+    raster.save_heightfield(smeared, paths["dsm.asc"])
+    raster.save_image(ortho, paths["ortho.pgm"])
+    out, here = tmp_path / "out", tmp_path / "here"
+    assert run_cli(
+        "run-all", "--dsm", paths["dsm.asc"], "--ortho", paths["ortho.pgm"],
+        "--truth", paths["truth.asc"], "--method", "graphcut", "--out", out, *SMALL_SCALE_ARGS,
+    ) == 0
+    assert run_cli(
+        "sharpen", "--method", "graphcut", "--dsm", paths["dsm.asc"],
+        "--segments", out / "segments_filtered.csv", "--out", here, *SMALL_SCALE_ARGS,
+    ) == 0
+    name = "adjusted_graphcut.asc"
+    assert (out / name).read_bytes() == (here / name).read_bytes()
+    assert (raster.load_heightfield(out / name).values != smeared.values).any()
 
 
 def _check_width_walk(scales, dsm_path, segments_path, params):

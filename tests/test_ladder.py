@@ -36,18 +36,18 @@ def oracle_assign_widths(segments, stack, overlap_radius=2):
 def tophat_scales(monkeypatch):
     """Scales of every tophat the tophat module thresholds, in order."""
     scales = []
-    real = tophat._hits
+    real = tophat._thresholded
 
     def counting(dsm, scale, threshold):
         scales.append(scale)
         return real(dsm, scale, threshold)
 
-    monkeypatch.setattr(tophat, "_hits", counting)
+    monkeypatch.setattr(tophat, "_thresholded", counting)
     return scales
 
 
 def filtered_segments(dsm, ortho, params):
-    mask = tophat.building_mask(dsm, params)
+    mask = tophat.top_tophat(dsm, params).mask
     contours = raster.rasterize_contours(tophat.boundary_contours(mask), dsm.values.shape)
     raw = lines.detect_segments(raster.grayscale(ortho))
     return mask, lines.filter_segments(raw, contours, 5)
@@ -152,7 +152,7 @@ def test_walk_matches_oracle_below_scale_max(tophat_scales):
 def test_no_segments_build_no_rungs(tophat_scales):
     dsm = raster.Heightfield(np.zeros((16, 16)))
     params = TophatParams(scale_min=10, scale_max=40)
-    mask = tophat.building_mask(dsm, params)
+    mask = tophat.top_tophat(dsm, params).mask
     tophat_scales.clear()
     assert lines.assign_widths([], tophat.ladder(dsm, params, building=mask), 2) == []
     assert tophat_scales == []

@@ -446,3 +446,17 @@ for method in ("planefit", "graphcut"):
     assert printed == ["[]", "0 True", "0 False"]
     name = "adjusted_graphcut.asc"
     assert (small_scene["out"] / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_run_all_planefit_loads_no_graphcut_solver(small_scene, tmp_path):
+    scene = {k: str(v) for k, v in small_scene.items()}
+    code = f"""
+import sys
+import dsmsharp.cli
+
+code = dsmsharp.cli.main(["run-all", "--method", "planefit", "--dsm", {scene["dsm"]!r},
+                          "--ortho", {scene["ortho"]!r}, "--truth", {scene["truth"]!r},
+                          "--out", {scene["out"]!r}, "--set", "tophat.scale_max=40"])
+print(code, sorted(m for m in sys.modules if m.startswith({_SOLVERS!r})))
+"""
+    assert _python(code, tmp_path).splitlines()[-1] == "0 []"  # after the report rows

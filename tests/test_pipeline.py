@@ -10,7 +10,7 @@ from dsmsharp.tophat import TophatParams
 def run_front_end(spec, tophat_params):
     truth, smeared, ortho = synth.generate(spec)
     stack = tophat.build_stack(smeared, tophat_params)
-    contours = tophat.boundary_contours(tophat.building_mask(smeared, tophat_params))
+    contours = tophat.boundary_contours(tophat.top_tophat(smeared, tophat_params).mask)
     cmask = raster.rasterize_contours(contours, smeared.values.shape)
     raw = lines.detect_segments(raster.grayscale(ortho))
     filtered = lines.assign_widths(lines.filter_segments(raw, cmask, 5), stack, 2)
@@ -19,7 +19,7 @@ def run_front_end(spec, tophat_params):
 
 def run_graphcut(dsm, segments, tophat_params):
     """The CLI's graph-cut stage: ramp contours, one-sided bands, minimize, warp."""
-    ground, roof = graphcut.ramp_contours(dsm, tophat_params)
+    ground, roof = graphcut.ramp_contours(tophat.top_tophat(dsm, tophat_params))
     problem = graphcut.build_problem(ground, roof, segments, dsm)
     labeling = graphcut.minimize(problem)
     field = graphcut.interpolate_offsets(problem, labeling)
@@ -83,7 +83,7 @@ def test_nodata_hole_survives_both_methods():
     holey = raster.Heightfield(vals)
     params = TophatParams(scale_min=10, scale_max=60)
     stack = tophat.build_stack(holey, params)
-    mask = tophat.building_mask(holey, params)
+    mask = tophat.top_tophat(holey, params).mask
     cmask = raster.rasterize_contours(tophat.boundary_contours(mask), vals.shape)
     segs = lines.assign_widths(
         lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5),
@@ -132,7 +132,7 @@ def test_graphcut_corrects_displaced_boundary():
     params = TophatParams(scale_min=10, scale_max=80)
     # roll the DSM 4 px east of the ortho to emulate a displaced boundary
     rolled = smeared.like(np.roll(smeared.values, 4, axis=1))
-    mask = tophat.building_mask(rolled, params)
+    mask = tophat.top_tophat(rolled, params).mask
     cmask = raster.rasterize_contours(tophat.boundary_contours(mask), rolled.values.shape)
     # graph-cut needs no width indices, so all four filtered edges take part
     segments = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 8)

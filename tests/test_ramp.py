@@ -8,7 +8,7 @@ from dsmsharp import evaluate, lines, raster, synth
 from dsmsharp.lines import LineSegment
 from dsmsharp.raster import BinaryMask, Contour, Heightfield
 from dsmsharp.synth import Building, SceneSpec
-from dsmsharp.tophat import TophatParams, boundary_contours, building_mask
+from dsmsharp.tophat import TophatParams, boundary_contours, top_tophat
 
 from test_graphcut import LABELS3, small_problem
 
@@ -132,12 +132,12 @@ def _smeared_block(sigma, dims=(64, 64), size=(28, 28), height=10.0):
     )
     truth, smeared, ortho = synth.generate(spec)
     params = TophatParams(scale_min=10, scale_max=40)
-    return truth, smeared, ortho, building_mask(smeared, params), params
+    return truth, smeared, ortho, top_tophat(smeared, params).mask, params
 
 
 def test_ramp_contours_bracket_the_ramp():
     _, smeared, _, mask, params = _smeared_block(2.0)
-    ground, roof = gc.ramp_contours(smeared, params)
+    ground, roof = gc.ramp_contours(top_tophat(smeared, params))
     assert len(ground) == 1 and len(roof) == 1
     vals = smeared.values
     gx, gy = ground[0].points[:, 0], ground[0].points[:, 1]
@@ -160,7 +160,8 @@ def test_ramp_contours_use_each_buildings_height():
         seed=1,
     )
     _, smeared, _ = synth.generate(spec)
-    ground, roof = gc.ramp_contours(smeared, TophatParams(scale_min=10, scale_max=40))
+    params = TophatParams(scale_min=10, scale_max=40)
+    ground, roof = gc.ramp_contours(top_tophat(smeared, params))
     assert len(ground) == 2 and len(roof) == 2
     vals = smeared.values
     for c in roof:
@@ -171,7 +172,7 @@ def test_ramp_contours_use_each_buildings_height():
 
 def test_ramp_contours_empty_mask():
     dsm = Heightfield(np.zeros((16, 16)))
-    assert gc.ramp_contours(dsm, TophatParams(scale_min=10, scale_max=10)) == ([], [])
+    assert gc.ramp_contours(top_tophat(dsm, TophatParams(scale_min=10, scale_max=10))) == ([], [])
 
 
 def test_crisp_dsm_keeps_zero_offsets():
@@ -181,7 +182,7 @@ def test_crisp_dsm_keeps_zero_offsets():
         cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
         segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
         assert len(segs) == 4
-        ground, roof = gc.ramp_contours(smeared, params)
+        ground, roof = gc.ramp_contours(top_tophat(smeared, params))
         problem = gc.build_problem(ground, roof, segs, smeared)
         labeling = gc.minimize(problem)
         assert (labeling.offsets == 0).all(), sigma
@@ -191,7 +192,7 @@ def test_smeared_ramp_is_squeezed_onto_the_lines():
     truth, smeared, ortho, mask, params = _smeared_block(2.0)
     cmask = raster.rasterize_contours(boundary_contours(mask), smeared.values.shape)
     segs = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5)
-    ground, roof = gc.ramp_contours(smeared, params)
+    ground, roof = gc.ramp_contours(top_tophat(smeared, params))
     problem = gc.build_problem(ground, roof, segs, smeared)
     labeling = gc.minimize(problem)
     zero = gc.Labeling(np.zeros((problem.size, 2), int))

@@ -177,11 +177,17 @@ def test_grid_that_is_not_utf8_names_file_and_line(tmp_path):
 
 def test_roundtrip_random_grid(tmp_path):
     rng = np.random.default_rng(42)
-    hf = Heightfield(rng.normal(5.0, 3.0, (16, 16)), cell_size=0.25, origin=(100.5, -3.25))
+    vals = rng.normal(5.0, 3.0, (16, 16))
+    # signed zero, the smallest subnormal, the largest float, whole numbers, nodata
+    vals[0, :6] = [-0.0, 5e-324, 1.7976931348623157e308, 3.0, -12.0, -9999.0]
+    hf = Heightfield(vals, cell_size=0.25, origin=(100.5, -3.25))
     p = tmp_path / "g.asc"
     raster.save_heightfield(hf, p)
+    body = p.read_text().splitlines()[6:]
+    assert body == [" ".join(repr(float(v)) for v in row) for row in hf.values]
     back = raster.load_heightfield(p)
     assert np.array_equal(back.values, hf.values)
+    assert np.signbit(back.values[0, 0])
     assert back.cell_size == hf.cell_size
     assert back.origin == hf.origin
     assert back.nodata == hf.nodata

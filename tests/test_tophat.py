@@ -111,7 +111,7 @@ def test_flat_field_gives_empty_stack():
     stack = tophat.build_stack(hf, params)
     assert all(m.count() == 0 for m in stack.cumulative_masks)
     assert all(c.count() == 0 for c in stack.contour_images)
-    mask = tophat.building_mask(hf, params)
+    mask = tophat.top_tophat(hf, params).mask
     assert mask.count() == 0
     assert tophat.boundary_contours(mask) == []
 
@@ -150,7 +150,7 @@ def test_cumulative_masks_are_nested():
     stack = tophat.build_stack(Heightfield(vals), params)
     for a, b in zip(stack.cumulative_masks, stack.cumulative_masks[1:]):
         assert (a.bits <= b.bits).all()
-    final = tophat.building_mask(Heightfield(vals), params)
+    final = tophat.top_tophat(Heightfield(vals), params).mask
     for m in stack.cumulative_masks:
         assert (m.bits <= final.bits).all()
 
@@ -173,7 +173,7 @@ def test_single_scale_stack_equals_thresholded_tophat():
 
 def test_boundary_contours_of_block():
     hf, fp = block_field(40, 10, 9.0)
-    mask = tophat.building_mask(hf, TophatParams(scale_min=15, scale_max=15, scale_step=1))
+    mask = tophat.top_tophat(hf, TophatParams(scale_min=15, scale_max=15, scale_step=1)).mask
     contours = tophat.boundary_contours(mask)
     assert len(contours) == 1
     # border pixel count of a 10x10 block
@@ -182,7 +182,7 @@ def test_boundary_contours_of_block():
 
 def test_building_mask_matches_footprint():
     hf, fp = block_field(64, 12, 10.0)
-    mask = tophat.building_mask(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15))
+    mask = tophat.top_tophat(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15)).mask
     assert np.array_equal(mask.bits, fp)
 
 
@@ -210,7 +210,7 @@ def _holey_border_field():
 def test_building_mask_is_the_last_stack_mask(params):
     hf = _holey_border_field()
     stack = tophat.build_stack(hf, params)
-    mask = tophat.building_mask(hf, params)
+    mask = tophat.top_tophat(hf, params).mask
     assert mask.count() > 0
     assert np.array_equal(mask.bits, stack.cumulative_masks[-1].bits)
     assert not mask.bits[~hf.valid_mask()].any()
