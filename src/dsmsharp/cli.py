@@ -149,12 +149,24 @@ def _check_section(cfg, truth):
             )
 
 
+def _score(name, hf, truth, distance, widths):
+    """ev.report of one variant; a scope without valid cells is named: the
+    whole image, or the narrowest empty buffer (the buffers nest)."""
+    try:
+        return ev.report(hf, truth, distance, widths)
+    except ValueError:
+        both = hf.valid_mask() & truth.valid_mask()
+        width = min(w for w in widths if not (both & (distance <= w)).any())
+        scope = f"within {width} px of the boundary" if both.any() else "in the whole image"
+        raise ValueError(f"variant {name!r} has no valid cells {scope}") from None
+
+
 def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
     """RMSE report + sweeps (+ optional cross-section) on the truth grid.
 
     The buffers come from one distance map of the original DSM's building
     contours (``contour_mask`` when on the truth grid, else computed here).
-    Each variant is scored once, over the report and sweep widths together.
+    Every variant is scored once, over all the widths, before any file is written.
     """
     on_truth = {}
     for name, hf in [("original", original)] + list(variants.items()):
@@ -167,10 +179,10 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
 
     distance = ev.boundary_distance(contour_mask)
     sweep_widths = range(1, cfg.sweep_max_width + 1)
-    rows = []
-    for name, hf in on_truth.items():
-        rep = ev.report(hf, truth, distance, tuple(sorted({*cfg.eval_widths, *sweep_widths})))
-        rows.append((cfg.region, name, rep))
+    widths = tuple(sorted({*cfg.eval_widths, *sweep_widths}))
+    rows = [(cfg.region, name, _score(name, hf, truth, distance, widths))
+            for name, hf in on_truth.items()]
+    for _, name, rep in rows:
         ev.write_sweep_csv([(w, rep.per_buffer[w]) for w in sweep_widths], out / f"sweep_{name}.csv")
     ev.write_report_csv(rows, out / "rmse_report.csv", cfg.eval_widths)
 

@@ -40,7 +40,7 @@ class PipelineConfig:
     section: tuple[float, float, float, float] | None = None
 
 
-def _finite_float(text: str) -> float:
+def finite_float(text: str) -> float:
     """float(text), rejecting nan and the infinities."""
     value = float(text)
     if not math.isfinite(value):
@@ -64,7 +64,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     **{
         f"{group.name}.{f.name}": (
             (group.name, f.name),
-            {int: int, float: _finite_float}[type(f.default)],
+            {int: int, float: finite_float}[type(f.default)],
         )
         for group in dataclasses.fields(PipelineConfig)
         if dataclasses.is_dataclass(group.default_factory)
@@ -74,7 +74,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
     "lines.overlap_radius": (("overlap_radius",), int),
     "eval.buffer_widths": (("eval_widths",), _tuple_of(int)),
     "eval.sweep_max_width": (("sweep_max_width",), int),
-    "eval.section": (("section",), _tuple_of(_finite_float)),
+    "eval.section": (("section",), _tuple_of(finite_float)),
 }
 
 # lowest values of the keys a stage would reject only after the tophat ladder,
@@ -125,8 +125,8 @@ def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineCon
             raise ValueError("eval.section needs four numbers: x1,y1,x2,y2")
         if key == "eval.section" and value[:2] == value[2:]:
             raise ValueError("eval.section has zero length")
-        if key == "eval.buffer_widths" and min(value, default=1) < 1:
-            raise ValueError(f"eval.buffer_widths must be positive, got {raw!r}")
+        if key == "eval.buffer_widths" and len({w for w in value if w >= 1}) < len(value):
+            raise ValueError(f"eval.buffer_widths must be distinct and positive, got {raw!r}")
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         if len(attr_path) == 1:

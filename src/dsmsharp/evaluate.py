@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from .raster import BinaryMask, Heightfield, sample_bilinear
+from .raster import BinaryMask, Heightfield, boundary_distance, sample_bilinear
 
 
 @dataclass(eq=False)
@@ -87,14 +86,6 @@ def rmse(computed: Heightfield, truth: Heightfield, scope: BinaryMask | None = N
         raise ValueError("no valid cells in scope")
     diff = computed.values[select] - truth.values[select]
     return float(math.sqrt(float((diff * diff).mean())))
-
-
-def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
-    """Chessboard distance to the nearest boundary bit: ``distance <= w`` is
-    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty."""
-    if not boundary_mask.bits.any():
-        return np.full(boundary_mask.bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
-    return ndimage.distance_transform_cdt(~boundary_mask.bits, metric="chessboard")
 
 
 def report(

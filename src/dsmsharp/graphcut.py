@@ -42,9 +42,11 @@ import numpy as np
 from scipy import ndimage
 
 from .raster import (
+    EIGHT,
     BinaryMask,
     Contour,
     Heightfield,
+    boundary_distance,
     dilate_mask,
     sample_bilinear,
     trace_contours,
@@ -64,7 +66,6 @@ GROUND, ROOF = 0, 1
 GROUND_FRACTION = 0.2
 ROOF_FRACTION = 0.8
 HEIGHT_PERCENTILE = 95.0
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 class OffsetLabel(NamedTuple):
@@ -310,7 +311,7 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
     shape = values.shape
     low = np.zeros(shape, dtype=bool)
     high = np.zeros(shape, dtype=bool)
-    labels, _ = ndimage.label(top.mask.bits, structure=_EIGHT)
+    labels, _ = ndimage.label(top.mask.bits, structure=EIGHT)
     pad = LABEL_RADIUS
     for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
         win = tuple(
@@ -320,7 +321,7 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
         height = float(np.percentile(values[win][comp], HEIGHT_PERCENTILE))
         reach = dilate_mask(BinaryMask(comp), pad).bits
         for region, fraction in ((low, GROUND_FRACTION), (high, ROOF_FRACTION)):
-            parts, _ = ndimage.label(reach & (values[win] > fraction * height), structure=_EIGHT)
+            parts, _ = ndimage.label(reach & (values[win] > fraction * height), structure=EIGHT)
             touching = np.unique(parts[comp])
             region[win] |= np.isin(parts, touching[touching > 0])
     del labels
@@ -605,12 +606,11 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     dx[ays, axs] = offs[:, 0]
     dy[ays, axs] = offs[:, 1]
 
-    off_contour = np.ones((h, w), dtype=bool)
-    off_contour[ays, axs] = False
-    dist = ndimage.distance_transform_cdt(off_contour, metric="chessboard")
-    far = dist >= problem.params.far_distance
-    band = off_contour & ~far  # the pixels left to interpolate
-    del off_contour, dist
+    contour = np.zeros((h, w), dtype=bool)
+    contour[ays, axs] = True
+    far = boundary_distance(BinaryMask(contour)) >= problem.params.far_distance
+    band = ~(contour | far)  # the pixels left to interpolate
+    del contour
     if not band.any():
         return OffsetField(dx, dy)
 

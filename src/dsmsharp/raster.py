@@ -79,12 +79,11 @@ class Heightfield:
 
 
 def finite_or_nodata(values: np.ndarray, nodata: float) -> bool:
-    """Whether every cell is finite or equal to nodata. The common case, all
-    finite, is read off the minimum and maximum (NaN propagates into both),
-    so no copy or mask of the cells is made."""
-    if math.isfinite(values.min()) and math.isfinite(values.max()):
-        return True
-    return bool((np.isfinite(values) | (values == nodata)).all())
+    """Whether every cell is finite or equal to nodata, read off the minimum
+    and maximum alone: NaN propagates into both, and only an infinite nodata
+    can be a non-finite extreme. No copy or mask of the cells is made."""
+    lo, hi = values.min(), values.max()
+    return (math.isfinite(lo) or lo == nodata) and (math.isfinite(hi) or hi == nodata)
 
 
 @dataclass(eq=False)
@@ -263,7 +262,7 @@ def load_heightfield(path: str | Path) -> Heightfield:
             values[:] = [float(t) for t in tokens]
         except ValueError:
             raise fail(lineno, "bad cell value") from None
-        if not (np.isfinite(values) | (values == nodata)).all():
+        if not finite_or_nodata(values, nodata):
             raise fail(lineno, "non-finite cell value")
         if not fits:
             cells.append(values)
@@ -396,50 +395,61 @@ def erode(hf: Heightfield, se_half: int) -> Heightfield:
     Nodata cells are ignored inside the window; a window containing only
     nodata stays nodata.
     """
-    if se_half < 0:
-        raise ValueError("se_half must be >= 0")
-    if se_half == 0:
-        return hf.copy()
-    work = np.where(hf.valid_mask(), hf.values, np.inf)
-    size = _window(se_half, work.shape)
-    out = ndimage.minimum_filter(work, size=size, mode="constant", cval=np.inf)
-    return hf.like(np.where(np.isinf(out), hf.nodata, out))
+    return _extreme(hf, se_half, np.minimum, np.inf)
 
 
 def dilate(hf: Heightfield, se_half: int) -> Heightfield:
     """Maximum over the (2*se_half+1)^2 window; nodata handled as in erode."""
+    return _extreme(hf, se_half, np.maximum, -np.inf)
+
+
+def _extreme(hf: Heightfield, se_half: int, extreme, pad: float) -> Heightfield:
+    """erode or dilate: nodata cells take the pad, which every valid cell beats."""
     if se_half < 0:
         raise ValueError("se_half must be >= 0")
-    if se_half == 0:
-        return hf.copy()
-    work = np.where(hf.valid_mask(), hf.values, -np.inf)
-    size = _window(se_half, work.shape)
-    out = ndimage.maximum_filter(work, size=size, mode="constant", cval=-np.inf)
-    return hf.like(np.where(np.isinf(out), hf.nodata, out))
+    work = np.where(hf.valid_mask(), hf.values, pad)
+    window_extreme(work, se_half, extreme, pad)
+    work[work == pad] = hf.nodata
+    return hf.like(work)
 
 
 def dilate_mask(mask: BinaryMask, radius: int) -> BinaryMask:
     """Chebyshev (square) dilation: set iff a set bit lies within distance radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius == 0:
-        return BinaryMask(mask.bits.copy())
-    out = ndimage.maximum_filter(
-        mask.bits.astype(np.uint8), size=_window(radius, mask.bits.shape), mode="constant", cval=0
-    )
-    return BinaryMask(out > 0)
+    bits = mask.bits.copy()
+    window_extreme(bits, radius, np.maximum, False)
+    return BinaryMask(bits)
 
 
-def _window(half: int, shape: tuple[int, int]) -> int:
-    """Side of a square window of the given half size, clamped so it spans
-    the grid from any cell and no further: clipped to the grid, a wider
-    window covers the same cells, so the filters give the same result."""
-    return 2 * min(half, max(shape) - 1) + 1
+_FILTER1D = {np.minimum: ndimage.minimum_filter1d, np.maximum: ndimage.maximum_filter1d}
+
+
+def window_extreme(work: np.ndarray, half: int, extreme, pad) -> None:
+    """Replace, in place, each cell of the 2-d ``work`` by the ``extreme``
+    (np.minimum or np.maximum) of its (2*half+1)^2 window, with the constant
+    ``pad`` beyond the grid. The square window is separable: one 1-d pass
+    along each axis. Its side is clamped so it spans the grid from any cell
+    and no further: clipped to the grid, a wider window covers the same cells."""
+    size = 2 * min(half, max(work.shape) - 1) + 1
+    for axis in (0, 1):
+        _FILTER1D[extreme](work, size, axis, work, mode="constant", cval=pad)
+
+
+def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
+    """Chessboard distance to the nearest boundary bit: ``distance <= w`` is
+    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty."""
+    if not boundary_mask.bits.any():
+        return np.full(boundary_mask.bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
+    return ndimage.distance_transform_cdt(~boundary_mask.bits, metric="chessboard")
 
 
 # ---------------------------------------------------------------------------
 # Contour tracing
 # ---------------------------------------------------------------------------
+
+# the 8-neighbourhood: the structure of every 8-connected labelling
+EIGHT = np.ones((3, 3), dtype=int)
 
 # Moore neighbourhood in clockwise screen order starting north; (dy, dx).
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -492,7 +502,7 @@ def trace_contours(mask: BinaryMask) -> list[Contour]:
     Contours of three or more points are closed and oriented with positive
     shoelace sum over (x, y); tiny (1-2 pixel) components come back open.
     """
-    labels, n = ndimage.label(mask.bits, structure=np.ones((3, 3), dtype=int))
+    labels, n = ndimage.label(mask.bits, structure=EIGHT)
     contours: list[Contour] = []
     if n == 0:
         return contours

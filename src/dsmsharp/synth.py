@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .config import _finite_float, read_key_values
+from .config import finite_float, read_key_values
 from .raster import Heightfield, RasterImage
 
 GROUND_INTENSITY = 70
@@ -104,7 +104,6 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
     w, h = spec.dims
     truth = np.full((h, w), spec.ground_height, dtype=np.float64)
     occupied = np.zeros((h, w), dtype=bool)
-    roof = np.zeros((h, w), dtype=bool)
     for b in spec.buildings:
         fp = _footprint(b, spec.dims)
         clash = occupied & fp & (truth != spec.ground_height + b.height)
@@ -112,7 +111,6 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
             raise ValueError("ambiguous truth: overlapping buildings of different heights")
         truth[fp] = spec.ground_height + b.height
         occupied |= fp
-        roof |= fp
 
     smeared = truth
     if spec.boundary_blur_sigma > 0:
@@ -125,7 +123,7 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
     elif smeared is truth:
         smeared = truth.copy()
 
-    ortho = np.where(roof, ROOF_INTENSITY, GROUND_INTENSITY).astype(np.uint8)
+    ortho = np.where(occupied, ROOF_INTENSITY, GROUND_INTENSITY).astype(np.uint8)
     return (
         Heightfield(truth),
         Heightfield(smeared),
@@ -141,7 +139,7 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
 def _scene_value(path, lineno: int, key: str, text: str) -> float:
     """A finite number; width, height and seed must also be whole."""
     try:
-        value = _finite_float(text)
+        value = finite_float(text)
     except ValueError:
         raise ValueError(f"{path}: line {lineno}: bad value {text!r} for {key}") from None
     if key in ("width", "height", "seed") and not value.is_integer():

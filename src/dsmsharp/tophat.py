@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import (
     BinaryMask,
     Contour,
     Heightfield,
-    _window,
     rasterize_contours,
     trace_contours,
+    window_extreme,
 )
 
 
@@ -107,14 +106,11 @@ def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
     """
     if se_size < 1:
         raise ValueError("se_size must be >= 1")
-    size = _window(se_size // 2, dsm.values.shape)
     valid = dsm.valid_mask()
     work = np.where(valid, dsm.values, np.inf)
-    for axis in (0, 1):
-        ndimage.minimum_filter1d(work, size, axis, work, mode="constant", cval=np.inf)
+    window_extreme(work, se_size // 2, np.minimum, np.inf)
     work[work == np.inf] = -np.inf
-    for axis in (0, 1):
-        ndimage.maximum_filter1d(work, size, axis, work, mode="constant", cval=-np.inf)
+    window_extreme(work, se_size // 2, np.maximum, -np.inf)
     valid &= work != -np.inf
     np.subtract(dsm.values, work, out=work, where=valid)
     work[~valid] = dsm.nodata

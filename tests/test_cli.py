@@ -457,6 +457,28 @@ def test_evaluate_one_report_serves_buffers_and_sweep(small_scene, run_cli, caps
     assert [t.split("=")[0] for t in printed.split() if t.startswith("buf")] == ["buf3", "buf25"]
 
 
+@pytest.mark.parametrize(
+    "keep, scope",
+    [((0, 0), "in the whole image"), ((1, 1), "within 1 px of the boundary")],
+    ids=["whole", "buffer"],
+)
+def test_evaluate_empty_scope_names_variant_and_scope_and_writes_nothing(
+    small_scene, tmp_path, run_cli, capsys, keep, scope
+):
+    # valid only in the top-left corner (nowhere for 'whole'), ~18 px from the building
+    values = np.full((64, 64), -9999.0)
+    values[: keep[0], : keep[1]] = 1.0
+    bad = tmp_path / "bad.asc"
+    raster.save_heightfield(raster.Heightfield(values), bad)
+    code = run_cli(
+        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
+        "--variant", f"bad={bad}", "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: variant 'bad' has no valid cells {scope}\n"
+    assert list(small_scene["out"].iterdir()) == []
+
+
 def test_evaluate_dilates_no_mask(small_scene, run_cli, monkeypatch):
     """One distance map stands for every buffer: no per-width dilation."""
     radii = []
@@ -727,6 +749,7 @@ def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting
         "eval.section=10,32,10,32",
         "eval.sweep_max_width=0",
         "eval.buffer_widths=0,5",
+        "eval.buffer_widths=5,5",
         "graphcut.line_buffer_radius=-1",
         "lines.boundary_buffer_radius=-1",
         "lines.overlap_radius=-2",

@@ -390,6 +390,17 @@ def test_white_tophat_peaks_under_three_grids():
     assert peak < 3 * GRID
 
 
+def test_cell_check_allocates_no_grid():
+    # -inf holes make the extremes non-finite: the check still reads only them
+    dsm = holey_field(np.random.default_rng(74), (N, N), -np.inf)
+    copy, peak = traced_peak(dsm.copy)
+    assert peak - copy.values.nbytes < GRID / 64
+    _, peak = traced_peak(dsm.like, dsm.values)
+    assert peak < GRID / 64
+    _, peak = traced_peak(raster.finite_or_nodata, dsm.values, dsm.nodata)
+    assert peak < GRID / 64
+
+
 def test_adjust_all_peak_does_not_grow_with_the_sides():
     dsm = holey_field(np.random.default_rng(73), (N, N), -9999.0)
 
@@ -400,8 +411,8 @@ def test_adjust_all_peak_does_not_grow_with_the_sides():
     peaks = []
     for k in (1, 40):
         out, peak = traced_peak(pf.adjust_all, dsm, rows(k))
-        # beyond the output: the copy's finite-or-nodata check on a grid
-        # with holes (three bool grids, 3/8 of a grid) and one side's window
+        # beyond the output: one side's window arrays in collect_side_pixels
+        # (0.34-0.41 grid); the copy's finite-or-nodata check allocates nothing
         assert peak - out.values.nbytes < GRID / 2
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < GRID / 8

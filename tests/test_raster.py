@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,17 @@ def test_heightfield_invariants():
     # nan allowed only when it is not a data cell
     vals = np.array([[1.0, -9999.0], [2.0, 3.0]])
     assert Heightfield(vals).valid_mask().sum() == 3
+
+
+def test_finite_or_nodata_matches_the_cellwise_rule():
+    # the cellwise definition is the oracle for the check read off the extremes
+    cells = [0.0, -1.5, np.inf, -np.inf, np.nan, -9999.0]
+    for nodata in (-9999.0, 0.0, np.inf, -np.inf, np.nan):
+        for n in (1, 2, 3):
+            for combo in itertools.product(cells, repeat=n):
+                values = np.array(combo)
+                want = bool((np.isfinite(values) | (values == nodata)).all())
+                assert raster.finite_or_nodata(values, nodata) == want, (combo, nodata)
 
 
 @pytest.mark.parametrize(
