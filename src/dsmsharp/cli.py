@@ -129,18 +129,20 @@ def _sharpen_graphcut(dsm, segments, ramps, cfg, outdir, debug):
 
 
 def _same_grid(a, b) -> bool:
+    """Whether two heightfields or grid headers share size, cell size and origin."""
     return (
-        a.values.shape == b.values.shape
+        (a.height, a.width) == (b.height, b.width)
         and a.cell_size == b.cell_size
         and a.origin == b.origin
     )
 
 
 def _check_section(cfg, truth):
-    """Reject an eval.section endpoint off the truth grid before any work."""
+    """Reject an eval.section endpoint off the truth grid before any work;
+    ``truth`` may be the grid's header."""
     if cfg.section is None:
         return
-    h, w = truth.values.shape
+    h, w = truth.height, truth.width
     x1, y1, x2, y2 = cfg.section
     for x, y in ((x1, y1), (x2, y2)):
         if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
@@ -278,8 +280,9 @@ def _variant_paths(items) -> dict[str, Path]:
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     paths = _variant_paths(args.variant)
-    truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
-    _check_section(cfg, truth)
+    truth_path = _require_file(cfg.truth, "truth")
+    _check_section(cfg, raster.read_grid_header(truth_path))
+    truth = raster.load_heightfield(truth_path)
     original = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     variants = {
         name: raster.load_heightfield(_require_file(path, "variant"))
@@ -292,19 +295,24 @@ def cmd_evaluate(args) -> int:
 def cmd_run_all(args) -> int:
     cfg = _config_from_args(args)
     dsm, ortho = _load_dsm_and_ortho(cfg)
-    truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
-    _check_section(cfg, truth)
+    # the truth's header is checked now and its cells are read to score: a
+    # fault in its body stops the run after the stage outputs are written
+    truth_path = _require_file(cfg.truth, "truth")
+    truth_grid = raster.read_grid_header(truth_path)
+    _check_section(cfg, truth_grid)
     out = _outdir(cfg)
     top, contour_mask = _mask_stage(dsm, cfg, out)
     # on the DSM's grid the evaluation scores against these contours; off it,
     # the resampled original may hold buildings the DSM's tophat misses
-    if _same_grid(truth, dsm) and contour_mask.count() == 0:
+    if _same_grid(truth_grid, dsm) and contour_mask.count() == 0:
         raise ValueError(_NO_CONTOURS)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
     mask, ramps = top.mask, gc.ramp_contours(top) if "graphcut" in methods else None
     del top  # the response is not kept past the ramps
     segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
+    del ortho, mask  # the methods read neither
     variants = {m: _sharpen_stage(m, dsm, segments, ramps, cfg, out, args.debug) for m in methods}
+    truth = raster.load_heightfield(truth_path)
     _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
     return 0
 

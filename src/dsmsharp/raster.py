@@ -14,6 +14,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -202,21 +203,30 @@ def _text_lines(path: Path, error: type[ValueError]) -> Iterator[tuple[int, str]
                 yield lineno, line
 
 
-def load_heightfield(path: str | Path) -> Heightfield:
-    """Read an ESRI ASCII grid. Raises GridFormatError with the offending line.
+class GridHeader(NamedTuple):
+    """The six header values of an ESRI ASCII grid, named as on Heightfield."""
 
-    The file is read one line at a time, so a load holds the cells and one
-    line of text. A byte that is not UTF-8 anywhere in the file is reported
-    before any other fault, as if the whole text had been decoded first.
-    """
-    path = Path(path)
-    lines = _text_lines(path, GridFormatError)
+    width: int
+    height: int
+    cell_size: float
+    origin: tuple[float, float]
+    nodata: float
+
+
+def _failure(path: Path, lines: Iterator):
+    """fail(lineno, message): the GridFormatError for a fault on that line of
+    the file ``lines`` reads."""
 
     def fail(lineno: int, message: str) -> GridFormatError:
         for _ in lines:  # reading the rest raises for a byte that is not UTF-8
             pass
         return GridFormatError(f"{path}: line {lineno}: {message}")
 
+    return fail
+
+
+def _read_header(lines: Iterator, fail) -> GridHeader:
+    """Consume and check the six header lines of ``lines``."""
     header: dict[str, float] = {}
     for lineno, key in enumerate(_HEADER_KEYS, start=1):
         text = next(lines, (lineno, None))[1]
@@ -238,7 +248,34 @@ def load_heightfield(path: str | Path) -> Heightfield:
         raise fail(1, "malformed header: bad grid dimensions")
     if header["cellsize"] <= 0:
         raise fail(5, "malformed header: cellsize must be positive")
-    nodata = header["nodata_value"]
+    origin = (header["xllcorner"], header["yllcorner"])
+    return GridHeader(ncols, nrows, header["cellsize"], origin, header["nodata_value"])
+
+
+def read_grid_header(path: str | Path) -> GridHeader:
+    """The header of an ESRI ASCII grid, checked as load_heightfield checks
+    it. The cells are read only when the header is at fault, so that a byte
+    that is not UTF-8 anywhere in the file wins as it does there."""
+    path = Path(path)
+    lines = _text_lines(path, GridFormatError)
+    try:
+        return _read_header(lines, _failure(path, lines))
+    finally:
+        lines.close()
+
+
+def load_heightfield(path: str | Path) -> Heightfield:
+    """Read an ESRI ASCII grid. Raises GridFormatError with the offending line.
+
+    The file is read one line at a time, so a load holds the cells and one
+    line of text. A byte that is not UTF-8 anywhere in the file is reported
+    before any other fault, as if the whole text had been decoded first.
+    """
+    path = Path(path)
+    lines = _text_lines(path, GridFormatError)
+    fail = _failure(path, lines)
+    header = _read_header(lines, fail)
+    nrows, ncols, nodata = header.height, header.width, header.nodata
 
     # Every cell takes a character and a separator, so a file smaller than
     # that cannot hold the grid and fails the checks below: its cells are not
@@ -246,7 +283,7 @@ def load_heightfield(path: str | Path) -> Heightfield:
     # reports no size).
     fits = 2 * nrows * ncols <= path.stat().st_size + 1
     cells = np.empty((nrows, ncols)) if fits else []
-    row = 0
+    row, lineno = 0, len(_HEADER_KEYS)
     for lineno, text in lines:
         tokens = text.split()
         if not tokens:
@@ -270,12 +307,7 @@ def load_heightfield(path: str | Path) -> Heightfield:
     if row != nrows:
         raise fail(lineno, f"cell count mismatch: expected {nrows} data rows, found {row}")
 
-    return Heightfield(
-        cells,
-        cell_size=header["cellsize"],
-        origin=(header["xllcorner"], header["yllcorner"]),
-        nodata=nodata,
-    )
+    return Heightfield(cells, header.cell_size, header.origin, nodata)
 
 
 def save_heightfield(hf: Heightfield, path: str | Path) -> None:

@@ -566,6 +566,92 @@ def test_run_all_checks_section_before_the_pipeline(small_scene, run_cli, capsys
     assert not small_scene["out"].exists()
 
 
+def test_evaluate_checks_section_before_reading_any_grid(small_scene, run_cli, capsys,
+                                                         monkeypatch):
+    def no_reads(path):
+        raise AssertionError(f"grid read before the section was checked: {path}")
+
+    monkeypatch.setattr(raster, "load_heightfield", no_reads)
+    code = run_cli(
+        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
+        "--variant", f"p={small_scene['dsm']}", "--out", small_scene["out"],
+        "--set", "eval.section=10,32,64,32", *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: eval.section point (64, 32) lies outside the 64x64 truth grid"
+    ]
+    assert not small_scene["out"].exists()
+
+
+def test_run_all_reads_the_truth_after_the_methods(small_scene, run_cli, monkeypatch):
+    real = raster.load_heightfield
+    reads = []
+
+    def recorded(path):
+        adjusted = {p.name for p in small_scene["out"].glob("adjusted_*.asc")}
+        reads.append((Path(path), adjusted))
+        return real(path)
+
+    monkeypatch.setattr(raster, "load_heightfield", recorded)
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert reads == [
+        (small_scene["dsm"], set()),
+        (small_scene["truth"], {"adjusted_graphcut.asc", "adjusted_planefit.asc"}),
+    ]
+
+
+def _truth_with_bad_header(small_scene, tmp_path):
+    path = tmp_path / "bad_header.asc"
+    lines = small_scene["truth"].read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4] + ["cellsize -1\n"] + lines[5:]))
+    return path, [f"error: {path}: line 5: malformed header: cellsize must be positive"]
+
+
+def _truth_off_the_section(small_scene, tmp_path):
+    return small_scene["truth"], [
+        "error: eval.section point (10, 64) lies outside the 64x64 truth grid"
+    ]
+
+
+@pytest.mark.parametrize("truth", [_truth_with_bad_header, _truth_off_the_section],
+                         ids=["bad-header", "section-off-grid"])
+def test_run_all_checks_the_truth_header_before_the_mask(small_scene, tmp_path, run_cli, capsys,
+                                                        truth):
+    path, err = truth(small_scene, tmp_path)
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", path, "--out", small_scene["out"],
+        "--set", "eval.section=10,32,10,64", *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == err
+    assert not (small_scene["out"] / "building_mask.pgm").exists()
+
+
+def test_run_all_reads_the_truth_body_last(small_scene, tmp_path, run_cli, capsys):
+    """A fault in the truth's cells is found when the evaluation reads them,
+    after every stage output is written and before any report is."""
+    path = tmp_path / "bad_cell.asc"
+    lines = small_scene["truth"].read_text().splitlines(keepends=True)
+    lines[40] = "x " + lines[40].split(" ", 1)[1]
+    path.write_text("".join(lines))
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: line 41: bad cell value"]
+    names = {p.name for p in small_scene["out"].iterdir()}
+    assert {"building_mask.pgm", "segments_filtered.csv", "adjusted_graphcut.asc",
+            "adjusted_planefit.asc"} <= names
+    assert "rmse_report.csv" not in names
+
+
 # ---------------------------------------------------------------------------
 # run-all and idempotence
 # ---------------------------------------------------------------------------
