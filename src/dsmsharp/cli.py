@@ -280,9 +280,8 @@ def _variant_paths(items) -> dict[str, Path]:
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     paths = _variant_paths(args.variant)
-    truth_path = _require_file(cfg.truth, "truth")
-    _check_section(cfg, raster.read_grid_header(truth_path))
-    truth = raster.load_heightfield(truth_path)
+    truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
+    _check_section(cfg, truth)
     original = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     variants = {
         name: raster.load_heightfield(_require_file(path, "variant"))

@@ -93,8 +93,7 @@ def collect_side_pixels(
     extension past the endpoints. Sidedness comes from the sign of the cross
     product (p2-p1) x (pixel-p1); pixels exactly on the line and nodata cells
     are excluded. With y growing downward, positive cross product is the
-    "left" side (smaller x for a segment pointing down). Each side lists its
-    pixels in row-major order.
+    "left" side (smaller x for a segment pointing down).
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
@@ -102,16 +101,17 @@ def collect_side_pixels(
     dx, dy = x2 - x1, y2 - y1
     length = math.hypot(dx, dy)
 
-    # only the cells of the rectangle grown by one pixel on every side are
-    # tested: a cell that passes lies a pixel inside it, so no rounding of
-    # the corners can leave one out
-    ux, uy = dx / length, dy / length
-    nx, ny = -uy * (half_width + 1), ux * (half_width + 1)
-    xx, yy = _polygon_cells(
-        np.array([x1 - ux + nx, x2 + ux + nx, x2 + ux - nx, x1 - ux - nx]),
-        np.array([y1 - uy + ny, y2 + uy + ny, y2 + uy - ny, y1 - uy - ny]),
-        dsm.values.shape,
-    )
+    h, w = dsm.values.shape
+    pad = half_width + 1
+    xmin = max(0, int(math.floor(min(x1, x2) - pad)))
+    xmax = min(w - 1, int(math.ceil(max(x1, x2) + pad)))
+    ymin = max(0, int(math.floor(min(y1, y2) - pad)))
+    ymax = min(h - 1, int(math.ceil(max(y1, y2) + pad)))
+    if xmin > xmax or ymin > ymax:
+        empty = np.empty((0, 3))
+        return SideSample("left", empty), SideSample("right", empty)
+
+    yy, xx = np.mgrid[ymin : ymax + 1, xmin : xmax + 1]
     rx = xx - x1
     ry = yy - y1
     t = (rx * dx + ry * dy) / length
@@ -128,28 +128,6 @@ def collect_side_pixels(
     left = _side(cross > 0)
     right = _side(cross < 0)
     return SideSample("left", left), SideSample("right", right)
-
-
-def _polygon_cells(cx: np.ndarray, cy: np.ndarray, shape: tuple[int, int]):
-    """Columns and rows, in row-major order, of the cells of an (h, w) grid
-    that the convex polygon with corners (cx, cy) covers, each row's
-    x-interval rounded outward."""
-    h, w = shape
-    rows = np.arange(max(0, math.floor(cy.min())), min(h - 1, math.ceil(cy.max())) + 1)
-    # where each row meets the line of each edge, as a fraction along the
-    # edge; a level edge gives inf or nan, and the edges at its ends cross its row
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = (rows[:, None] - cy) / (np.roll(cy, -1) - cy)
-        x = cx + f * (np.roll(cx, -1) - cx)
-    on = (f >= 0.0) & (f <= 1.0)
-    first = np.maximum(np.floor(np.where(on, x, np.inf).min(axis=1)), 0)
-    last = np.minimum(np.ceil(np.where(on, x, -np.inf).max(axis=1)), w - 1)
-    counts = np.where(last >= first, last - first + 1, 0).astype(np.int64)
-    first = np.where(counts > 0, first, 0).astype(np.int64)
-    # a row's k-th cell lies k columns right of its first
-    starts = np.cumsum(counts) - counts
-    cols = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
-    return cols, np.repeat(rows, counts)
 
 
 def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:

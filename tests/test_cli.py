@@ -566,24 +566,6 @@ def test_run_all_checks_section_before_the_pipeline(small_scene, run_cli, capsys
     assert not small_scene["out"].exists()
 
 
-def test_evaluate_checks_section_before_reading_any_grid(small_scene, run_cli, capsys,
-                                                         monkeypatch):
-    def no_reads(path):
-        raise AssertionError(f"grid read before the section was checked: {path}")
-
-    monkeypatch.setattr(raster, "load_heightfield", no_reads)
-    code = run_cli(
-        "evaluate", "--dsm", small_scene["dsm"], "--truth", small_scene["truth"],
-        "--variant", f"p={small_scene['dsm']}", "--out", small_scene["out"],
-        "--set", "eval.section=10,32,64,32", *SMALL_SCALE_ARGS,
-    )
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: eval.section point (64, 32) lies outside the 64x64 truth grid"
-    ]
-    assert not small_scene["out"].exists()
-
-
 def test_run_all_reads_the_truth_after_the_methods(small_scene, run_cli, monkeypatch):
     real = raster.load_heightfield
     reads = []

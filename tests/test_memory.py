@@ -122,35 +122,6 @@ def reference_adjust_all(dsm, segments, config, debug_rows):
     return work
 
 
-def reference_collect_side_pixels(dsm, segment, half_width):
-    """The side samples, tested over every cell of the segment's bounding box."""
-    (x1, y1), (x2, y2) = segment.p1, segment.p2
-    dx, dy = x2 - x1, y2 - y1
-    length = math.hypot(dx, dy)
-    h, w = dsm.values.shape
-    pad = half_width + 1
-    xmin = max(0, int(math.floor(min(x1, x2) - pad)))
-    xmax = min(w - 1, int(math.ceil(max(x1, x2) + pad)))
-    ymin = max(0, int(math.floor(min(y1, y2) - pad)))
-    ymax = min(h - 1, int(math.ceil(max(y1, y2) + pad)))
-    if xmin > xmax or ymin > ymax:
-        empty = np.empty((0, 3))
-        return pf.SideSample("left", empty), pf.SideSample("right", empty)
-    yy, xx = np.mgrid[ymin : ymax + 1, xmin : xmax + 1]
-    rx, ry = xx - x1, yy - y1
-    t = (rx * dx + ry * dy) / length
-    cross = dx * ry - dy * rx
-    vals = dsm.values[yy, xx]
-    in_rect = (t >= 0.0) & (t <= length) & (np.abs(cross / length) <= half_width)
-    valid = in_rect & (vals != dsm.nodata)
-
-    def side(name, mask):
-        sel = valid & mask
-        return pf.SideSample(name, np.column_stack([xx[sel], yy[sel], vals[sel]]))
-
-    return side("left", cross > 0), side("right", cross < 0)
-
-
 def reference_report(computed, truth, distance, widths):
     per_buffer = {w: ev.rmse(computed, truth, BinaryMask(distance <= w)) for w in widths}
     return ev.RmseReport(ev.rmse(computed, truth), per_buffer)
@@ -349,43 +320,6 @@ def test_adjust_all_matches_a_copy_per_side(nodata):
         assert got_rows == want_rows
 
 
-def _sampled_segment(rng, h, w):
-    """A segment of random angle and length, often reaching past the grid;
-    some have half-pixel or whole-pixel endpoints, some lie level or plumb."""
-    kind = int(rng.integers(4))
-    while True:
-        p1 = rng.uniform(-20, max(h, w) + 20, 2)
-        if kind == 0:
-            p2 = rng.uniform(-20, max(h, w) + 20, 2)
-        else:
-            angle = rng.uniform(0, 2 * math.pi) if kind < 3 else rng.integers(8) * math.pi / 4
-            p2 = p1 + rng.uniform(0.01, 80) * np.array([math.cos(angle), math.sin(angle)])
-        if kind == 1:
-            p1, p2 = np.round(2 * p1) / 2, np.round(2 * p2) / 2
-        elif kind == 3:
-            p1, p2 = np.round(p1), np.round(p1 + np.round(p2 - p1))
-        if tuple(p1) != tuple(p2):
-            return LineSegment(tuple(p1), tuple(p2))
-
-
-@pytest.mark.parametrize("nodata", NODATAS)
-def test_side_pixels_match_the_bounding_box_sampler(nodata):
-    rng = np.random.default_rng(41 + NODATAS.index(nodata))
-    dsm = holey_field(rng, (60, 70), nodata, holes=12)
-    sampled = 0
-    for _ in range(1000):
-        segment = _sampled_segment(rng, 60, 70)
-        half_width = int(rng.integers(1, 31))
-        got = pf.collect_side_pixels(dsm, segment, half_width)
-        want = reference_collect_side_pixels(dsm, segment, half_width)
-        for g, r in zip(got, want):
-            assert g.side == r.side
-            assert g.pixels.shape == r.pixels.shape, (segment, half_width)
-            assert g.pixels.tobytes() == r.pixels.tobytes(), (segment, half_width)
-        sampled += len(got[0]) > 0 and len(got[1]) > 0
-    assert sampled > 500
-
-
 @pytest.mark.parametrize("nodata", NODATAS)
 def test_report_matches_one_threshold_per_width(nodata):
     rng = np.random.default_rng(51)
@@ -476,15 +410,6 @@ def test_cell_check_allocates_no_grid():
     assert peak < GRID / 64
 
 
-def test_side_pixels_follow_the_rectangle():
-    # the diagonal's bounding box covers most of the grid (9.25 grids when
-    # every box cell is tested); its rectangle's samples fill 0.15 grid
-    dsm = holey_field(np.random.default_rng(75), (N, N), -9999.0)
-    segment = LineSegment((20.0, 20.0), (480.0, 480.0))
-    _, peak = traced_peak(pf.collect_side_pixels, dsm, segment, 30)
-    assert peak < 2.5 * GRID
-
-
 def test_adjust_all_peak_does_not_grow_with_the_sides():
     dsm = holey_field(np.random.default_rng(73), (N, N), -9999.0)
 
@@ -495,9 +420,9 @@ def test_adjust_all_peak_does_not_grow_with_the_sides():
     peaks = []
     for k in (1, 40):
         out, peak = traced_peak(pf.adjust_all, dsm, rows(k))
-        # beyond the output: collect_side_pixels's arrays over the cells of
-        # one segment's rectangle, grown by a pixel (0.31-0.37 grid); the
-        # copy's finite-or-nodata check allocates nothing
+        # beyond the output: collect_side_pixels's arrays over one segment's
+        # bounding box (0.34-0.41 grid); the copy's finite-or-nodata check
+        # allocates nothing
         assert peak - out.values.nbytes < GRID / 2
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < GRID / 8
