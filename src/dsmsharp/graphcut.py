@@ -25,9 +25,10 @@ when the move is accepted. The labeling is the same as cutting every point
 at once (see minimize). The winning offsets are densified by
 inverse-distance interpolation and applied as a backward bilinear warp.
 
-The solvers (scipy's sparse max-flow and breadth-first search for the cuts,
-its KD-tree for the densification) are imported on first use, not with the
-module, so the commands that never run graph-cut do not load them.
+The solvers are the package's only use of scipy: its sparse max-flow and
+breadth-first search for the cuts, its KD-tree for the densification. They
+are imported on first use, not with the module, so importing the package
+and every command that does not run graph-cut load numpy alone.
 """
 
 from __future__ import annotations
@@ -39,15 +40,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import (
-    EIGHT,
     BinaryMask,
     Contour,
     Heightfield,
     boundary_distance,
     dilate_mask,
+    label,
     sample_bilinear,
     trace_contours,
 )
@@ -311,9 +311,9 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
     shape = values.shape
     low = np.zeros(shape, dtype=bool)
     high = np.zeros(shape, dtype=bool)
-    labels, _ = ndimage.label(top.mask.bits, structure=EIGHT)
+    labels, boxes = label(top.mask.bits)
     pad = LABEL_RADIUS
-    for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
+    for idx, sl in enumerate(boxes, start=1):
         win = tuple(
             slice(max(0, s.start - pad), min(n, s.stop + pad)) for s, n in zip(sl, shape)
         )
@@ -321,7 +321,7 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
         height = float(np.percentile(values[win][comp], HEIGHT_PERCENTILE))
         reach = dilate_mask(BinaryMask(comp), pad).bits
         for region, fraction in ((low, GROUND_FRACTION), (high, ROOF_FRACTION)):
-            parts, _ = ndimage.label(reach & (values[win] > fraction * height), structure=EIGHT)
+            parts, _ = label(reach & (values[win] > fraction * height))
             touching = np.unique(parts[comp])
             region[win] |= np.isin(parts, touching[touching > 0])
     del labels

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
-from .raster import BinaryMask, bresenham_line, dilate_mask, read_text
+from .raster import GAUSSIAN_SIGMA_MAX, BinaryMask, bresenham_line, dilate_mask, gaussian, read_text
 from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
@@ -75,8 +74,9 @@ class DetectorParams:
             raise ValueError("min_region_pixels must be positive")
         if not 0 < self.angle_tolerance < 90:
             raise ValueError("angle_tolerance must be in (0, 90) degrees")
-        if not 0 <= self.smoothing_sigma < math.inf:
-            raise ValueError("smoothing_sigma must be >= 0 and finite")
+        if not 0 <= self.smoothing_sigma <= GAUSSIAN_SIGMA_MAX:
+            limit, value = GAUSSIAN_SIGMA_MAX, self.smoothing_sigma
+            raise ValueError(f"smoothing_sigma must be in [0, {limit:g}], got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +122,7 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
         raise ValueError("detect_segments expects a single-band image")
     if img.shape[0] < 2 or img.shape[1] < 2:
         return []
-    img = img.astype(np.float64)
-    if params.smoothing_sigma > 0:
-        ndimage.gaussian_filter(
-            img, params.smoothing_sigma, output=img, truncate=3.0, mode="reflect"
-        )
+    img = gaussian(img, params.smoothing_sigma)
 
     # the image and the gradients are freed as soon as the padded angles exist
     gx, gy, mag = _gradients(img)

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 DEFAULT_NODATA = -9999.0
 
@@ -440,7 +439,7 @@ def _extreme(hf: Heightfield, se_half: int, extreme, pad: float) -> Heightfield:
     if se_half < 0:
         raise ValueError("se_half must be >= 0")
     work = np.where(hf.valid_mask(), hf.values, pad)
-    window_extreme(work, se_half, extreme, pad)
+    window_extreme(work, se_half, extreme)
     work[work == pad] = hf.nodata
     return hf.like(work)
 
@@ -450,38 +449,218 @@ def dilate_mask(mask: BinaryMask, radius: int) -> BinaryMask:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     bits = mask.bits.copy()
-    window_extreme(bits, radius, np.maximum, False)
+    window_extreme(bits, radius, np.maximum)
     return BinaryMask(bits)
 
 
-_FILTER1D = {np.minimum: ndimage.minimum_filter1d, np.maximum: ndimage.maximum_filter1d}
+# ---------------------------------------------------------------------------
+# Grid kernels
+#
+# Each kernel gives, bit for bit, what scipy.ndimage gives for the same call
+# (named in its docstring); the tests hold them to it. The separable ones
+# work on 2-d "lines" arrays, one line per column, a slab of _SLAB columns
+# at a time, so that their temporaries stay a small fraction of a grid.
+# ---------------------------------------------------------------------------
+
+_SLAB = 64
 
 
-def window_extreme(work: np.ndarray, half: int, extreme, pad) -> None:
+def window_extreme(work: np.ndarray, half: int, extreme) -> None:
     """Replace, in place, each cell of the 2-d ``work`` by the ``extreme``
-    (np.minimum or np.maximum) of its (2*half+1)^2 window, with the constant
-    ``pad`` beyond the grid. The square window is separable: one 1-d pass
-    along each axis. Its side is clamped so it spans the grid from any cell
-    and no further: clipped to the grid, a wider window covers the same cells."""
-    size = 2 * min(half, max(work.shape) - 1) + 1
-    for axis in (0, 1):
-        _FILTER1D[extreme](work, size, axis, work, mode="constant", cval=pad)
+    (np.minimum or np.maximum) of its (2*half+1)^2 window clipped to the grid.
+
+    As scipy.ndimage's minimum_filter1d/maximum_filter1d of side 2*half+1
+    along axis 0 and then axis 1, in constant mode with the extreme's
+    identity (+inf, -inf or False) as the constant. Of cells that compare
+    equal (+0.0 and -0.0) the window's last one is kept, as there.
+
+    Along each axis the window is built by doubling: after k steps a cell
+    holds the extreme of the 2**k cells from it on (fewer at the grid's
+    end), and two such overlapping spans cover a window. np.minimum and
+    np.maximum return their second argument on a tie, so every step keeps
+    the later cell.
+    """
+    if half < 0:
+        raise ValueError("half must be >= 0")
+    for lines in (work, work.T):
+        n, m = lines.shape
+        size = 2 * min(int(half), n - 1) + 1  # a wider window covers the same cells
+        if size <= 1:
+            continue
+        span = 1 << (size.bit_length() - 1)  # the largest power of two <= size
+        gap = size - span
+        # lead copies of the first cell make cell i's window padded[i - gap :
+        # i + span]; they are inside every window they reach, so change nothing
+        lead = span - size // 2 - 1
+        buf = np.empty((lead + n, min(m, _SLAB)), dtype=work.dtype)
+        for j in range(0, m, _SLAB):
+            cells = lines[:, j : j + _SLAB]
+            padded = buf[:, : cells.shape[1]]
+            padded[:lead] = cells[0]
+            padded[lead:] = cells
+            step = 1
+            while step < span:
+                extreme(padded[:-step], padded[step:], out=padded[:-step])
+                step *= 2
+            extreme(padded[: n - gap], padded[gap:n], out=cells[gap:])
+            extreme(padded[0], padded[:gap], out=cells[:gap])
+
+
+# the widest Gaussian accepted: its kernel reaches int(3 * sigma + 0.5) = 300
+# cells, and its cost grows with the reach
+GAUSSIAN_SIGMA_MAX = 100.0
+
+
+def gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
+    """The 2-d ``values`` blurred by a Gaussian of ``sigma`` cells, as a new
+    float64 array.
+
+    As scipy.ndimage.gaussian_filter(values, sigma, truncate=3.0,
+    mode="reflect"): the taps reach int(3 * sigma + 0.5) cells, the border
+    is mirrored (d c b a | a b c d | d c b a) as often as the reach needs,
+    and each output cell sums its taps in scipy's order, the centre first
+    and then the symmetric pairs from the outermost in. ``sigma`` must lie
+    in [0, GAUSSIAN_SIGMA_MAX]; that is checked before anything is
+    allocated.
+    """
+    if not 0 <= sigma <= GAUSSIAN_SIGMA_MAX:
+        raise ValueError(f"Gaussian sigma must be in [0, {GAUSSIAN_SIGMA_MAX:g}], got {sigma}")
+    sigma = float(sigma)
+    out = np.array(values, dtype=np.float64)
+    reach = int(3.0 * sigma + 0.5)  # scipy's radius at truncate=3.0
+    if reach == 0:  # the one tap is 1.0
+        return out
+    x = np.arange(-reach, reach + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    taps = phi / phi.sum()
+    for lines in (out, out.T):
+        n, m = lines.shape
+        # the line's index at each padded position: the border mirrored, and
+        # mirrored again wherever the reach passes the far end
+        mirror = np.arange(-reach, n + reach) % (2 * n)
+        mirror = np.where(mirror < n, mirror, 2 * n - 1 - mirror)
+        total = np.empty((n, min(m, _SLAB)))
+        pair = np.empty_like(total)
+        for j in range(0, m, _SLAB):
+            cells = lines[:, j : j + _SLAB]
+            padded = cells.take(mirror, axis=0)
+            t, p = total[:, : cells.shape[1]], pair[:, : cells.shape[1]]
+            np.multiply(padded[reach : reach + n], taps[reach], out=t)
+            for k in range(reach, 0, -1):
+                np.add(padded[reach - k : reach - k + n], padded[reach + k : reach + k + n], out=p)
+                p *= taps[reach - k]
+                t += p
+            cells[...] = t
+    return out
 
 
 def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
     """Chessboard distance to the nearest boundary bit: ``distance <= w`` is
-    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty."""
-    if not boundary_mask.bits.any():
-        return np.full(boundary_mask.bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
-    return ndimage.distance_transform_cdt(~boundary_mask.bits, metric="chessboard")
+    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty.
+
+    As scipy.ndimage.distance_transform_cdt(~bits, metric="chessboard"),
+    int32. The distance along each row comes first; then one sweep down and
+    one up take each row from its neighbour row's three nearest cells plus
+    one, which is exact for the chessboard metric. Storing the distance
+    minus the row index (plus it, going up) makes the "plus one" free.
+    """
+    bits = boundary_mask.bits
+    if not bits.any():
+        return np.full(bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
+    h, w = bits.shape
+    far = np.int32(1 << 29)  # beyond any grid, and far from overflow below
+    x = np.arange(w, dtype=np.int32)
+    before = np.where(bits, x, -far)
+    np.maximum.accumulate(before, axis=1, out=before)
+    after = np.where(bits, x, far)
+    np.minimum.accumulate(after[:, ::-1], axis=1, out=after[:, ::-1])
+    np.subtract(x, before, out=before)
+    np.subtract(after, x, out=after)
+    distance = np.minimum(before, after, out=before)
+    y = np.arange(h, dtype=np.int32)[:, None]
+    distance -= y
+    _sweep_rows(distance)
+    distance += 2 * y
+    _sweep_rows(distance[::-1])
+    distance -= y
+    return distance
+
+
+def _sweep_rows(grid: np.ndarray) -> None:
+    """Lower each row of ``grid``, in order, to the smallest of the three
+    nearest cells of the row before it."""
+    minimum = np.minimum
+    later, earlier = grid[1:], grid[:-1]
+    for row, up, row_right, up_left, row_left, up_right in zip(
+        later, earlier, later[:, 1:], earlier[:, :-1], later[:, :-1], earlier[:, 1:]
+    ):
+        minimum(row, up, out=row)
+        minimum(row_right, up_left, out=row_right)
+        minimum(row_left, up_right, out=row_left)
+
+
+def label(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """8-connected components of the 2-d bool ``bits``.
+
+    Returns int32 labels, 0 off the components and k on the k-th, numbered
+    by their first cell in row-major order, and each component's bounding
+    box as a (rows, columns) pair of slices: scipy.ndimage.label with a
+    3x3 structure, and find_objects of its labels.
+
+    Works on the row runs of set cells. A run touches the runs of the row
+    above that overlap it widened by one cell; union-find joins touching
+    runs under the smallest run index, which is the component's first run.
+    """
+    h, w = bits.shape
+    edges = np.zeros((h, w + 2), dtype=bool)
+    edges[:, 1:-1] = bits
+    flips = np.flatnonzero(edges[:, 1:] != edges[:, :-1])  # on an (h, w + 1) grid
+    row = flips[0::2] // (w + 1)
+    start = flips[0::2] - row * (w + 1)
+    stop = flips[1::2] - row * (w + 1)
+    labels = np.zeros((h, w), dtype=np.int32)
+    if not row.size:
+        return labels, []
+
+    # the runs of the row above that touch each run form a contiguous range
+    # [first, last) of the runs, sorted by (row, start)
+    key = row * (w + 2)
+    above = key - (w + 2)
+    first = np.searchsorted(key + stop, above + start, "left")
+    last = np.searchsorted(key + start, above + stop, "right")
+    count = np.maximum(last - first, 0)
+    run = np.repeat(np.arange(row.size), count)
+    touched = np.arange(run.size) - np.repeat(np.cumsum(count) - count - first, count)
+
+    parent = np.arange(row.size)
+    while True:
+        a, b = parent[run], parent[touched]
+        apart = a != b
+        if not apart.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:  # point every run at its root
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+    root = parent == np.arange(row.size)
+    run_label = np.cumsum(root, dtype=np.int32)[parent]
+    labels[bits] = np.repeat(run_label, stop - start)
+    order = np.argsort(run_label)
+    bounds = np.flatnonzero(np.diff(run_label[order], prepend=0))
+    top = row[root]
+    bottom = np.maximum.reduceat(row[order], bounds) + 1
+    left = np.minimum.reduceat(start[order], bounds)
+    right = np.maximum.reduceat(stop[order], bounds)
+    row_slices = map(slice, top.tolist(), bottom.tolist())
+    return labels, list(zip(row_slices, map(slice, left.tolist(), right.tolist())))
 
 
 # ---------------------------------------------------------------------------
 # Contour tracing
 # ---------------------------------------------------------------------------
-
-# the 8-neighbourhood: the structure of every 8-connected labelling
-EIGHT = np.ones((3, 3), dtype=int)
 
 # Moore neighbourhood in clockwise screen order starting north; (dy, dx).
 _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -534,12 +713,9 @@ def trace_contours(mask: BinaryMask) -> list[Contour]:
     Contours of three or more points are closed and oriented with positive
     shoelace sum over (x, y); tiny (1-2 pixel) components come back open.
     """
-    labels, n = ndimage.label(mask.bits, structure=EIGHT)
+    labels, boxes = label(mask.bits)
     contours: list[Contour] = []
-    if n == 0:
-        return contours
-    slices = ndimage.find_objects(labels)
-    for idx, sl in enumerate(slices, start=1):
+    for idx, sl in enumerate(boxes, start=1):
         comp = labels[sl] == idx
         padded = np.pad(comp, 1)
         flat = int(np.argmax(padded))

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .config import finite_float, read_key_values
-from .raster import Heightfield, RasterImage
+from .raster import GAUSSIAN_SIGMA_MAX, Heightfield, RasterImage, gaussian
 
 GROUND_INTENSITY = 70
 ROOF_INTENSITY = 200
@@ -67,6 +66,8 @@ class SceneSpec:
                 raise SceneError(f"{key} must be positive, got {value}", key)
             if key in ("blur_sigma", "noise_sigma", "seed") and value < 0:
                 raise SceneError(f"{key} must be >= 0, got {value}", key)
+            if key == "blur_sigma" and value > GAUSSIAN_SIGMA_MAX:
+                raise SceneError(f"{key} must be <= {GAUSSIAN_SIGMA_MAX:g}, got {value}", key)
         for i, b in enumerate(self.buildings):
             if b.height <= 0:
                 raise SceneError("building heights must be positive", "building", i)
@@ -114,9 +115,7 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
 
     smeared = truth
     if spec.boundary_blur_sigma > 0:
-        smeared = ndimage.gaussian_filter(
-            truth, sigma=spec.boundary_blur_sigma, truncate=3.0, mode="reflect"
-        )
+        smeared = gaussian(truth, spec.boundary_blur_sigma)
     rng = np.random.default_rng(spec.seed)
     if spec.noise_sigma > 0:
         smeared = smeared + rng.normal(0.0, spec.noise_sigma, size=(h, w))

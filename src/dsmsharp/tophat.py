@@ -95,7 +95,8 @@ class TophatStack:
 
 
 def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
-    """DSM minus its opening with an se_size x se_size square element.
+    """DSM minus its opening with a square element of side 2*(se_size//2)+1:
+    scale 10 opens with an 11 x 11 square.
 
     Responds to bright structures smaller than the element; the response is
     non-negative on valid cells and nodata where the DSM (or its opening)
@@ -108,9 +109,9 @@ def white_tophat(dsm: Heightfield, se_size: int) -> Heightfield:
         raise ValueError("se_size must be >= 1")
     valid = dsm.valid_mask()
     work = np.where(valid, dsm.values, np.inf)
-    window_extreme(work, se_size // 2, np.minimum, np.inf)
+    window_extreme(work, se_size // 2, np.minimum)
     work[work == np.inf] = -np.inf
-    window_extreme(work, se_size // 2, np.maximum, -np.inf)
+    window_extreme(work, se_size // 2, np.maximum)
     valid &= work != -np.inf
     np.subtract(dsm.values, work, out=work, where=valid)
     work[~valid] = dsm.nodata

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmsharp import cli, config, graphcut, planefit, raster, synth, tophat
+from dsmsharp import cli, config, graphcut, lines, planefit, raster, synth, tophat
 from dsmsharp.lines import load_segments_csv, save_segments_csv
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
@@ -845,6 +845,44 @@ def test_non_finite_float_rejected_before_any_work(small_scene, run_cli, capsys,
     key, _, value = setting.partition("=")
     err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
     assert err == f"error: bad value {value!r} for {key}\n"
+
+
+def _no_gaussian(*args):
+    raise AssertionError("the Gaussian kernel ran")
+
+
+# 1e12 used to end in a MemoryError traceback, and 1e8 in the process being
+# killed for memory; the kernel is replaced, so nothing of that size is tried
+@pytest.mark.parametrize("sigma", ["1e12", "1e8", "100.5"])
+def test_oversized_smoothing_sigma_rejected_before_any_work(small_scene, run_cli, capsys,
+                                                            monkeypatch, sigma):
+    monkeypatch.setattr(lines, "gaussian", _no_gaussian)
+    setting = f"detector.smoothing_sigma={sigma}"
+    message = f"error: smoothing_sigma must be in [0, 100], got {float(sigma)}\n"
+    assert _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting) == message
+    code = run_cli("detect-lines", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+                   "--out", small_scene["out"], "--set", setting)
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert not small_scene["out"].exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e12", "1e8", "100.5"])
+def test_synth_oversized_blur_sigma_rejected_before_any_work(tmp_path, run_cli, capsys,
+                                                             monkeypatch, sigma):
+    monkeypatch.setattr(synth, "gaussian", _no_gaussian)
+    scene = scene_file(tmp_path, f"width = 16\nheight = 16\nblur_sigma = {sigma}\n")
+    out = tmp_path / "o"
+    assert run_cli("synth", "--scene", scene, "--out", out) == 2
+    message = f"error: {scene}: line 3: blur_sigma must be <= 100, got {float(sigma)}"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_largest_gaussian_sigma_accepted():
+    cfg = config.build_config(None, {"detector.smoothing_sigma": "100"})
+    assert cfg.detector.smoothing_sigma == 100
+    assert SceneSpec(dims=(4, 4), boundary_blur_sigma=100.0).boundary_blur_sigma == 100
 
 
 @pytest.mark.parametrize(

@@ -432,7 +432,9 @@ def test_adjust_all_peak_does_not_grow_with_the_sides():
 # Imports
 # ---------------------------------------------------------------------------
 
-_SOLVERS = ("scipy.sparse", "scipy.spatial")
+# the names of the scipy modules the interpreter has loaded; scipy serves
+# graph-cut's solvers only, so no other command may load any
+_SCIPY = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
 
 
 def _python(code, cwd):
@@ -455,7 +457,7 @@ import sys
 import dsmsharp.cli
 
 def solvers():
-    return sorted(m for m in sys.modules if m.startswith({_SOLVERS!r}))
+    return {_SCIPY}
 
 print(solvers())
 for method in ("planefit", "graphcut"):
@@ -478,6 +480,37 @@ import dsmsharp.cli
 code = dsmsharp.cli.main(["run-all", "--method", "planefit", "--dsm", {scene["dsm"]!r},
                           "--ortho", {scene["ortho"]!r}, "--truth", {scene["truth"]!r},
                           "--out", {scene["out"]!r}, "--set", "tophat.scale_max=40"])
-print(code, sorted(m for m in sys.modules if m.startswith({_SOLVERS!r})))
+print(code, {_SCIPY})
 """
     assert _python(code, tmp_path).splitlines()[-1] == "0 []"  # after the report rows
+
+
+def test_every_command_but_graphcut_loads_no_scipy(small_scene, tmp_path):
+    scene = {k: str(v) for k, v in small_scene.items()}
+    (tmp_path / "scene.cfg").write_text("width = 32\nheight = 32\nblur_sigma = 1.5\n"
+                                         "building = 16 16 10 10 5\n")
+    out, small = scene["out"], ["--set", "tophat.scale_max=40"]
+    commands = [
+        ["synth", "--scene", "scene.cfg", "--out", "synth"],
+        ["extract-mask", "--dsm", scene["dsm"], "--out", out, *small],
+        ["detect-lines", "--dsm", scene["dsm"], "--ortho", scene["ortho"], "--out", out, *small],
+        ["sharpen", "--method", "planefit", "--dsm", scene["dsm"], "--out", out, *small],
+        ["evaluate", "--dsm", scene["dsm"], "--truth", scene["truth"], "--out", out,
+         "--variant", f"planefit={out}/adjusted_planefit.asc", *small],
+        ["run-all", "--method", "planefit", "--dsm", scene["dsm"], "--ortho", scene["ortho"],
+         "--truth", scene["truth"], "--out", "all", *small],
+    ]
+    code = f"""
+import contextlib, io, sys
+import dsmsharp.cli
+
+print("import", {_SCIPY})
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):  # the report rows
+        code = dsmsharp.cli.main(argv)
+    print(argv[0], code, {_SCIPY})
+"""
+    assert _python(code, tmp_path).splitlines() == [
+        "import []", "synth 0 []", "extract-mask 0 []", "detect-lines 0 []", "sharpen 0 []",
+        "evaluate 0 []", "run-all 0 []",
+    ]
