@@ -70,7 +70,6 @@ from .graphcut import (
 )
 from .planefit import (
     DegenerateGeometryError,
-    FitConfig,
     InsufficientSupportError,
     PlaneParams,
     SideSample,

@@ -92,7 +92,7 @@ def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
     raw = ln.detect_segments(raster.grayscale(ortho), cfg.detector)
     filtered = ln.filter_segments(raw, contour_mask, cfg.boundary_buffer_radius)
     rungs = ladder(dsm, cfg.tophat, building=mask)
-    filtered = ln.assign_widths(filtered, rungs, cfg.overlap_radius)
+    filtered = ln.assign_widths(filtered, rungs)
     ln.save_segments_csv(raw, out / "segments_raw.csv")
     ln.save_segments_csv(filtered, out / "segments_filtered.csv")
     logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(filtered))
@@ -105,7 +105,7 @@ def _sharpen_stage(method, dsm, segments, ramps, cfg, out, debug):
         adjusted = _sharpen_graphcut(dsm, segments, ramps, cfg, out, debug)
     else:
         rows: list | None = [] if debug else None
-        adjusted = pf.adjust_all(dsm, segments, cfg.fit, debug_rows=rows)
+        adjusted = pf.adjust_all(dsm, segments, debug_rows=rows)
         if debug:
             pf.save_planes_csv(rows, out / "planes.csv")
     raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
@@ -137,12 +137,18 @@ def _same_grid(a, b) -> bool:
     )
 
 
-def _check_section(cfg, truth):
-    """Reject an eval.section endpoint off the truth grid before any work;
-    ``truth`` may be the grid's header."""
+def _check_against_truth(cfg, truth):
+    """Reject, before any work, an eval.sweep_max_width past the truth grid's
+    larger side, where every row would repeat the whole-image RMSE, and an
+    eval.section endpoint off the grid; ``truth`` may be the grid's header."""
+    h, w = truth.height, truth.width
+    if cfg.sweep_max_width > max(h, w):
+        raise ValueError(
+            f"eval.sweep_max_width must be <= {max(h, w)}, the larger side of the"
+            f" {w}x{h} truth grid, got {cfg.sweep_max_width}"
+        )
     if cfg.section is None:
         return
-    h, w = truth.height, truth.width
     x1, y1, x2, y2 = cfg.section
     for x, y in ((x1, y1), (x2, y2)):
         if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
@@ -281,7 +287,7 @@ def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
     paths = _variant_paths(args.variant)
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
-    _check_section(cfg, truth)
+    _check_against_truth(cfg, truth)
     original = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     variants = {
         name: raster.load_heightfield(_require_file(path, "variant"))
@@ -298,7 +304,7 @@ def cmd_run_all(args) -> int:
     # fault in its body stops the run after the stage outputs are written
     truth_path = _require_file(cfg.truth, "truth")
     truth_grid = raster.read_grid_header(truth_path)
-    _check_section(cfg, truth_grid)
+    _check_against_truth(cfg, truth_grid)
     out = _outdir(cfg)
     top, contour_mask = _mask_stage(dsm, cfg, out)
     # on the DSM's grid the evaluation scores against these contours; off it,

@@ -1,10 +1,12 @@
 """Pipeline configuration: defaults, `key = value` files, CLI overrides.
 
 Every tunable in the pipeline lives behind a dotted key (for example
-``tophat.height_threshold``). Values come from built-in defaults, then an
-optional config file, then explicit command-line settings, which win; the
-merged settings are checked together, so their order does not matter.
-Unknown keys are rejected.
+``tophat.height_threshold``). The constants of the two methods (graph-cut's
+energy, plane fit's buffer and the width walk's overlap) are no tunables
+and have no key. Values come from built-in defaults, then an optional
+config file, then explicit command-line settings, which win; the merged
+settings are checked together, so their order does not matter. Unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from pathlib import Path
 
 from .graphcut import GraphcutConfig
 from .lines import DetectorParams
-from .planefit import FitConfig
 from .raster import read_text
 from .tophat import TophatParams
 
@@ -31,10 +32,8 @@ class PipelineConfig:
     region: str = "synthetic"
     tophat: TophatParams = field(default_factory=TophatParams)
     detector: DetectorParams = field(default_factory=DetectorParams)
-    fit: FitConfig = field(default_factory=FitConfig)
     graphcut: GraphcutConfig = field(default_factory=GraphcutConfig)
     boundary_buffer_radius: int = 5  # segment filtering against DSM contours
-    overlap_radius: int = 2  # width estimation against contour images
     eval_widths: tuple[int, ...] = (5, 10, 20)
     sweep_max_width: int = 20
     section: tuple[float, float, float, float] | None = None
@@ -71,7 +70,6 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
         for f in dataclasses.fields(group.default_factory)
     },
     "lines.boundary_buffer_radius": (("boundary_buffer_radius",), int),
-    "lines.overlap_radius": (("overlap_radius",), int),
     "eval.buffer_widths": (("eval_widths",), _tuple_of(int)),
     "eval.sweep_max_width": (("sweep_max_width",), int),
     "eval.section": (("section",), _tuple_of(finite_float)),
@@ -79,8 +77,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
 
 # lowest values of the keys a stage would reject only after the tophat ladder,
 # or that have no meaning below it
-_MINIMUM = {"lines.boundary_buffer_radius": 0, "lines.overlap_radius": 0,
-            "graphcut.line_buffer_radius": 0, "graphcut.smooth_radius": 0,
+_MINIMUM = {"lines.boundary_buffer_radius": 0, "graphcut.line_buffer_radius": 0,
             "graphcut.neighbor_reach": 0, "graphcut.far_distance": 0,
             "eval.sweep_max_width": 1}
 

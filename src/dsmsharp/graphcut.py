@@ -8,10 +8,10 @@ the side where the DSM is higher. Every contour pixel picks one 2-d integer
 offset out of an 11x11 grid. A pixel whose shifted position lands in the
 band on its own side is free, a miss costs 10; neighbouring contour pixels
 pay 2 when their offsets agree within a 5-pixel radius and 100 otherwise.
-These constants, the band width and the densification reach are defined
-once, in GraphcutConfig, which every problem carries. Snapping the foot
-and the top of a ramp onto the same line narrows the ramp instead of only
-translating it.
+These are the method's fixed constants; the band width, the neighbour
+reach and the densification reach are the settings of GraphcutConfig,
+which every problem carries. Snapping the foot and the top of a ramp onto
+the same line narrows the ramp instead of only translating it.
 
 The multilabel energy is minimised by expansion moves, each solved as a
 two-terminal minimum cut with integer capacities; non-submodular pairwise
@@ -55,6 +55,12 @@ from .lines import LineSegment
 from .tophat import Tophat
 
 LABEL_RADIUS = 5
+# the energy: a shifted point costs DATA_COST_HIT inside its band and
+# DATA_COST_MISS outside; two neighbours pay SMOOTH_COST_NEAR when their
+# offsets lie strictly closer than SMOOTH_RADIUS, SMOOTH_COST_FAR otherwise
+DATA_COST_HIT, DATA_COST_MISS = 0, 10
+SMOOTH_COST_NEAR, SMOOTH_COST_FAR = 2, 100
+SMOOTH_RADIUS = 5.0
 # anchors whose offsets interpolate_offsets blends into each band pixel
 IDW_NEIGHBORS = 8
 # grid pixels per slab of KD-tree queries in interpolate_offsets; bounds
@@ -86,49 +92,36 @@ def _label_array(labels) -> np.ndarray:
     return np.asarray([(l[0], l[1]) for l in labels], dtype=np.int64)
 
 
+def data_costs(hit) -> np.ndarray:
+    """The data cost of each shifted point, by whether it hits its band."""
+    return np.where(hit, DATA_COST_HIT, DATA_COST_MISS)
+
+
+def smooth_costs(d) -> np.ndarray:
+    """The smoothness cost of each pair whose offsets differ by d (..., 2)."""
+    near = d[..., 0] ** 2 + d[..., 1] ** 2 < SMOOTH_RADIUS**2
+    return np.where(near, SMOOTH_COST_NEAR, SMOOTH_COST_FAR)
+
+
 @dataclass(frozen=True)
 class GraphcutConfig:
-    """Energy constants, band width and densification reach of the solver.
-
-    A shifted point costs ``data_cost_hit`` inside its band and
-    ``data_cost_miss`` outside; two neighbours (the next ``neighbor_reach``
-    points along a contour) pay ``smooth_cost_near`` when their offsets lie
-    strictly closer than ``smooth_radius`` and ``smooth_cost_far`` otherwise.
-    ``line_buffer_radius`` is the half width of each segment's band (see
-    side_bands) and ``far_distance`` the reach of interpolate_offsets.
+    """The reaches of the solver: each point pairs with the next
+    ``neighbor_reach`` points along its contour, ``line_buffer_radius`` is
+    the half width of each segment's band (see side_bands) and
+    ``far_distance`` the reach of interpolate_offsets.
     """
 
-    data_cost_hit: int = 0
-    data_cost_miss: int = 10
-    smooth_cost_near: int = 2
-    smooth_cost_far: int = 100
-    smooth_radius: float = 5.0
     neighbor_reach: int = 8
     line_buffer_radius: int = 2
     far_distance: int = 20
 
     def __post_init__(self):
-        if not self.data_cost_hit < self.data_cost_miss:
-            raise ValueError("require data_cost_hit < data_cost_miss")
-        if not self.smooth_cost_near < self.smooth_cost_far:
-            raise ValueError("require smooth_cost_near < smooth_cost_far")
-        if not 0 <= self.smooth_radius < math.inf:
-            raise ValueError("smooth_radius must be >= 0 and finite")
         if self.neighbor_reach < 0:
             raise ValueError("neighbor_reach must be >= 0")
         if self.line_buffer_radius < 0:
             raise ValueError("line_buffer_radius must be >= 0")
         if self.far_distance < 0:
             raise ValueError("far_distance must be >= 0")
-
-    def data_costs(self, hit) -> np.ndarray:
-        """The data cost of each shifted point, by whether it hits its band."""
-        return np.where(hit, self.data_cost_hit, self.data_cost_miss)
-
-    def smooth_costs(self, d) -> np.ndarray:
-        """The smoothness cost of each pair whose offsets differ by d (..., 2)."""
-        near = d[..., 0] ** 2 + d[..., 1] ** 2 < self.smooth_radius**2
-        return np.where(near, self.smooth_cost_near, self.smooth_cost_far)
 
 
 @dataclass(eq=False)
@@ -257,11 +250,14 @@ def side_bands(
     buffer) is split by the sign of the cross product (p2-p1) x (pixel-p1);
     pixel centres on the line belong to both sides. The roof side is the
     side whose valid buffer pixels are higher on average. A zero-length
-    segment adds nothing.
+    segment, or one whose band lies off the grid, adds nothing.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     h, w = dsm.values.shape
+    # only the walk's pixels on the grid are dilated, and from any of them a
+    # radius of the grid's larger side already covers the whole grid
+    radius = min(radius, max(h, w))
     bands = np.zeros((2, h, w), dtype=bool)
     valid = dsm.valid_mask()
     for seg in segments:
@@ -270,12 +266,12 @@ def side_bands(
         if dx == 0 and dy == 0:
             continue
         pts = seg.raster_points()
-        x0, y0 = pts.min(axis=0) - radius
-        xe, ye = pts.max(axis=0) + radius
-        win = np.s_[max(0, y0) : min(h, ye + 1), max(0, x0) : min(w, xe + 1)]
+        x0, y0 = np.maximum(pts.min(axis=0) - radius, 0)
+        xe, ye = np.minimum(pts.max(axis=0) + radius + 1, (w, h))
+        if x0 >= xe or y0 >= ye:
+            continue  # the band lies off the grid
+        win = np.s_[y0:ye, x0:xe]
         yy, xx = np.mgrid[win]
-        if yy.size == 0:
-            continue
         walk = np.zeros(yy.shape, dtype=bool)
         xs, ys = pts[:, 0] - xx[0, 0], pts[:, 1] - yy[0, 0]
         inside = (xs >= 0) & (xs < walk.shape[1]) & (ys >= 0) & (ys < walk.shape[0])
@@ -352,14 +348,14 @@ def data_cost(problem: ContourProblem, point_index: int, label) -> int:
     the miss cost (10). Shifts that leave the raster count as misses."""
     x = int(problem.points[point_index, 0]) + int(label[0])
     y = int(problem.points[point_index, 1]) + int(label[1])
-    return int(problem.params.data_costs(_hits(problem, point_index, x, y)))
+    return int(data_costs(_hits(problem, point_index, x, y)))
 
 
-def smooth_cost(l_p, l_q, params: GraphcutConfig | None = None) -> int:
+def smooth_cost(l_p, l_q) -> int:
     """The near cost (2) when the two offsets differ by strictly less than the
-    radius (5), else the far cost (100); the costs and the radius are those of
-    ``params``. Note the near cost applies even to identical labels."""
-    return int((params or GraphcutConfig()).smooth_costs(np.subtract(l_p, l_q)))
+    radius (5), else the far cost (100). Note the near cost applies even to
+    identical labels."""
+    return int(smooth_costs(np.subtract(l_p, l_q)))
 
 
 def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
@@ -370,14 +366,14 @@ def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     xs, ys = problem.points[:, 0], problem.points[:, 1]
     for row, (dx, dy) in zip(table, labels):
         hit = _hits(problem, ids, xs + dx, ys + dy)
-        row[:] = problem.params.data_costs(hit)
+        row[:] = data_costs(hit)
     return table
 
 
 def _smooth_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     """(n_labels, n_labels) int smooth costs."""
     d = labels[:, None, :] - labels[None, :, :]
-    return problem.params.smooth_costs(d).astype(np.int64)
+    return smooth_costs(d).astype(np.int64)
 
 
 def energy(problem: ContourProblem, labeling: Labeling) -> int:
@@ -388,10 +384,10 @@ def energy(problem: ContourProblem, labeling: Labeling) -> int:
     xs = problem.points[:, 0] + offs[:, 0]
     ys = problem.points[:, 1] + offs[:, 1]
     hit = _hits(problem, np.arange(problem.size), xs, ys)
-    total = int(problem.params.data_costs(hit).sum())
+    total = int(data_costs(hit).sum())
     if len(problem.pairs):
         d = offs[problem.pairs[:, 0]] - offs[problem.pairs[:, 1]]
-        total += int(problem.params.smooth_costs(d).sum())
+        total += int(smooth_costs(d).sum())
     return total
 
 

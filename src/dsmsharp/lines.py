@@ -26,6 +26,10 @@ from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
 
+# a segment matches a rung when more than half of its raster walk lies
+# within this many pixels of the rung's contours
+OVERLAP_RADIUS = 2
+
 
 class UnmatchedSegmentError(ValueError):
     """A segment overlaps no tophat contour image at any scale."""
@@ -335,7 +339,9 @@ def _width_walk(
     return widths
 
 
-def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int = 2) -> int:
+def estimate_width(
+    segment: LineSegment, stack: TophatStack, overlap_radius: int = OVERLAP_RADIUS
+) -> int:
     """1-based index of the first contour image whose buffered pixels cover
     more than half the segment's raster walk."""
     (width,) = _width_walk([segment.raster_points()], stack, overlap_radius)
@@ -347,14 +353,15 @@ def estimate_width(segment: LineSegment, stack: TophatStack, overlap_radius: int
 def assign_widths(
     segments: list[LineSegment],
     rungs: Iterable[Rung],
-    overlap_radius: int = 2,
+    overlap_radius: int = OVERLAP_RADIUS,
 ) -> list[LineSegment]:
     """Width-annotate all segments, dropping the unmatched ones with a warning.
 
     ``rungs`` is the tophat ladder bottom up: a lazy ``tophat.ladder``, which
     is walked only until every segment has its index (or the ladder ends at
     the building mask), or a built TophatStack. Each rung's contour image
-    is dilated once for all the segments still unmatched.
+    is dilated once, by ``overlap_radius`` (the method's fixed 2 px in the
+    pipeline), for all the segments still unmatched.
     """
     widths = _width_walk([seg.raster_points() for seg in segments], rungs, overlap_radius)
     out = []

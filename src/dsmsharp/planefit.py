@@ -4,7 +4,9 @@ Every filtered line segment gets a rectangular buffer whose half width
 adapts to the building-width index, min(3 * width, 30). DSM pixels strictly
 on each side of the segment are fitted with a least-squares plane
 h = a*x + b*y + c and overwritten from it, which forces a crisp height
-break along the segment. No other cell changes.
+break along the segment; a side of fewer than 3 pixels, or of collinear
+ones, takes the constant plane at its mean height. These are the method's
+fixed constants, not settings. No other cell changes.
 """
 
 from __future__ import annotations
@@ -63,25 +65,11 @@ class SideSample:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    width_multiplier: int = 3
-    buffer_cap: int = 30
-    min_points: int = 3
-
-    def __post_init__(self):
-        if min(self.width_multiplier, self.buffer_cap) <= 0:
-            raise ValueError("fit config values must be positive")
-        if self.min_points < 3:
-            raise ValueError("min_points must be >= 3")
-
-
-def buffer_half_width(width_index: int, config: FitConfig | None = None) -> int:
-    """Adaptive rectangle half width: min(3 * width, 30) at the defaults."""
-    config = config or FitConfig()
+def buffer_half_width(width_index: int) -> int:
+    """Adaptive rectangle half width: min(3 * width, 30)."""
     if width_index < 1:
         raise ValueError("width_index must be >= 1")
-    return min(config.width_multiplier * width_index, config.buffer_cap)
+    return min(3 * width_index, 30)
 
 
 def collect_side_pixels(
@@ -169,10 +157,7 @@ def _plane_cells(sample: SideSample, plane: PlaneParams):
 
 
 def adjust_all(
-    dsm: Heightfield,
-    segments: list[LineSegment],
-    config: FitConfig | None = None,
-    debug_rows: list | None = None,
+    dsm: Heightfield, segments: list[LineSegment], debug_rows: list | None = None
 ) -> Heightfield:
     """Run the per-segment plane adjustment over all segments in input order.
 
@@ -181,17 +166,16 @@ def adjust_all(
     Only the side pixels change: the planes are written into one copy of the
     DSM. ``debug_rows`` collects one fitted-plane record per side when given.
     """
-    config = config or FitConfig()
     work = dsm.copy()
     for seg in segments:
         if seg.width_index is None:
             raise ValueError("segment is missing its width_index")
-        half_width = buffer_half_width(seg.width_index, config)
+        half_width = buffer_half_width(seg.width_index)
         for sample in collect_side_pixels(work, seg, half_width):
             if len(sample) == 0:
                 continue
             try:
-                plane = fit_plane(sample, config.min_points)
+                plane = fit_plane(sample)
             except (InsufficientSupportError, DegenerateGeometryError) as exc:
                 logger.warning(
                     "constant-plane fallback for %s side of %s -> %s: %s",

@@ -1,14 +1,11 @@
 """The `key = value` reader shared by pipeline config files and scene files,
 and the checks of the parameter classes that library callers build."""
 
-import functools
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmsharp import graphcut, synth
+from dsmsharp import synth
 from dsmsharp.config import _KEYS, build_config, read_config_file
 from dsmsharp.lines import DetectorParams
 from dsmsharp.tophat import TophatParams
@@ -72,20 +69,6 @@ def test_settings_are_checked_on_their_final_values(tmp_path):
     assert build_config(p, {"tophat.scale_max": "700"}).tophat.scale_max == 700
     with pytest.raises(ValueError, match="require 0 < scale_min <= scale_max"):
         build_config(p, {"tophat.scale_max": "400"})
-    with pytest.raises(ValueError, match="require data_cost_hit < data_cost_miss"):
-        build_config(None, {"graphcut.data_cost_miss": "0"})
-
-
-def _problem_with(points, spans, line_buffer, **params):
-    return graphcut.ContourProblem(
-        points, spans, line_buffer, graphcut.GraphcutConfig(**params),
-        point_band=np.zeros(len(points), int),
-    )
-
-
-_ONE_POINT_PROBLEM = functools.partial(
-    _problem_with, np.zeros((1, 2), int), [(0, 1, False)], np.zeros((1, 2, 2), bool)
-)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -97,10 +80,8 @@ _ONE_POINT_PROBLEM = functools.partial(
         (DetectorParams, "min_length"),
         (DetectorParams, "smoothing_sigma"),
         (TophatParams, "height_threshold"),
-        (_ONE_POINT_PROBLEM, "smooth_radius"),
-        (graphcut.GraphcutConfig, "smooth_radius"),
     ],
-    ids=lambda p: p if isinstance(p, str) else getattr(p, "__name__", "ContourProblem"),
+    ids=lambda p: p if isinstance(p, str) else p.__name__,
 )
 def test_parameters_reject_non_finite_values(make, name, value):
     make(**{name: 1.0})

@@ -29,8 +29,7 @@ def reference_data_cost_table(problem, labels):
     xs = problem.points[:, 0][None, :] + labels[:, 0][:, None]
     ys = problem.points[:, 1][None, :] + labels[:, 1][:, None]
     hit = gc._hits(problem, np.arange(problem.size)[None, :], xs, ys)
-    params = problem.params
-    return np.where(hit, params.data_cost_hit, params.data_cost_miss).astype(np.int64)
+    return np.where(hit, 0, 10).astype(np.int64)
 
 
 def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighbors=8):
@@ -134,7 +133,6 @@ def test_data_cost_table_matches_reference(seed):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(5, 40, 2)
     problem = random_problem(rng, h, w, int(rng.integers(3, 200)))
-    problem.params = gc.GraphcutConfig(data_cost_hit=3, data_cost_miss=17)
     labels = gc._label_array(gc.offset_labels(int(rng.integers(1, 8))))
     table = gc._data_cost_table(problem, labels)
     assert table.dtype == np.int64
@@ -147,7 +145,7 @@ def test_data_cost_table_of_labels_beyond_the_grid():
     labels = np.array([[0, 0], [40, 0], [0, -40], [-8, 5], [8, -5]])
     table = gc._data_cost_table(problem, labels)
     assert table.tobytes() == reference_data_cost_table(problem, labels).tobytes()
-    assert (table[1:3] == problem.params.data_cost_miss).all()
+    assert (table[1:3] == 10).all()
 
 
 # ---------------------------------------------------------------------------

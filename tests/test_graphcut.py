@@ -84,9 +84,9 @@ def test_smooth_cost_values():
     assert gc.smooth_cost((0, 0), (3, 4)) == 100  # norm exactly 5.0 is far
     assert gc.smooth_cost((-5, -5), (5, 5)) == 100
     assert gc.smooth_cost((0, 0), (3, 3)) == 2  # ~4.24 < 5
-    params = gc.GraphcutConfig(smooth_cost_near=1, smooth_cost_far=7, smooth_radius=1.5)
-    assert gc.smooth_cost((0, 0), (1, 1), params) == 1  # ~1.41 < 1.5
-    assert gc.smooth_cost((0, 0), (0, 2), params) == 7
+    assert gc.smooth_cost((2, -1), (-2, 2)) == 100  # norm exactly 5.0 on a diagonal
+    assert gc.smooth_cost((0, 0), (0, 5)) == 100
+    assert gc.smooth_cost((0, 0), (4, 2)) == 2  # ~4.47 < 5
 
 
 def test_cost_ranges_exhaustive():
@@ -149,7 +149,7 @@ def test_point_band_is_required():
         gc.ContourProblem(np.array([[0, 0]]), [(0, 1, False)], np.zeros((1, 4, 4), bool))
 
 
-@pytest.mark.parametrize("name", ["smooth_radius", "neighbor_reach", "line_buffer_radius"])
+@pytest.mark.parametrize("name", ["neighbor_reach", "line_buffer_radius"])
 def test_problem_rejects_negative_reach(name):
     small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: 0})
     with pytest.raises(ValueError, match=f"{name} must be >= 0"):

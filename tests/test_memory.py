@@ -101,15 +101,15 @@ def reference_white_tophat(dsm, se_size):
         return dsm.like(np.where(ok, dsm.values - opened.values, dsm.nodata))
 
 
-def reference_adjust_all(dsm, segments, config, debug_rows):
+def reference_adjust_all(dsm, segments, debug_rows):
     work = dsm.copy()
     for seg in segments:
-        half_width = pf.buffer_half_width(seg.width_index, config)
+        half_width = pf.buffer_half_width(seg.width_index)
         for sample in pf.collect_side_pixels(work, seg, half_width):
             if len(sample) == 0:
                 continue
             try:
-                plane = pf.fit_plane(sample, config.min_points)
+                plane = pf.fit_plane(sample)
             except (pf.InsufficientSupportError, pf.DegenerateGeometryError):
                 plane = pf.PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
             work = pf.apply_plane(work, sample, plane)
@@ -309,15 +309,20 @@ def _segments(rng, n, h, w):
 @pytest.mark.parametrize("nodata", NODATAS)
 def test_adjust_all_matches_a_copy_per_side(nodata):
     rng = np.random.default_rng(31)
-    for min_points in (3, 8, 40):
-        config = pf.FitConfig(min_points=min_points)
+    # a side of two cells along the top row, and a side of one column along
+    # the left edge: each takes the constant plane at its mean height
+    degenerate = [LineSegment((3.0, 0.5), (4.0, 0.5), width_index=1),
+                  LineSegment((1.0, 40.0), (1.0, 44.0), width_index=2)]
+    for _ in range(3):
         dsm = holey_field(rng, (48, 56), nodata)
-        segments = _segments(rng, 12, 48, 56)
+        segments = [*degenerate, *_segments(rng, 12, 48, 56)]
         got_rows, want_rows = [], []
-        got = pf.adjust_all(dsm, segments, config, debug_rows=got_rows)
-        want = reference_adjust_all(dsm, segments, config, want_rows)
+        got = pf.adjust_all(dsm, segments, debug_rows=got_rows)
+        want = reference_adjust_all(dsm, segments, want_rows)
         assert same_field(got, want)
         assert got_rows == want_rows
+        constant = [row[8] for row in got_rows[:4] if row[5] == row[6] == repr(0.0)]
+        assert constant == [2, 5], got_rows[:4]
 
 
 @pytest.mark.parametrize("nodata", NODATAS)

@@ -6,7 +6,6 @@ from dsmsharp.lines import LineSegment
 from dsmsharp.raster import Heightfield
 from dsmsharp.planefit import (
     DegenerateGeometryError,
-    FitConfig,
     InsufficientSupportError,
     PlaneParams,
     SideSample,
@@ -211,12 +210,12 @@ def test_adjust_all_requires_width():
         pf.adjust_all(dsm, [LineSegment((1.0, 1.0), (8.0, 1.0))])
 
 
-def side_cells(dsm, segments, config):
+def side_cells(dsm, segments):
     """Cells of every side sample, each collected from the original DSM (a
     later segment's buffer does not depend on an earlier one's heights)."""
     region = np.zeros(dsm.values.shape, bool)
     for seg in segments:
-        for s in pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(seg.width_index, config)):
+        for s in pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(seg.width_index)):
             region[s.pixels[:, 1].astype(int), s.pixels[:, 0].astype(int)] = True
     return region
 
@@ -226,11 +225,10 @@ def test_adjust_all_planar_sides_change_nothing_outside_ring():
     vals = (0.2 * xx + 0.1 * yy + 5.0).astype(float)
     dsm = Heightfield(vals)
     seg = LineSegment((14.5, 4.0), (14.5, 25.0), width_index=1)
-    config = FitConfig()
-    out = pf.adjust_all(dsm, [seg], config)
+    out = pf.adjust_all(dsm, [seg])
     # the fitted planes reproduce the data, so adjusted pixels are unchanged
     # to rounding; every other cell keeps its exact bits
-    region = side_cells(dsm, [seg], config)
+    region = side_cells(dsm, [seg])
     assert region.any() and not region.all()
     assert np.array_equal(out.values[~region], dsm.values[~region])
     assert np.allclose(out.values[region], dsm.values[region], atol=1e-9)
@@ -256,12 +254,11 @@ def test_adjust_all_touches_only_buffers_and_ring():
     rng = np.random.default_rng(63)
     dsm = Heightfield(rng.normal(size=(40, 40)))
     seg = LineSegment((20.0, 5.0), (20.0, 34.0), width_index=2)
-    config = FitConfig()
-    out = pf.adjust_all(dsm, [seg], config)
-    hw = pf.buffer_half_width(2, config)
+    out = pf.adjust_all(dsm, [seg])
+    hw = pf.buffer_half_width(2)
     changed = out.values != dsm.values
     assert changed.any()
-    assert not (changed & ~side_cells(dsm, [seg], config)).any()
+    assert not (changed & ~side_cells(dsm, [seg])).any()
     for y, x in zip(*np.nonzero(changed)):
         assert abs(x - 20) <= hw
         assert 5 <= y <= 34
@@ -279,10 +276,9 @@ def test_adjust_all_crossing_segments_change_only_side_cells(nodata):
         LineSegment((25.5, 3.0), (25.5, 44.0), width_index=3),
         LineSegment((6.0, 6.0), (44.0, 40.0), width_index=1),
     ]
-    config = FitConfig()
-    out = pf.adjust_all(dsm, segments, config)
+    out = pf.adjust_all(dsm, segments)
     changed = out.values != dsm.values
-    region = side_cells(dsm, segments, config)
+    region = side_cells(dsm, segments)
     assert changed.any() and not region.all()
     assert not (changed & ~region).any()
     # a nodata cell is never a side pixel, so it stays nodata
@@ -307,9 +303,3 @@ def test_debug_rows_collected():
     assert len(rows) == 2
     assert {r[4] for r in rows} == {"left", "right"}
 
-
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(min_points=2)
-    with pytest.raises(ValueError):
-        FitConfig(buffer_cap=0)

@@ -94,6 +94,17 @@ def test_side_bands_thirty_degrees(radius):
     _check_bands(seg, ~roof_bits, radius)
 
 
+# 10**29 used to overflow the window's int64 corners
+def test_side_bands_radius_past_the_grid():
+    shape = (24, 30)
+    for seg in (LineSegment((10.5, 3.0), (10.5, 20.0)), LineSegment((-40.0, 2.0), (20.0, 21.0))):
+        roof_bits = _cross(seg, shape) < 0
+        bands = [_check_bands(seg, roof_bits, r) for r in (29, 30, 31, 1000, 10**29)]
+        assert (bands[0][gc.GROUND] | bands[0][gc.ROOF]).all()
+        for other in bands[1:]:
+            assert np.array_equal(other, bands[0])
+
+
 def test_side_bands_on_pixel_centres_radius_zero():
     # with no dilation only the walk is left, and it lies on the line
     roof_bits = np.mgrid[0:12, 0:12][0] < 6
@@ -110,6 +121,16 @@ def test_side_bands_zero_length_segment_adds_nothing():
     bands = gc.side_bands(Heightfield(np.zeros((12, 12))), [seg], 2)
     assert bands.shape == (2, 12, 12)
     assert not bands.any()
+
+
+# such a segment used to end in numpy's "negative dimensions are not allowed"
+def test_side_bands_off_the_grid_adds_nothing():
+    dsm = Heightfield(np.zeros((12, 12)))
+    on_grid = LineSegment((2.0, 6.0), (9.0, 6.0))
+    for off_grid in (LineSegment((50.0, 50.0), (60.0, 55.0)), LineSegment((-9.0, 3.0), (-4.0, 8.0))):
+        assert not gc.side_bands(dsm, [off_grid], 2).any()
+        both = gc.side_bands(dsm, [off_grid, on_grid], 2)
+        assert np.array_equal(both, gc.side_bands(dsm, [on_grid], 2))
 
 
 def test_side_bands_rejects_negative_radius():
@@ -372,22 +393,26 @@ def test_expansion_move_splits_by_contour():
 
 
 def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
-    # A: ten points 3 px apart, each on its own band pixel, so every point
-    # already hits and no 3x3 shift can hit again: A sits at its bound for
-    # every move. B: six points whose band lies one row below, plus one
-    # stray band pixel that tempts a single point into a losing move.
+    # The labels lie 6 px apart, past the smoothness radius, so neighbours
+    # with different labels always pay the far cost. A: ten points 3 px
+    # apart, each on its own band pixel, so every point already hits and its
+    # pairs cost the least: A sits at its bound for every move. B: six points
+    # whose band lies 6 rows below; the last two also hit where they are,
+    # and one stray band pixel per other label tempts a single point into a
+    # losing move.
+    labels = [(0, -6), (-6, 0), (0, 0), (6, 0), (0, 6)]
     buf = np.zeros((20, 36), bool)
     a = [(2 + 3 * k, 3) for k in range(10)]
     b = [(4 + k, 12) for k in range(6)]
     for x, y in a:
         buf[y, x] = True
     for x, y in b:
-        buf[y + 1, x] = True
-    buf[11, 5] = True
+        buf[y + 6, x] = True
+    buf[12, 8:10] = True
+    buf[6, 5] = buf[12, 0] = buf[12, 12] = True
     spans = [(0, 10, False), (10, 16, False)]
     prob = gc.ContourProblem(
-        np.array(a + b), spans, buf[None], gc.GraphcutConfig(smooth_radius=1.0),
-        point_band=np.zeros(len(a + b), int),
+        np.array(a + b), spans, buf[None], point_band=np.zeros(len(a + b), int)
     )
     sizes = []
     real = gc.maximum_flow
@@ -398,11 +423,11 @@ def test_rejected_moves_cut_only_contours_below_their_bound(monkeypatch):
 
     monkeypatch.setattr(gc, "maximum_flow", counting)
     trace = []
-    labeling = gc.minimize(prob, labels=LABELS3, energy_trace=trace)
+    labeling = gc.minimize(prob, labels=labels, energy_trace=trace)
     accepted = len(trace) - 1
     assert accepted >= 1
     assert (labeling.offsets[:10] == 0).all()
-    assert (labeling.offsets[10:] == (0, 1)).all()
+    assert (labeling.offsets[10:] == (0, 6)).all()
     # an accepted move cuts B, then all of A; a rejected one cuts B alone
     assert sizes.count(len(a) + 2) == accepted
     rejected = [s for s in sizes if s != len(a) + 2]
