@@ -228,7 +228,7 @@ def cmd_extract_mask(args) -> int:
     out = _outdir(cfg)
     _mask_stage(dsm, cfg, out)
     if args.dump_stack:
-        stack = build_stack(dsm, cfg.tophat)
+        stack = build_stack(dsm, cfg.tophat.within(dsm.values.shape))
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
         for scale, cum, cimg in stack:
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-mask", help="multi-scale tophat building mask from the DSM")
     p.add_argument("--dsm", default=None)
-    p.add_argument("--dump-stack", action="store_true", help="also write every per-scale mask")
+    p.add_argument("--dump-stack", action="store_true",
+                   help="also write each per-scale mask, up to the first that covers the grid")
     _add_common(p)
     p.set_defaults(func=cmd_extract_mask)
 

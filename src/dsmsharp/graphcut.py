@@ -22,13 +22,16 @@ graphs. A move is scored by cutting only the contours whose lower bound for
 that move lies below their current energy; the others end any move at
 exactly their current energy, so they cannot decide it and are cut only
 when the move is accepted. The labeling is the same as cutting every point
-at once (see minimize). The winning offsets are densified by
-inverse-distance interpolation and applied as a backward bilinear warp.
+at once (see minimize). The winning offsets are densified by Shepard's
+inverse-square weighting of each pixel's nearest anchors, found by an exact
+search over rings of integer offsets that takes every anchor tied at the
+last distance (see interpolate_offsets), and applied as a backward
+bilinear warp.
 
-The solvers are the package's only use of scipy: its sparse max-flow and
-breadth-first search for the cuts, its KD-tree for the densification. They
-are imported on first use, not with the module, so importing the package
-and every command that does not run graph-cut load numpy alone.
+The cuts are the package's only use of scipy: its sparse max-flow and
+breadth-first search. They are imported on first use, not with the module,
+so importing the package and every command that does not run graph-cut
+load numpy alone.
 """
 
 from __future__ import annotations
@@ -63,9 +66,11 @@ SMOOTH_COST_NEAR, SMOOTH_COST_FAR = 2, 100
 SMOOTH_RADIUS = 5.0
 # anchors whose offsets interpolate_offsets blends into each band pixel
 IDW_NEIGHBORS = 8
-# grid pixels per slab of KD-tree queries in interpolate_offsets; bounds
-# its (pixels x neighbours) distance, index and weight arrays
-_QUERY_BLOCK = 1 << 14
+# (pixel, offset) pairs interpolate_offsets tests at a time; bounds its
+# temporaries
+_PAIR_BLOCK = 1 << 16
+# grid pixels per slab of rows that warp_dsm samples at a time
+_WARP_SLAB = 1 << 14
 
 # band layers of a problem, and the ramp levels that pick their contours
 GROUND, ROOF = 0, 1
@@ -577,16 +582,29 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
 
     Anchors are the contour pixels (with their solved offsets) plus every
     pixel at Chebyshev distance >= ``far_distance`` from all contour pixels
-    (offset zero); the reach is that of the problem's GraphcutConfig.
-    Remaining pixels take an inverse-square-distance weighted mean of their
-    IDW_NEIGHBORS nearest anchors; anchors keep their exact values. A
-    problem without points gives the zero field.
+    (offset zero); the reach is that of the problem's GraphcutConfig, and a
+    reach beyond the grid's larger side makes no pixel far. Anchors keep
+    their exact values; a problem without points gives the zero field.
 
-    The remaining pixels are queried one slab of rows at a time, at most
-    _QUERY_BLOCK grid pixels a slab (one row when a row is longer); a
-    pixel's neighbours and sums do not depend on its slab. Beyond the two
-    output grids, the grid masks and the anchors, memory follows the block
-    size, not the band.
+    Every other pixel (the band) takes Shepard's inverse-square weighted
+    mean of its IDW_NEIGHBORS nearest anchors. Ties are explicit: with d_k
+    the distance of the k-th nearest anchor, every anchor at distance <= d_k
+    joins, and a grid with fewer anchors than that blends all of them. The
+    sums are built one distance shell at a time, each shell's integer counts
+    and offset sums divided by its squared distance, in increasing distance.
+    So the field does not depend on the order of the anchors, and the field
+    of the transposed problem is the transposed field, bit for bit.
+
+    The nearest anchors are found by walking integer offsets in (d^2, dy,
+    dx) order, whole shells at a time, over the band pixels still open. A
+    pixel at Chebyshev distance c from the contour has no contour anchor
+    nearer than c and no far anchor nearer than the reach minus c, so it
+    joins the walk at the shell of the smaller; it closes once it holds k
+    anchors and its shell is complete. Each batch of shells either gathers
+    from the open pixels or scatters from the anchors that can be nearest,
+    whichever set is smaller; both give the same sums. Beyond the output
+    grids and a few grid-sized masks and counters, memory follows
+    _PAIR_BLOCK (pixel, offset) pairs, or one shell when one shell is more.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
@@ -597,54 +615,146 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
         return OffsetField(dx, dy)
 
     uniq, first = np.unique(problem.points, axis=0, return_index=True)
-    axs, ays = uniq[:, 0], uniq[:, 1]
     offs = labeling.offsets[first]
-    dx[ays, axs] = offs[:, 0]
-    dy[ays, axs] = offs[:, 1]
+    dx[uniq[:, 1], uniq[:, 0]] = offs[:, 0]
+    dy[uniq[:, 1], uniq[:, 0]] = offs[:, 1]
 
     contour = np.zeros((h, w), dtype=bool)
-    contour[ays, axs] = True
-    far = boundary_distance(BinaryMask(contour)) >= problem.params.far_distance
-    band = ~(contour | far)  # the pixels left to interpolate
-    del contour
-    if not band.any():
+    contour[uniq[:, 1], uniq[:, 0]] = True
+    low = boundary_distance(BinaryMask(contour)).ravel()
+    contour = contour.ravel()
+    # no pixel lies farther than the grid's larger side from the contour
+    reach = min(problem.params.far_distance, max(h, w))
+    far = low >= reach
+    anchor = contour | far
+    band = ~anchor
+    remaining = int(np.count_nonzero(band))
+    if remaining == 0:
         return OffsetField(dx, dy)
+    k = min(IDW_NEIGHBORS, h * w - remaining)
+    # A far anchor IDW_NEIGHBORS or more beyond the reach is never among a
+    # band pixel's nearest: the chessboard steps from it towards the pixel
+    # pass that many far anchors, each strictly nearer.
+    sources = np.flatnonzero(contour | (far & (low < reach + IDW_NEIGHBORS)))
+    # the distance below which a band pixel has no anchor, >= 1; 0 on anchors
+    if far.any():
+        np.minimum(low, reach - low, out=low)
+    low[anchor] = 0
+    del contour, far
 
-    # contour anchors first so exact offsets win any coordinate duplication,
-    # then the far anchors in row-major order
-    n = len(uniq)
-    far_flat = np.flatnonzero(far)
-    del far
-    anchor_xy = np.empty((n + len(far_flat), 2))
-    anchor_xy[:n] = uniq
-    np.divmod(far_flat, w, out=(anchor_xy[n:, 1], anchor_xy[n:, 0]))
-    del far_flat
-    # anchor offsets; every far anchor reads the zero at index n
-    anchor_dx = np.zeros(n + 1)
-    anchor_dy = np.zeros(n + 1)
-    anchor_dx[:n] = offs[:, 0]
-    anchor_dy[:n] = offs[:, 1]
-
-    from scipy.spatial import cKDTree
-
-    k = min(IDW_NEIGHBORS, len(anchor_xy))
-    tree = cKDTree(anchor_xy)
-    rows = max(1, _QUERY_BLOCK // w)
-    for top in range(0, h, rows):
-        ys, xs = np.nonzero(band[top : top + rows])
-        if len(ys) == 0:
+    is_open = band.copy()
+    count = np.zeros(h * w, dtype=np.int32)
+    weight = np.zeros(h * w)
+    sum_dx, sum_dy = dx.reshape(-1), dy.reshape(-1)
+    active = sources[:0]  # the open pixels that have joined the walk
+    joined, last, lo = 0, int(low.max()), 1  # pixels with low <= joined have joined
+    while remaining:
+        if active.size == 0:
+            lo = max(lo, int(low[low > joined].min()) ** 2)
+        while joined < last and (joined + 1) ** 2 <= lo:
+            joined += 1
+            new = np.flatnonzero(low == joined)
+            active = np.concatenate([active, new[is_open[new]]])
+        scatter = sources.size < active.size
+        batch = sources if scatter else active
+        # about pi offsets per unit of d^2, so some _PAIR_BLOCK pairs a
+        # batch; a batch ends where the next pixels join
+        hi = lo + max(1, _PAIR_BLOCK // (4 * batch.size))
+        if joined < last:
+            hi = min(hi, (joined + 1) ** 2)
+        q, oy, ox = _offsets(lo, hi)
+        lo = hi
+        if q.size == 0:
             continue
-        ys += top
-        dists, idx = tree.query(np.column_stack([xs, ys]).astype(np.float64), k=k)
-        if k == 1:
-            dists = dists[:, None]
-            idx = idx[:, None]
-        idx = np.minimum(idx, n)
-        weights = 1.0 / np.maximum(dists, 1e-12) ** 2
-        wsum = weights.sum(axis=1)
-        dx[ys, xs] = (weights * anchor_dx[idx]).sum(axis=1) / wsum
-        dy[ys, xs] = (weights * anchor_dy[idx]).sum(axis=1) / wsum
+        flat, step = oy * w + ox, max(1, _PAIR_BLOCK // q.size)
+        parts = []
+        for i in range(0, batch.size, step):
+            if scatter:
+                anchors, pixels, cols = _pairs(batch[i : i + step], ox, flat, is_open, w)
+            else:
+                pixels, anchors, cols = _pairs(batch[i : i + step], ox, flat, anchor, w)
+            parts.append((pixels, q[cols], sum_dx[anchors], sum_dy[anchors]))
+        pixels, pq, pdx, pdy = (np.concatenate(a) for a in zip(*parts))
+        if pixels.size == 0:
+            continue
+        touched = _add_shells(pixels, pq, pdx, pdy, k, count, weight, sum_dx, sum_dy)
+        done = touched[count[touched] >= k]
+        is_open[done] = False
+        remaining -= done.size
+        active = active[is_open[active]]
+    np.divide(sum_dx, weight, out=sum_dx, where=band)
+    np.divide(sum_dy, weight, out=sum_dy, where=band)
     return OffsetField(dx, dy)
+
+
+def _pairs(sources, ox, flat, targets, w):
+    """(source, target, offset index) of every offset from a source pixel
+    that lands on the grid on a set bit of ``targets`` (flat, like the
+    pixels); ``flat`` is each offset as a flat step, ``ox`` its x part."""
+    t = sources[:, None] + flat
+    ok = ((sources % w)[:, None] + ox).view(np.uint64) < w
+    ok &= t.view(np.uint64) < targets.size
+    ok &= np.take(targets, t, mode="clip")
+    rows, cols = np.nonzero(ok)
+    return sources[rows], t[rows, cols], cols
+
+
+def _add_shells(pixels, q, odx, ody, k, count, weight, sum_dx, sum_dy):
+    """Add one batch of anchors, each (pixel, squared distance, offset), to
+    the pixels' sums in increasing distance; returns the pixels that took a
+    shell, each once.
+
+    A pixel takes each of its shells, whole, while it holds fewer than k
+    anchors before that shell. A shell adds its anchor count and its integer
+    offset sums divided by its squared distance, each pixel's shells in
+    increasing order whatever the batch, so the sums repeat bit for bit.
+    """
+    order = np.lexsort((q, pixels))
+    pixels, q = pixels[order], q[order]
+    new_pixel = np.empty(pixels.size, dtype=bool)
+    new_pixel[0] = True
+    np.not_equal(pixels[1:], pixels[:-1], out=new_pixel[1:])
+    new_shell = new_pixel.copy()
+    new_shell[1:] |= q[1:] != q[:-1]
+    shell = np.cumsum(new_shell) - 1
+    starts = np.flatnonzero(new_shell)
+    n = np.bincount(shell)
+    sx = np.bincount(shell, odx[order])  # integer sums, exact in float64
+    sy = np.bincount(shell, ody[order])
+    pixels, q = pixels[starts], q[starts]
+    # anchors each pixel holds before each of its shells
+    before = np.cumsum(n) - n
+    before -= np.maximum.accumulate(np.where(new_pixel[starts], before, 0))
+    before += count[pixels]
+    take = before < k
+    pixels, q, n, sx, sy = pixels[take], q[take], n[take], sx[take], sy[take]
+    # ufunc.at adds in index order, so each pixel's shells add in order
+    np.add.at(count, pixels, n)
+    np.add.at(weight, pixels, n / q)
+    np.add.at(sum_dx, pixels, sx / q)
+    np.add.at(sum_dy, pixels, sy / q)
+    return pixels[np.append(True, pixels[1:] != pixels[:-1])]
+
+
+def _offsets(lo: int, hi: int):
+    """(d^2, dy, dx) of every integer offset with lo <= d^2 < hi, in
+    (d^2, dy, dx) order."""
+    r = math.isqrt(hi - 1)
+    ys = np.arange(-r, r + 1)
+    # each row's dx >= 0 run, from the least with dx^2 >= lo - dy^2 to the
+    # largest with dx^2 < hi - dy^2; a float square root rounds correctly,
+    # so its floor and ceiling are exact below 2**52
+    top = np.sqrt(hi - 1 - ys * ys).astype(np.int64)
+    bottom = np.ceil(np.sqrt(np.maximum(lo - ys * ys, 0))).astype(np.int64)
+    runs = np.maximum(top - bottom + 1, 0)
+    ys = np.repeat(ys, runs)
+    xs = np.arange(ys.size) - np.repeat(np.cumsum(runs) - runs - bottom, runs)
+    mirror = xs > 0
+    ys = np.concatenate([ys, ys[mirror]])
+    xs = np.concatenate([xs, -xs[mirror]])
+    q = xs * xs + ys * ys
+    order = np.lexsort((xs, ys, q))
+    return q[order], ys[order], xs[order]
 
 
 def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
@@ -654,16 +764,23 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
     touches nodata becomes nodata. Only the pixels with a non-zero offset
     are sampled: every other pixel gets what the bilinear sample at its own
     centre gives, its cell plus 0.0 (a -0.0 cell reads 0.0), or nodata where
-    the cell is nodata. So the zero field reproduces the input, and beyond
-    the output grid memory follows the moved pixels, not the grid.
+    the cell is nodata. So the zero field reproduces the input. The moved
+    pixels are sampled one slab of rows at a time, at most _WARP_SLAB grid
+    pixels a slab (one row when a row is longer), so beyond the output grid
+    memory follows the slab, not the grid.
     """
     if field.dx.shape != dsm.values.shape or field.dy.shape != dsm.values.shape:
         raise ValueError("offset field dimensions do not match the DSM")
     out = dsm.values + 0.0
     out[~dsm.valid_mask()] = dsm.nodata
-    ys, xs = np.nonzero((field.dx != 0) | (field.dy != 0))
-    vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
-    out[ys, xs] = np.where(valid, vals, dsm.nodata)
+    h, w = out.shape
+    rows = max(1, _WARP_SLAB // w)
+    for top in range(0, h, rows):
+        slab = np.s_[top : top + rows]
+        ys, xs = np.nonzero((field.dx[slab] != 0) | (field.dy[slab] != 0))
+        ys += top
+        vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
+        out[ys, xs] = np.where(valid, vals, dsm.nodata)
     return dsm.like(out)
 
 

@@ -15,14 +15,15 @@ for it, so the width walk of ``lines.assign_widths`` stops as soon as every
 segment has its index; given the building mask, the walk reuses it for the
 top rung and ends at the first rung equal to it, since nesting makes every
 later rung equal to it too. ``build_stack`` collects the whole ladder, for
-``extract-mask --dump-stack`` and ``lines.estimate_width``.
+``lines.estimate_width`` and, cut where its elements cover the grid
+(``TophatParams.within``), for ``extract-mask --dump-stack``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +57,16 @@ class TophatParams:
 
     def scales(self) -> list[int]:
         return list(range(self.scale_min, self.scale_max + 1, self.scale_step))
+
+    def within(self, shape: tuple[int, ...]) -> TophatParams:
+        """The ladder up to its first scale whose element covers a grid of
+        ``shape``. Such an element opens the whole grid to one constant
+        (see white_tophat), and so does every larger one: each later rung
+        would repeat that scale's rung."""
+        covering = 2 * (max(shape) - 1)  # the least scale whose half side spans the grid
+        steps = max(0, -(-(covering - self.scale_min) // self.scale_step))
+        top = self.scale_min + steps * self.scale_step
+        return replace(self, scale_max=min(self.scale_max, top))
 
     @property
     def top_scale(self) -> int:

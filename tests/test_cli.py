@@ -170,6 +170,22 @@ def test_extract_mask_dump_stack(small_scene, run_cli):
     assert len(list(stack_dir.glob("contours_*.pgm"))) == 4
 
 
+def test_extract_mask_dump_stack_ends_where_the_element_covers_the_grid(small_scene, run_cli):
+    # a ladder that cannot be listed ends at scale 130, whose 131 px element
+    # covers the 64 px grid; every later rung would repeat it
+    code = run_cli(
+        "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"],
+        "--dump-stack", "--set", f"tophat.scale_max={10**30}",
+    )
+    assert code == 0
+    stack_dir = small_scene["out"] / "stack"
+    scales = list(range(10, 131, 10))
+    assert sorted(p.name for p in stack_dir.glob("mask_*.pgm")) == [
+        f"mask_{s:03d}.pgm" for s in scales
+    ]
+    assert len(list(stack_dir.glob("contours_*.pgm"))) == len(scales)
+
+
 # ---------------------------------------------------------------------------
 # detect-lines
 # ---------------------------------------------------------------------------
@@ -1209,6 +1225,7 @@ def test_traced_run_all_counts_every_graph_cut_step(small_scene, run_cli, monkey
 _COMMANDS = {
     "synth": ["synth", "--scene", "{scene}"],
     "extract-mask": ["extract-mask", "--dsm", "{dsm}"],
+    "extract-mask-dump-stack": ["extract-mask", "--dsm", "{dsm}", "--dump-stack"],
     "detect-lines": ["detect-lines", "--dsm", "{dsm}", "--ortho", "{ortho}"],
     "sharpen-planefit": ["sharpen", "--method", "planefit", "--dsm", "{dsm}",
                          "--segments", "{segments}"],

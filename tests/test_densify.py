@@ -2,17 +2,15 @@
 
 The oracles are the straightforward versions the module must reproduce
 bit for bit: the (labels x points) table built in one broadcast, the IDW
-field from one KD-tree query over the whole band, and the bilinear sample
-of every pixel. The memory guards check that the working set follows the
-moved pixels and the query block, not the grid.
+field from a search of every anchor for every band pixel, and the bilinear
+sample of every pixel. The memory guards check that the working set follows
+the moved pixels, the pair block and the warp slab, not the band.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from dsmsharp import graphcut as gc
 from dsmsharp.raster import Heightfield, sample_bilinear
@@ -33,6 +31,10 @@ def reference_data_cost_table(problem, labels):
 
 
 def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighbors=8):
+    """Each band pixel measures its squared distance to every anchor; the
+    anchors at or within its k-th smallest distance blend, added up one
+    distance in increasing order: the count and the integer offset sums of
+    each distance, divided by it."""
     h, w = problem.line_buffer.shape[1:]
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
@@ -43,33 +45,29 @@ def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighb
     offs = labeling.offsets[first]
     dx[ays, axs] = offs[:, 0]
     dy[ays, axs] = offs[:, 1]
-    off_contour = np.ones((h, w), dtype=bool)
-    off_contour[ays, axs] = False
-    dist = ndimage.distance_transform_cdt(off_contour, metric="chessboard")
-    anchor_mask = dist >= far_distance
-    anchor_mask[ays, axs] = True
-    query_ys, query_xs = np.nonzero(~anchor_mask)
-    if len(query_xs) == 0:
-        return gc.OffsetField(dx, dy)
-    far_ys, far_xs = np.nonzero(dist >= far_distance)
-    anchor_xy = np.concatenate(
-        [
-            np.column_stack([axs, ays]).astype(np.float64),
-            np.column_stack([far_xs, far_ys]).astype(np.float64),
-        ]
-    )
-    anchor_dx = np.concatenate([offs[:, 0].astype(np.float64), np.zeros(len(far_xs))])
-    anchor_dy = np.concatenate([offs[:, 1].astype(np.float64), np.zeros(len(far_xs))])
-    k = min(idw_neighbors, len(anchor_xy))
-    tree = cKDTree(anchor_xy)
-    dists, idx = tree.query(np.column_stack([query_xs, query_ys]).astype(np.float64), k=k)
-    if k == 1:
-        dists = dists[:, None]
-        idx = idx[:, None]
-    weights = 1.0 / np.maximum(dists, 1e-12) ** 2
-    wsum = weights.sum(axis=1)
-    dx[query_ys, query_xs] = (weights * anchor_dx[idx]).sum(axis=1) / wsum
-    dy[query_ys, query_xs] = (weights * anchor_dy[idx]).sum(axis=1) / wsum
+    yy, xx = np.mgrid[0:h, 0:w]
+    chessboard = np.full((h, w), h + w)
+    for x, y in uniq:
+        np.minimum(chessboard, np.maximum(abs(xx - x), abs(yy - y)), out=chessboard)
+    # no pixel lies h + w from the contour, whatever the reach beyond that
+    far = (chessboard >= min(far_distance, h + w)) & (chessboard > 0)
+    far_ys, far_xs = np.nonzero(far)
+    anchor_x = np.concatenate([axs, far_xs])
+    anchor_y = np.concatenate([ays, far_ys])
+    anchor_dx = np.concatenate([offs[:, 0], np.zeros(len(far_xs), int)])
+    anchor_dy = np.concatenate([offs[:, 1], np.zeros(len(far_xs), int)])
+    k = min(idw_neighbors, len(anchor_x))
+    for y, x in zip(*np.nonzero((chessboard > 0) & ~far)):
+        d2 = (anchor_x - x) ** 2 + (anchor_y - y) ** 2
+        kth = np.partition(d2, k - 1)[k - 1]
+        weight = sum_dx = sum_dy = 0.0
+        for q in sorted(set(d2[d2 <= kth].tolist())):
+            shell = d2 == q
+            weight += int(shell.sum()) / q
+            sum_dx += int(anchor_dx[shell].sum()) / q
+            sum_dy += int(anchor_dy[shell].sum()) / q
+        dx[y, x] = sum_dx / weight
+        dy[y, x] = sum_dy / weight
     return gc.OffsetField(dx, dy)
 
 
@@ -171,12 +169,12 @@ def test_interpolate_matches_reference(monkeypatch, seed, far_distance, idw_neig
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 @pytest.mark.parametrize("far_distance", [4, 100])
 def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_distance):
-    # a band far larger than one block, split into slabs of one or more rows
-    # and a last, partial slab
+    # the walk split into batches of a few pairs, down to one squared
+    # distance a batch and one source a chunk; both reaches gather and scatter
     rng = np.random.default_rng(block + far_distance)
     problem = random_problem(rng, 61, 47, 40, far_distance=far_distance)
     labeling = random_labeling(rng, problem.size)
-    monkeypatch.setattr(gc, "_QUERY_BLOCK", block)
+    monkeypatch.setattr(gc, "_PAIR_BLOCK", block)
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance)
     assert same_field(got, want)
@@ -197,13 +195,90 @@ def test_interpolate_with_more_neighbors_than_anchors(monkeypatch):
 
 def test_interpolate_of_zero_labels_is_positive_zero():
     # the warp samples only pixels with a non-zero offset; a zero labeling
-    # must give +0.0 everywhere, as the one-query densification did
+    # must give +0.0 everywhere
     problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2, far_distance=6)
     labeling = gc.Labeling(np.zeros((problem.size, 2), int))
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, 6)
     assert same_field(got, want)
     assert not np.signbit(got.dx).any() and not np.signbit(got.dy).any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("far_distance", [0, 1, 2, 10**30])
+def test_interpolate_on_tiny_grids(monkeypatch, shape, far_distance):
+    # fewer anchors than neighbours: each band pixel blends all of them
+    rng = np.random.default_rng(sum(shape))
+    h, w = shape
+    points = [(int(rng.integers(w)), int(rng.integers(h)))]
+    problem = gc.ContourProblem(
+        np.array(points), [(0, 1, False)], np.zeros((1, h, w), bool),
+        gc.GraphcutConfig(far_distance=far_distance), point_band=np.zeros(1, int),
+    )
+    labeling = gc.Labeling(np.array([[3, -2]]))
+    for k in (1, 8):
+        monkeypatch.setattr(gc, "IDW_NEIGHBORS", k)
+        got = gc.interpolate_offsets(problem, labeling)
+        assert same_field(got, reference_interpolate_offsets(problem, labeling, far_distance, k))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interpolate_reach_beyond_the_grid_is_the_grid_side(seed):
+    # no pixel is far at either reach, and 10**30 neither overflows nor allocates
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(8, 30, 2))
+    problem = random_problem(rng, h, w, 12, far_distance=max(h, w))
+    labeling = random_labeling(rng, problem.size)
+    want = gc.interpolate_offsets(problem, labeling)
+    assert same_field(want, reference_interpolate_offsets(problem, labeling, max(h, w)))
+    problem.params = gc.GraphcutConfig(far_distance=10**30)
+    assert same_field(gc.interpolate_offsets(problem, labeling), want)
+
+
+def distinct_problem(rng, h, w, n_points, far_distance):
+    """Random contour points on distinct pixels, in two open contours."""
+    flat = rng.choice(h * w, n_points, replace=False)
+    points = np.column_stack([flat % w, flat // w])
+    half = n_points // 2
+    bands = rng.random((2, h, w)) < 0.3
+    params = gc.GraphcutConfig(far_distance=far_distance)
+    return gc.ContourProblem(
+        points, [(0, half, False), (half, n_points, False)], bands, params,
+        point_band=rng.integers(0, 2, n_points),
+    )
+
+
+@pytest.mark.parametrize("seed, far_distance, idw_neighbors", [(0, 6, 8), (1, 20, 8), (2, 9, 3)])
+def test_interpolate_does_not_depend_on_the_point_order(monkeypatch, seed, far_distance,
+                                                        idw_neighbors):
+    rng = np.random.default_rng(seed)
+    problem = distinct_problem(rng, 40, 33, 60, far_distance)
+    labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "IDW_NEIGHBORS", idw_neighbors)
+    want = gc.interpolate_offsets(problem, labeling)
+    for _ in range(3):
+        order = rng.permutation(problem.size)
+        shuffled = gc.ContourProblem(
+            problem.points[order], problem.contour_spans, problem.line_buffer,
+            problem.params, point_band=problem.point_band[order],
+        )
+        got = gc.interpolate_offsets(shuffled, gc.Labeling(labeling.offsets[order]))
+        assert same_field(got, want)
+
+
+@pytest.mark.parametrize("seed, far_distance", [(0, 5), (1, 20), (2, 200)])
+def test_transposed_problem_gives_the_transposed_field(seed, far_distance):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, 37, 52, 50, far_distance=far_distance)
+    labeling = random_labeling(rng, problem.size)
+    field = gc.interpolate_offsets(problem, labeling)
+    transposed = gc.ContourProblem(
+        problem.points[:, ::-1], problem.contour_spans, problem.line_buffer.transpose(0, 2, 1),
+        problem.params, point_band=problem.point_band,
+    )
+    got = gc.interpolate_offsets(transposed, gc.Labeling(labeling.offsets[:, ::-1]))
+    assert got.dx.tobytes() == np.ascontiguousarray(field.dy.T).tobytes()
+    assert got.dy.tobytes() == np.ascontiguousarray(field.dx.T).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +391,23 @@ def test_warp_allocates_for_the_moved_band_not_the_grid():
     assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
 
 
+def test_warp_of_a_field_that_moves_every_pixel_follows_the_slab():
+    n = 512
+    rng = np.random.default_rng(8)
+    dsm = Heightfield(rng.normal(10.0, 3.0, (n, n)))
+    field = gc.OffsetField(rng.normal(0.0, 2.0, (n, n)) + 0.1, rng.normal(0.0, 2.0, (n, n)))
+    out, peak = traced_peak(gc.warp_dsm, dsm, field)
+    # two bool grids of the nodata fill, and two dozen float64 or int64
+    # arrays of one slab's moved pixels; all pixels at once take two dozen grids
+    bound = 2 * n * n + 24 * 8 * gc._WARP_SLAB
+    assert peak - out.values.nbytes < bound
+    assert bound < 2 * n * n * 8
+    assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+
+
 def test_interpolate_memory_follows_the_block_not_the_band():
-    # far_distance covers the grid: every pixel but the contour is queried
+    # far_distance covers the grid: every pixel but the contour is searched,
+    # out to 370 px from the 200 contour anchors
     n = 512
     rng = np.random.default_rng(6)
     ring = [(x, 200) for x in range(200, 300)] + [(300, y) for y in range(200, 300)]
@@ -328,9 +418,9 @@ def test_interpolate_memory_follows_the_block_not_the_band():
     labeling = random_labeling(rng, problem.size)
     field, peak = traced_peak(gc.interpolate_offsets, problem, labeling)
     outputs = field.dx.nbytes + field.dy.nbytes
-    # the grid's masks and int32 distances (8 bytes a pixel), and six
-    # (pixels x neighbours) float64 or int64 arrays of one query block
-    k = gc.IDW_NEIGHBORS
-    bound = 8 * n * n + 6 * gc._QUERY_BLOCK * k * 8
+    # per pixel: the int32 distances and counts, a float64 weight, four
+    # masks and the int64 list of open pixels (28 bytes); per pair of the
+    # block: eight int64 or float64 temporaries
+    bound = 28 * n * n + 8 * 8 * gc._PAIR_BLOCK
     assert peak - outputs < bound
-    assert bound < n * n * k * 8  # less than one array of the whole band's neighbours
+    assert bound < n * n * gc.IDW_NEIGHBORS * 8  # less than one array of the band's neighbours

@@ -24,9 +24,10 @@ import pytest
 import dsmsharp
 from dsmsharp import evaluate as ev
 from dsmsharp import planefit as pf
-from dsmsharp import raster
+from dsmsharp import raster, synth
 from dsmsharp.lines import LineSegment
 from dsmsharp.raster import BinaryMask, GridFormatError, Heightfield
+from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import white_tophat
 
 NODATAS = [-9999.0, -np.inf, np.inf]
@@ -450,11 +451,17 @@ def _python(code, cwd):
     return proc.stdout
 
 
-def test_graphcut_solvers_load_only_when_graphcut_runs(small_scene, tmp_path, run_cli):
-    scene = {k: str(v) for k, v in small_scene.items()}
+def test_graphcut_solvers_load_only_when_graphcut_runs(tmp_path, run_cli):
+    # the 64 px scene with a sigma-2 blur, whose ramps graph-cut does move
+    spec = SceneSpec((64, 64), 0.0, [Building((32, 32), (28, 28), 10.0)], 2.0, 0.02, 5)
+    _, smeared, ortho = synth.generate(spec)
+    scene = {"dsm": str(tmp_path / "dsm.asc"), "ortho": str(tmp_path / "ortho.pgm"),
+             "out": str(tmp_path / "out")}
+    raster.save_heightfield(smeared, scene["dsm"])
+    raster.save_image(ortho, scene["ortho"])
     assert run_cli("detect-lines", "--dsm", scene["dsm"], "--ortho", scene["ortho"],
                    "--out", scene["out"], "--set", "tophat.scale_max=40") == 0
-    segments = str(small_scene["out"] / "segments_filtered.csv")
+    segments = str(tmp_path / "out" / "segments_filtered.csv")
     assert run_cli("sharpen", "--method", "graphcut", "--dsm", scene["dsm"], "--segments",
                    segments, "--out", tmp_path / "here", "--set", "tophat.scale_max=40") == 0
     code = f"""
@@ -464,16 +471,22 @@ import dsmsharp.cli
 def solvers():
     return {_SCIPY}
 
+def loaded(part):
+    return any(m.split(".")[:2] == ["scipy", part] for m in sys.modules)
+
 print(solvers())
 for method in ("planefit", "graphcut"):
     code = dsmsharp.cli.main(["sharpen", "--method", method, "--dsm", {scene["dsm"]!r},
                               "--out", {scene["out"]!r}, "--set", "tophat.scale_max=40"])
-    print(code, solvers() == [])
+    print(code, solvers() == [], loaded("sparse"), loaded("spatial"))
 """
     printed = _python(code, tmp_path).splitlines()
-    assert printed == ["[]", "0 True", "0 False"]
+    # graph-cut loads scipy's sparse max-flow; densification needs no KD-tree
+    assert printed == ["[]", "0 True False False", "0 False True False"]
     name = "adjusted_graphcut.asc"
-    assert (small_scene["out"] / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    adjusted = tmp_path / "out" / name
+    assert adjusted.read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert (raster.load_heightfield(adjusted).values != smeared.values).any()
 
 
 def test_run_all_planefit_loads_no_graphcut_solver(small_scene, tmp_path):

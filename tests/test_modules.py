@@ -1,6 +1,6 @@
 """No module of the package reaches into a sibling's private names: what
 one module uses of another is public. No module imports scipy when it is
-itself imported."""
+itself imported, and none imports scipy.spatial at all."""
 
 import ast
 from pathlib import Path
@@ -49,3 +49,21 @@ def test_scipy_is_imported_only_inside_functions(path):
         )
     ]
     assert [(line, name) for line, name in imported if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_spatial(path):
+    """Graph-cut's densification searches by rings, so scipy serves the
+    max-flow and breadth-first search alone."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+    ]
+    spatial = [(line, name) for line, name in names if name.split(".")[:2] == ["scipy", "spatial"]]
+    assert spatial == []

@@ -105,6 +105,25 @@ def test_top_scale_and_ladder_do_not_list_the_scales(monkeypatch):
     assert [next(rungs).scale, next(rungs).scale] == [10, 20]
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (8, 8), (5, 30), (64, 64)])
+@pytest.mark.parametrize("scale_min, scale_step", [(10, 10), (3, 7), (1, 1), (200, 10)])
+def test_ladder_within_a_grid_ends_at_the_first_covering_scale(shape, scale_min, scale_step):
+    # every rung past that scale repeats its rung, bit for bit
+    params = TophatParams(scale_min=scale_min, scale_max=10**30, scale_step=scale_step)
+    cut = params.within(shape)
+    assert (cut.scale_min, cut.scale_step) == (scale_min, scale_step)
+    side = max(shape)
+    assert cut.scale_max // 2 >= side - 1
+    assert cut.scale_max == scale_min or (cut.scale_max - scale_step) // 2 < side - 1
+    rng = np.random.default_rng(side)
+    hf = Heightfield(rng.normal(0.0, 5.0, shape))
+    last = tophat.white_tophat(hf, cut.scale_max).values
+    for later in (cut.scale_max + scale_step, 10**30):
+        assert tophat.white_tophat(hf, later).values.tobytes() == last.tobytes()
+    low = TophatParams(scale_min=scale_min, scale_max=scale_min, scale_step=scale_step)
+    assert low.within(shape) == low
+
+
 def test_flat_field_gives_empty_stack():
     hf = Heightfield(np.zeros((32, 32)))
     params = TophatParams(scale_min=5, scale_max=25, scale_step=5)
