@@ -19,7 +19,9 @@ from . import lines as ln
 from . import planefit as pf
 from . import raster, synth
 from .config import PipelineConfig, build_config
-from .tophat import boundary_contours, build_stack, ladder, top_tophat
+# build_stack is not called here; it stays bound for the tracer that wraps
+# the CLI's names (perfbench/tracing.py)
+from .tophat import boundary_contours, build_stack, ladder, top_tophat  # noqa: F401
 
 logger = logging.getLogger("dsmsharp")
 
@@ -228,10 +230,9 @@ def cmd_extract_mask(args) -> int:
     out = _outdir(cfg)
     _mask_stage(dsm, cfg, out)
     if args.dump_stack:
-        stack = build_stack(dsm, cfg.tophat.within(dsm.values.shape))
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
-        for scale, cum, cimg in stack:
+        for scale, cum, cimg in ladder(dsm, cfg.tophat):
             raster.save_mask(cum, stack_dir / f"mask_{scale:03d}.pgm")
             raster.save_mask(cimg, stack_dir / f"contours_{scale:03d}.pgm")
     return 0

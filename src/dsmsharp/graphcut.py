@@ -69,8 +69,6 @@ IDW_NEIGHBORS = 8
 # (pixel, offset) pairs interpolate_offsets tests at a time; bounds its
 # temporaries
 _PAIR_BLOCK = 1 << 16
-# grid pixels per slab of rows that warp_dsm samples at a time
-_WARP_SLAB = 1 << 14
 
 # band layers of a problem, and the ramp levels that pick their contours
 GROUND, ROOF = 0, 1
@@ -655,6 +653,9 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
             joined += 1
             new = np.flatnonzero(low == joined)
             active = np.concatenate([active, new[is_open[new]]])
+        # a band that holds many more pixels than the anchors near it (the
+        # first shells of a dense band, or a reach near the grid's side
+        # around a small contour) is cheaper walked from the anchors
         scatter = sources.size < active.size
         batch = sources if scatter else active
         # about pi offsets per unit of d^2, so some _PAIR_BLOCK pairs a
@@ -764,23 +765,16 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
     touches nodata becomes nodata. Only the pixels with a non-zero offset
     are sampled: every other pixel gets what the bilinear sample at its own
     centre gives, its cell plus 0.0 (a -0.0 cell reads 0.0), or nodata where
-    the cell is nodata. So the zero field reproduces the input. The moved
-    pixels are sampled one slab of rows at a time, at most _WARP_SLAB grid
-    pixels a slab (one row when a row is longer), so beyond the output grid
-    memory follows the slab, not the grid.
+    the cell is nodata. So the zero field reproduces the input, and beyond
+    the output grid memory follows the moved pixels, not the grid.
     """
     if field.dx.shape != dsm.values.shape or field.dy.shape != dsm.values.shape:
         raise ValueError("offset field dimensions do not match the DSM")
     out = dsm.values + 0.0
     out[~dsm.valid_mask()] = dsm.nodata
-    h, w = out.shape
-    rows = max(1, _WARP_SLAB // w)
-    for top in range(0, h, rows):
-        slab = np.s_[top : top + rows]
-        ys, xs = np.nonzero((field.dx[slab] != 0) | (field.dy[slab] != 0))
-        ys += top
-        vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
-        out[ys, xs] = np.where(valid, vals, dsm.nodata)
+    ys, xs = np.nonzero((field.dx != 0) | (field.dy != 0))
+    vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
+    out[ys, xs] = np.where(valid, vals, dsm.nodata)
     return dsm.like(out)
 
 

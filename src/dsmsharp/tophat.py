@@ -14,16 +14,19 @@ contour image per scale) bottom up, each built only when the caller asks
 for it, so the width walk of ``lines.assign_widths`` stops as soon as every
 segment has its index; given the building mask, the walk reuses it for the
 top rung and ends at the first rung equal to it, since nesting makes every
-later rung equal to it too. ``build_stack`` collects the whole ladder, for
-``lines.estimate_width`` and, cut where its elements cover the grid
-(``TophatParams.within``), for ``extract-mask --dump-stack``.
+later rung equal to it too. An element whose half side spans the grid
+opens the whole grid to one constant, and so does every larger one, so the
+ladder ends at the first such scale; ``extract-mask --dump-stack`` writes
+its rungs. ``build_stack`` lists one rung per scale, for
+``lines.estimate_width``: the scales past the ladder's end share its last
+rung.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -57,16 +60,6 @@ class TophatParams:
 
     def scales(self) -> list[int]:
         return list(range(self.scale_min, self.scale_max + 1, self.scale_step))
-
-    def within(self, shape: tuple[int, ...]) -> TophatParams:
-        """The ladder up to its first scale whose element covers a grid of
-        ``shape``. Such an element opens the whole grid to one constant
-        (see white_tophat), and so does every larger one: each later rung
-        would repeat that scale's rung."""
-        covering = 2 * (max(shape) - 1)  # the least scale whose half side spans the grid
-        steps = max(0, -(-(covering - self.scale_min) // self.scale_step))
-        top = self.scale_min + steps * self.scale_step
-        return replace(self, scale_max=min(self.scale_max, top))
 
     @property
     def top_scale(self) -> int:
@@ -147,28 +140,37 @@ def ladder(
 ) -> Iterator[Rung]:
     """The ladder's rungs bottom up, each built when the caller asks for it.
 
-    With ``building`` (the building mask of the same DSM and params) the
-    top rung reuses it instead of a tophat, and the walk ends after the
-    first rung equal to it: the masks are nested, so every later one is too.
+    The ladder ends at the first scale whose element covers the grid (see
+    white_tophat): every later rung would repeat its rung, bit for bit. With
+    ``building`` (the building mask of the same DSM and params) the top
+    rung reuses it instead of a tophat, and the walk ends after the first
+    rung equal to it: the masks are nested, so every later one is too.
     """
     params = params or TophatParams()
+    covering = 2 * (max(dsm.values.shape) - 1)  # the least scale whose half side spans the grid
     for scale in range(params.scale_min, params.scale_max + 1, params.scale_step):
         if building is not None and scale == params.top_scale:
             mask = building
         else:
             mask = _thresholded(dsm, scale, params.height_threshold).mask
         yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.bits.shape))
-        if building is not None and np.array_equal(mask.bits, building.bits):
+        if scale >= covering or (
+            building is not None and np.array_equal(mask.bits, building.bits)
+        ):
             return
 
 
 def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatStack:
-    """Threshold the tophat response at each scale of the ladder."""
+    """Threshold the tophat response at each scale of the ladder; the scales
+    past its end, where the element covers the grid, share its last rung."""
     params = params or TophatParams()
     stack = TophatStack(scales=params.scales())
     for rung in ladder(dsm, params):
         stack.cumulative_masks.append(rung.mask)
         stack.contour_images.append(rung.contour_image)
+    missing = len(stack.scales) - len(stack.cumulative_masks)
+    stack.cumulative_masks += [rung.mask] * missing
+    stack.contour_images += [rung.contour_image] * missing
     return stack
 
 

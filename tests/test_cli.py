@@ -170,12 +170,17 @@ def test_extract_mask_dump_stack(small_scene, run_cli):
     assert len(list(stack_dir.glob("contours_*.pgm"))) == 4
 
 
-def test_extract_mask_dump_stack_ends_where_the_element_covers_the_grid(small_scene, run_cli):
-    # a ladder that cannot be listed ends at scale 130, whose 131 px element
-    # covers the 64 px grid; every later rung would repeat it
+@pytest.mark.parametrize("scale_max", [None, 10**30])
+def test_extract_mask_dump_stack_ends_where_the_element_covers_the_grid(
+    small_scene, run_cli, scale_max
+):
+    # scale 130's 131 px element covers the 64 px grid and every later rung
+    # would repeat its rung: the default ladder (to 400) ends there, and so
+    # does one that cannot be listed
+    settings = [] if scale_max is None else ["--set", f"tophat.scale_max={scale_max}"]
     code = run_cli(
         "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"],
-        "--dump-stack", "--set", f"tophat.scale_max={10**30}",
+        "--dump-stack", *settings,
     )
     assert code == 0
     stack_dir = small_scene["out"] / "stack"

@@ -391,20 +391,6 @@ def test_warp_allocates_for_the_moved_band_not_the_grid():
     assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
 
 
-def test_warp_of_a_field_that_moves_every_pixel_follows_the_slab():
-    n = 512
-    rng = np.random.default_rng(8)
-    dsm = Heightfield(rng.normal(10.0, 3.0, (n, n)))
-    field = gc.OffsetField(rng.normal(0.0, 2.0, (n, n)) + 0.1, rng.normal(0.0, 2.0, (n, n)))
-    out, peak = traced_peak(gc.warp_dsm, dsm, field)
-    # two bool grids of the nodata fill, and two dozen float64 or int64
-    # arrays of one slab's moved pixels; all pixels at once take two dozen grids
-    bound = 2 * n * n + 24 * 8 * gc._WARP_SLAB
-    assert peak - out.values.nbytes < bound
-    assert bound < 2 * n * n * 8
-    assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
-
-
 def test_interpolate_memory_follows_the_block_not_the_band():
     # far_distance covers the grid: every pixel but the contour is searched,
     # out to 370 px from the 200 contour anchors

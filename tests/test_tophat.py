@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsmsharp import tophat
-from dsmsharp.raster import Heightfield
+from dsmsharp.raster import Heightfield, rasterize_contours, trace_contours
 from dsmsharp.tophat import TophatParams
 
 
@@ -107,21 +107,35 @@ def test_top_scale_and_ladder_do_not_list_the_scales(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(1, 1), (8, 8), (5, 30), (64, 64)])
 @pytest.mark.parametrize("scale_min, scale_step", [(10, 10), (3, 7), (1, 1), (200, 10)])
-def test_ladder_within_a_grid_ends_at_the_first_covering_scale(shape, scale_min, scale_step):
+def test_ladder_ends_at_the_first_scale_whose_element_covers_the_grid(
+    shape, scale_min, scale_step
+):
     # every rung past that scale repeats its rung, bit for bit
-    params = TophatParams(scale_min=scale_min, scale_max=10**30, scale_step=scale_step)
-    cut = params.within(shape)
-    assert (cut.scale_min, cut.scale_step) == (scale_min, scale_step)
     side = max(shape)
-    assert cut.scale_max // 2 >= side - 1
-    assert cut.scale_max == scale_min or (cut.scale_max - scale_step) // 2 < side - 1
-    rng = np.random.default_rng(side)
-    hf = Heightfield(rng.normal(0.0, 5.0, shape))
-    last = tophat.white_tophat(hf, cut.scale_max).values
-    for later in (cut.scale_max + scale_step, 10**30):
-        assert tophat.white_tophat(hf, later).values.tobytes() == last.tobytes()
-    low = TophatParams(scale_min=scale_min, scale_max=scale_min, scale_step=scale_step)
-    assert low.within(shape) == low
+    hf = Heightfield(np.random.default_rng(side).normal(0.0, 5.0, shape))
+    params = TophatParams(scale_min=scale_min, scale_max=10**30, scale_step=scale_step)
+    scales = [rung.scale for rung in tophat.ladder(hf, params)]
+    last = scales[-1]
+    assert scales == list(range(scale_min, last + 1, scale_step))
+    assert last // 2 >= side - 1
+    assert len(scales) == 1 or (last - scale_step) // 2 < side - 1
+    top = tophat.white_tophat(hf, last).values
+    for later in (last + scale_step, 10**30):
+        assert tophat.white_tophat(hf, later).values.tobytes() == top.tobytes()
+
+
+def test_stack_shares_the_last_rung_past_the_ladders_end():
+    # the 11 px side is covered from scale 20 on; scales 25..40 share its rung
+    hf = Heightfield(np.random.default_rng(3).normal(0.0, 5.0, (8, 11)))
+    params = TophatParams(scale_min=5, scale_max=40, scale_step=5)
+    stack = tophat.build_stack(hf, params)
+    assert stack.scales == params.scales()
+    assert len(stack.cumulative_masks) == len(stack.contour_images) == len(stack.scales)
+    for scale, mask, contours in stack:
+        response = tophat.white_tophat(hf, scale).values
+        assert np.array_equal(mask.bits, response > params.height_threshold)
+        assert np.array_equal(contours.bits, rasterize_contours(trace_contours(mask), (8, 11)).bits)
+    assert all(m is stack.cumulative_masks[3] for m in stack.cumulative_masks[3:])
 
 
 def test_flat_field_gives_empty_stack():
