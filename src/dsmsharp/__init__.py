@@ -53,7 +53,6 @@ from .lines import (
 )
 from .graphcut import (
     ContourProblem,
-    GraphcutConfig,
     Labeling,
     OffsetField,
     OffsetLabel,

@@ -101,10 +101,10 @@ def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
     return filtered
 
 
-def _sharpen_stage(method, dsm, segments, ramps, cfg, out, debug):
+def _sharpen_stage(method, dsm, segments, ramps, out, debug):
     """Adjust the DSM with one method; graph-cut moves the ``ramps`` contours."""
     if method == "graphcut":
-        adjusted = _sharpen_graphcut(dsm, segments, ramps, cfg, out, debug)
+        adjusted = _sharpen_graphcut(dsm, segments, ramps, out, debug)
     else:
         rows: list | None = [] if debug else None
         adjusted = pf.adjust_all(dsm, segments, debug_rows=rows)
@@ -115,12 +115,12 @@ def _sharpen_stage(method, dsm, segments, ramps, cfg, out, debug):
     return adjusted
 
 
-def _sharpen_graphcut(dsm, segments, ramps, cfg, outdir, debug):
+def _sharpen_graphcut(dsm, segments, ramps, outdir, debug):
     ground, roof = ramps
     if not ground and not roof:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy()
-    problem = gc.build_problem(ground, roof, segments, dsm, cfg.graphcut)
+    problem = gc.build_problem(ground, roof, segments, dsm)
     labeling = gc.minimize(problem)
     field = gc.interpolate_offsets(problem, labeling)
     if debug:
@@ -252,7 +252,8 @@ def cmd_sharpen(args) -> int:
     cfg = _config_from_args(args)
     # the segments are checked before the DSM is read or anything is written
     seg_path = Path(args.segments) if args.segments else Path(cfg.out) / "segments_filtered.csv"
-    segments = ln.load_segments_csv(_require_file(seg_path, "segments"))
+    seg_lines: list[int] = []
+    segments = ln.load_segments_csv(_require_file(seg_path, "segments"), seg_lines)
     if args.method == "planefit":
         missing = sum(seg.width_index is None for seg in segments)
         if missing:
@@ -261,9 +262,24 @@ def cmd_sharpen(args) -> int:
                 " plane fit sizes its buffers from it (detect-lines writes it)"
             )
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
+    _check_on_grid(seg_path, segments, seg_lines, dsm)
     ramps = gc.ramp_contours(top_tophat(dsm, cfg.tophat)) if args.method == "graphcut" else None
-    _sharpen_stage(args.method, dsm, segments, ramps, cfg, _outdir(cfg), args.debug)
+    _sharpen_stage(args.method, dsm, segments, ramps, _outdir(cfg), args.debug)
     return 0
+
+
+def _check_on_grid(path, segments, line_numbers, dsm) -> None:
+    """Every endpoint must lie on the DSM grid's footprint, -0.5 <= x <=
+    width - 0.5 and the same for y, as every segment detect-lines writes
+    does; a line far off the grid would cost its whole raster walk."""
+    xmax, ymax = dsm.width - 0.5, dsm.height - 0.5
+    for seg, line in zip(segments, line_numbers):
+        off = [p for p in (seg.p1, seg.p2) if not (-0.5 <= p[0] <= xmax and -0.5 <= p[1] <= ymax)]
+        if off:
+            raise ValueError(
+                f"{path}: line {line}: endpoint {off[0]} lies off the {dsm.width}x{dsm.height}"
+                f" DSM grid: x must lie in [-0.5, {xmax}] and y in [-0.5, {ymax}]"
+            )
 
 
 def _variant_paths(items) -> dict[str, Path]:
@@ -317,7 +333,7 @@ def cmd_run_all(args) -> int:
     del top  # the response is not kept past the ramps
     segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
     del ortho, mask  # the methods read neither
-    variants = {m: _sharpen_stage(m, dsm, segments, ramps, cfg, out, args.debug) for m in methods}
+    variants = {m: _sharpen_stage(m, dsm, segments, ramps, out, args.debug) for m in methods}
     truth = raster.load_heightfield(truth_path)
     _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
     return 0

@@ -2,8 +2,8 @@
 
 Every tunable in the pipeline lives behind a dotted key (for example
 ``tophat.height_threshold``). The constants of the two methods (graph-cut's
-energy, plane fit's buffer and the width walk's overlap) are no tunables
-and have no key. Values come from built-in defaults, then an optional
+energy and reaches, plane fit's buffer and the width walk's overlap) are no
+tunables and have no key. Values come from built-in defaults, then an optional
 config file, then explicit command-line settings, which win; the merged
 settings are checked together, so their order does not matter. Unknown
 keys are rejected.
@@ -17,7 +17,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graphcut import GraphcutConfig
 from .lines import DetectorParams
 from .raster import read_text
 from .tophat import TophatParams
@@ -32,7 +31,6 @@ class PipelineConfig:
     region: str = "synthetic"
     tophat: TophatParams = field(default_factory=TophatParams)
     detector: DetectorParams = field(default_factory=DetectorParams)
-    graphcut: GraphcutConfig = field(default_factory=GraphcutConfig)
     boundary_buffer_radius: int = 5  # segment filtering against DSM contours
     eval_widths: tuple[int, ...] = (5, 10, 20)
     sweep_max_width: int = 20
@@ -77,9 +75,7 @@ _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
 
 # lowest values of the keys a stage would reject only after the tophat ladder,
 # or that have no meaning below it
-_MINIMUM = {"lines.boundary_buffer_radius": 0, "graphcut.line_buffer_radius": 0,
-            "graphcut.neighbor_reach": 0, "graphcut.far_distance": 0,
-            "eval.sweep_max_width": 1}
+_MINIMUM = {"lines.boundary_buffer_radius": 0, "eval.sweep_max_width": 1}
 
 
 def read_key_values(path: str | Path, known) -> Iterator[tuple[int, str, str]]:

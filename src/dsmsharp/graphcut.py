@@ -8,10 +8,11 @@ the side where the DSM is higher. Every contour pixel picks one 2-d integer
 offset out of an 11x11 grid. A pixel whose shifted position lands in the
 band on its own side is free, a miss costs 10; neighbouring contour pixels
 pay 2 when their offsets agree within a 5-pixel radius and 100 otherwise.
-These are the method's fixed constants; the band width, the neighbour
-reach and the densification reach are the settings of GraphcutConfig,
-which every problem carries. Snapping the foot and the top of a ramp onto
-the same line narrows the ramp instead of only translating it.
+Each band reaches 2 pixels from its line, each contour pixel pairs with
+the next 8 along its contour, and every pixel 20 or more pixels from all
+contour pixels keeps a zero offset. These are the method's fixed
+constants; it takes no settings. Snapping the foot and the top of a ramp
+onto the same line narrows the ramp instead of only translating it.
 
 The multilabel energy is minimised by expansion moves, each solved as a
 two-terminal minimum cut with integer capacities; non-submodular pairwise
@@ -64,6 +65,13 @@ LABEL_RADIUS = 5
 DATA_COST_HIT, DATA_COST_MISS = 0, 10
 SMOOTH_COST_NEAR, SMOOTH_COST_FAR = 2, 100
 SMOOTH_RADIUS = 5.0
+# the reaches: each point pairs with the next NEIGHBOR_REACH points along
+# its contour, each segment's band reaches LINE_BUFFER_RADIUS pixels from
+# its line (see side_bands), and a pixel FAR_DISTANCE or more from every
+# contour pixel keeps a zero offset (see interpolate_offsets)
+NEIGHBOR_REACH = 8
+LINE_BUFFER_RADIUS = 2
+FAR_DISTANCE = 20
 # anchors whose offsets interpolate_offsets blends into each band pixel
 IDW_NEIGHBORS = 8
 # (pixel, offset) pairs interpolate_offsets tests at a time; bounds its
@@ -106,43 +114,21 @@ def smooth_costs(d) -> np.ndarray:
     return np.where(near, SMOOTH_COST_NEAR, SMOOTH_COST_FAR)
 
 
-@dataclass(frozen=True)
-class GraphcutConfig:
-    """The reaches of the solver: each point pairs with the next
-    ``neighbor_reach`` points along its contour, ``line_buffer_radius`` is
-    the half width of each segment's band (see side_bands) and
-    ``far_distance`` the reach of interpolate_offsets.
-    """
-
-    neighbor_reach: int = 8
-    line_buffer_radius: int = 2
-    far_distance: int = 20
-
-    def __post_init__(self):
-        if self.neighbor_reach < 0:
-            raise ValueError("neighbor_reach must be >= 0")
-        if self.line_buffer_radius < 0:
-            raise ValueError("line_buffer_radius must be >= 0")
-        if self.far_distance < 0:
-            raise ValueError("far_distance must be >= 0")
-
-
 @dataclass(eq=False)
 class ContourProblem:
-    """Data points, neighbourhood structure and settings of one solve.
+    """Data points and neighbourhood structure of one solve.
 
     ``contour_spans`` holds (start, stop, closed) index ranges partitioning
     ``points`` back into the source contours; they must tile ``0..n`` in
     order (ValueError otherwise), and closed spans wrap their neighbour
-    reach. ``line_buffer`` is a (k, h, w) bool stack of which
-    ``point_band`` picks each point's layer (GROUND or ROOF for the
-    one-sided bands of build_problem).
+    reach, NEIGHBOR_REACH when the problem is built. ``line_buffer`` is a
+    (k, h, w) bool stack of which ``point_band`` picks each point's layer
+    (GROUND or ROOF for the one-sided bands of build_problem).
     """
 
     points: np.ndarray  # (n, 2) int pixel coordinates
     contour_spans: list[tuple[int, int, bool]]
     line_buffer: np.ndarray  # (k, h, w) bool
-    params: GraphcutConfig = field(default_factory=GraphcutConfig)
     point_band: np.ndarray = field(kw_only=True)  # (n,) layer index
     pairs: np.ndarray = field(init=False)  # (m, 2) unique unordered neighbour pairs
 
@@ -164,7 +150,7 @@ class ContourProblem:
         starts = [start for start, _, _ in self.contour_spans]
         if starts != edges[:-1] or edges != sorted(edges) or edges[-1] != self.size:
             raise ValueError("contour spans must tile the points in order")
-        self.pairs = _neighbor_pairs(self.contour_spans, self.params.neighbor_reach)
+        self.pairs = _neighbor_pairs(self.contour_spans, NEIGHBOR_REACH)
 
     @property
     def size(self) -> int:
@@ -220,7 +206,6 @@ def build_problem(
     roof: list[Contour],
     segments: list[LineSegment],
     dsm: Heightfield,
-    params: GraphcutConfig | None = None,
 ) -> ContourProblem:
     """Assemble the optimisation problem from the ground-side and roof-side
     contours of ramp_contours and the filtered segments on the grid of ``dsm``.
@@ -229,7 +214,6 @@ def build_problem(
     the segments (see side_bands). The points are the ground contours
     followed by the roof contours; empty contours are left out.
     """
-    params = params or GraphcutConfig()
     kept = [(c, side) for side, cs in ((GROUND, ground), (ROOF, roof)) for c in cs if len(c)]
     if not kept:
         raise ValueError("nothing to adjust")
@@ -240,12 +224,12 @@ def build_problem(
         start += len(c)
     points = np.vstack([c.points for c, _ in kept])
     point_band = np.concatenate([np.full(len(c), side) for c, side in kept])
-    bands = side_bands(dsm, segments, params.line_buffer_radius)
-    return ContourProblem(points, spans, bands, params, point_band=point_band)
+    bands = side_bands(dsm, segments)
+    return ContourProblem(points, spans, bands, point_band=point_band)
 
 
 def side_bands(
-    dsm: Heightfield, segments: list[LineSegment], radius: int = GraphcutConfig.line_buffer_radius
+    dsm: Heightfield, segments: list[LineSegment], radius: int = LINE_BUFFER_RADIUS
 ) -> np.ndarray:
     """(2, h, w) bool stack of the GROUND and ROOF bands of all segments.
 
@@ -579,8 +563,8 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     """Densify sparse contour offsets to every pixel of the problem's grid.
 
     Anchors are the contour pixels (with their solved offsets) plus every
-    pixel at Chebyshev distance >= ``far_distance`` from all contour pixels
-    (offset zero); the reach is that of the problem's GraphcutConfig, and a
+    pixel at Chebyshev distance >= FAR_DISTANCE from all contour pixels
+    (offset zero); the reach is read when the function is called, and a
     reach beyond the grid's larger side makes no pixel far. Anchors keep
     their exact values; a problem without points gives the zero field.
 
@@ -598,11 +582,11 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     pixel at Chebyshev distance c from the contour has no contour anchor
     nearer than c and no far anchor nearer than the reach minus c, so it
     joins the walk at the shell of the smaller; it closes once it holds k
-    anchors and its shell is complete. Each batch of shells either gathers
-    from the open pixels or scatters from the anchors that can be nearest,
-    whichever set is smaller; both give the same sums. Beyond the output
-    grids and a few grid-sized masks and counters, memory follows
-    _PAIR_BLOCK (pixel, offset) pairs, or one shell when one shell is more.
+    anchors and its shell is complete. Each batch of shells is gathered
+    from the open pixels, a chunk of them at a time, and each chunk adds
+    its own pairs. Beyond the output grids and a few grid-sized masks and
+    counters, memory follows _PAIR_BLOCK (pixel, offset) pairs, or one
+    pixel's shells when they are more.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
@@ -622,45 +606,31 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     low = boundary_distance(BinaryMask(contour)).ravel()
     contour = contour.ravel()
     # no pixel lies farther than the grid's larger side from the contour
-    reach = min(problem.params.far_distance, max(h, w))
+    reach = min(FAR_DISTANCE, max(h, w))
     far = low >= reach
     anchor = contour | far
     band = ~anchor
-    remaining = int(np.count_nonzero(band))
-    if remaining == 0:
-        return OffsetField(dx, dy)
-    k = min(IDW_NEIGHBORS, h * w - remaining)
-    # A far anchor IDW_NEIGHBORS or more beyond the reach is never among a
-    # band pixel's nearest: the chessboard steps from it towards the pixel
-    # pass that many far anchors, each strictly nearer.
-    sources = np.flatnonzero(contour | (far & (low < reach + IDW_NEIGHBORS)))
+    k = min(IDW_NEIGHBORS, int(np.count_nonzero(anchor)))
     # the distance below which a band pixel has no anchor, >= 1; 0 on anchors
     if far.any():
         np.minimum(low, reach - low, out=low)
     low[anchor] = 0
     del contour, far
 
-    is_open = band.copy()
-    count = np.zeros(h * w, dtype=np.int32)
+    count = np.zeros(h * w, dtype=np.int32)  # a band pixel is open while count < k
     weight = np.zeros(h * w)
     sum_dx, sum_dy = dx.reshape(-1), dy.reshape(-1)
-    active = sources[:0]  # the open pixels that have joined the walk
+    active = np.empty(0, dtype=np.intp)  # the open pixels that have joined the walk
     joined, last, lo = 0, int(low.max()), 1  # pixels with low <= joined have joined
-    while remaining:
+    while active.size or joined < last:
         if active.size == 0:
             lo = max(lo, int(low[low > joined].min()) ** 2)
         while joined < last and (joined + 1) ** 2 <= lo:
             joined += 1
-            new = np.flatnonzero(low == joined)
-            active = np.concatenate([active, new[is_open[new]]])
-        # a band that holds many more pixels than the anchors near it (the
-        # first shells of a dense band, or a reach near the grid's side
-        # around a small contour) is cheaper walked from the anchors
-        scatter = sources.size < active.size
-        batch = sources if scatter else active
+            active = np.concatenate([active, np.flatnonzero(low == joined)])
         # about pi offsets per unit of d^2, so some _PAIR_BLOCK pairs a
         # batch; a batch ends where the next pixels join
-        hi = lo + max(1, _PAIR_BLOCK // (4 * batch.size))
+        hi = lo + max(1, _PAIR_BLOCK // (4 * active.size))
         if joined < last:
             hi = min(hi, (joined + 1) ** 2)
         q, oy, ox = _offsets(lo, hi)
@@ -668,21 +638,14 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
         if q.size == 0:
             continue
         flat, step = oy * w + ox, max(1, _PAIR_BLOCK // q.size)
-        parts = []
-        for i in range(0, batch.size, step):
-            if scatter:
-                anchors, pixels, cols = _pairs(batch[i : i + step], ox, flat, is_open, w)
-            else:
-                pixels, anchors, cols = _pairs(batch[i : i + step], ox, flat, anchor, w)
-            parts.append((pixels, q[cols], sum_dx[anchors], sum_dy[anchors]))
-        pixels, pq, pdx, pdy = (np.concatenate(a) for a in zip(*parts))
-        if pixels.size == 0:
-            continue
-        touched = _add_shells(pixels, pq, pdx, pdy, k, count, weight, sum_dx, sum_dy)
-        done = touched[count[touched] >= k]
-        is_open[done] = False
-        remaining -= done.size
-        active = active[is_open[active]]
+        # the chunks split the open pixels, so each holds all of its
+        # pixels' pairs of the batch and adds them on its own
+        for i in range(0, active.size, step):
+            pixels, anchors, cols = _pairs(active[i : i + step], ox, flat, anchor, w)
+            if pixels.size:
+                _add_shells(pixels, q[cols], sum_dx[anchors], sum_dy[anchors], k,
+                            count, weight, sum_dx, sum_dy)
+        active = active[count[active] < k]
     np.divide(sum_dx, weight, out=sum_dx, where=band)
     np.divide(sum_dy, weight, out=sum_dy, where=band)
     return OffsetField(dx, dy)
@@ -702,8 +665,7 @@ def _pairs(sources, ox, flat, targets, w):
 
 def _add_shells(pixels, q, odx, ody, k, count, weight, sum_dx, sum_dy):
     """Add one batch of anchors, each (pixel, squared distance, offset), to
-    the pixels' sums in increasing distance; returns the pixels that took a
-    shell, each once.
+    the pixels' sums in increasing distance.
 
     A pixel takes each of its shells, whole, while it holds fewer than k
     anchors before that shell. A shell adds its anchor count and its integer
@@ -734,7 +696,6 @@ def _add_shells(pixels, q, odx, ody, k, count, weight, sum_dx, sum_dy):
     np.add.at(weight, pixels, n / q)
     np.add.at(sum_dx, pixels, sx / q)
     np.add.at(sum_dy, pixels, sy / q)
-    return pixels[np.append(True, pixels[1:] != pixels[:-1])]
 
 
 def _offsets(lo: int, hi: int):

@@ -204,6 +204,9 @@ def _fit_segment(region, pw, mag, min_length) -> LineSegment | None:
     are pw cells long. The fit's extent along any axis is at most the
     diagonal of the pixel centres' bounding box, so a region whose diagonal
     falls short of min_length by more than _FIT_SLACK gives None unfitted.
+    An end beyond the image's footprint, -0.5 <= x <= width - 0.5 and the
+    same for y, moves along the line onto its edge, so sharpen takes every
+    segment the detector gives.
     """
     rows, cols = np.divmod(np.array(region), pw)
     span = math.hypot(int(cols.max() - cols.min()), int(rows.max() - rows.min()))
@@ -226,10 +229,18 @@ def _fit_segment(region, pw, mag, min_length) -> LineSegment | None:
     ux, uy = math.cos(phi), math.sin(phi)
     t = dxs * ux + dys * uy
     tmin, tmax = float(t.min()), float(t.max())
+    # the image is one cell larger than its gradients' dual grid; the
+    # centroid lies on its footprint, so the clipped ends enclose it
+    gh, gw = mag.shape[0] + 1, mag.shape[1] + 1
+    for c, u, side in ((cx, ux, gw), (cy, uy, gh)):
+        if u != 0.0:
+            a, b = sorted(((-0.5 - c) / u, (side - 0.5 - c) / u))
+            tmin, tmax = max(tmin, a), min(tmax, b)
     if tmax - tmin < min_length:
         return None
-    e1 = (cx + tmin * ux, cy + tmin * uy)
-    e2 = (cx + tmax * ux, cy + tmax * uy)
+    # an end clipped onto an edge may round past it
+    e1, e2 = ((min(max(x, -0.5), gw - 0.5), min(max(y, -0.5), gh - 0.5))
+              for x, y in ((cx + tmin * ux, cy + tmin * uy), (cx + tmax * ux, cy + tmax * uy)))
     if e2 < e1:
         e1, e2 = e2, e1
     return LineSegment(e1, e2)
@@ -389,8 +400,9 @@ def save_segments_csv(segments: list[LineSegment], path: str | Path) -> None:
             writer.writerow([repr(s.p1[0]), repr(s.p1[1]), repr(s.p2[0]), repr(s.p2[1]), width])
 
 
-def load_segments_csv(path: str | Path) -> list[LineSegment]:
-    """Segments of a CSV written by save_segments_csv.
+def load_segments_csv(path: str | Path, line_numbers: list | None = None) -> list[LineSegment]:
+    """Segments of a CSV written by save_segments_csv; ``line_numbers``
+    collects the line of each segment when given.
 
     Raises ValueError naming the file and the line of a row that is not
     four finite coordinates and an empty or positive width_index, of a byte
@@ -408,6 +420,8 @@ def load_segments_csv(path: str | Path) -> list[LineSegment]:
                 out.append(_segment_from_row(row))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            if line_numbers is not None:
+                line_numbers.append(reader.line_num)
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return out

@@ -403,6 +403,47 @@ def test_sharpen_planefit_rejects_segments_without_width_first(
     assert not small_scene["out"].exists()
 
 
+@pytest.mark.parametrize("method", ["planefit", "graphcut"])
+@pytest.mark.parametrize(
+    "row, endpoint",
+    [("18.5,10.0,3000000.5,11.0,1", "(3000000.5, 11.0)"),
+     ("-0.5,18,63.5,-0.625,1", "(63.5, -0.625)")],
+)
+def test_sharpen_rejects_a_segment_off_the_grid(small_scene, tmp_path, run_cli, capsys,
+                                                monkeypatch, method, row, endpoint):
+    # a line 3 million px long would cost graph-cut its whole raster walk;
+    # it is rejected once the DSM is read, before any tophat
+    seg_path = tmp_path / "segments.csv"
+    seg_path.write_text(f"x1,y1,x2,y2,width_index\n18,18,46,18,1\n\n{row}\n")
+
+    def no_tophat(*args):
+        raise AssertionError("tophat ran before the segments were checked against the grid")
+
+    monkeypatch.setattr(cli, "top_tophat", no_tophat)
+    code = run_cli(
+        "sharpen", "--method", method, "--dsm", small_scene["dsm"],
+        "--segments", seg_path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {seg_path}: line 4: endpoint {endpoint} lies off the 64x64 DSM grid:"
+        " x must lie in [-0.5, 63.5] and y in [-0.5, 63.5]"
+    ]
+    assert not small_scene["out"].exists()
+
+
+@pytest.mark.parametrize("method", ["planefit", "graphcut"])
+def test_sharpen_takes_segments_on_the_edge_of_the_grid(small_scene, tmp_path, run_cli, method):
+    seg_path = tmp_path / "segments.csv"
+    seg_path.write_text("x1,y1,x2,y2,width_index\n-0.5,18,63.5,18,1\n18,63.5,18,-0.5,1\n")
+    code = run_cli(
+        "sharpen", "--method", method, "--dsm", small_scene["dsm"],
+        "--segments", seg_path, "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert (small_scene["out"] / f"adjusted_{method}.asc").is_file()
+
+
 def test_sharpen_graphcut_takes_segments_without_width(small_scene, tmp_path, run_cli):
     # graph-cut reads only the lines' geometry
     seg_path = tmp_path / "segments_raw.csv"
@@ -780,12 +821,13 @@ def test_unknown_config_key_rejected(tmp_path, run_cli, capsys):
 
 
 # plane fit has no feather ring any more, and the constants of graph-cut's
-# energy, plane fit's buffer and the width walk's overlap are no settings:
-# each old key is an unknown one
+# energy and reaches, plane fit's buffer and the width walk's overlap are no
+# settings: each old key is an unknown one
 _RETIRED_KEYS = [
     "fit.feather_band", "graphcut.data_cost_hit", "graphcut.data_cost_miss",
     "graphcut.smooth_cost_near", "graphcut.smooth_cost_far", "graphcut.smooth_radius",
     "fit.width_multiplier", "fit.buffer_cap", "fit.min_points", "lines.overlap_radius",
+    "graphcut.neighbor_reach", "graphcut.line_buffer_radius", "graphcut.far_distance",
 ]
 
 
@@ -851,7 +893,6 @@ def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting
         "eval.sweep_max_width=0",
         "eval.buffer_widths=0,5",
         "eval.buffer_widths=5,5",
-        "graphcut.line_buffer_radius=-1",
         "lines.boundary_buffer_radius=-1",
     ],
 )
@@ -956,19 +997,6 @@ def test_largest_gaussian_sigma_accepted():
     cfg = config.build_config(None, {"detector.smoothing_sigma": "100"})
     assert cfg.detector.smoothing_sigma == 100
     assert SceneSpec(dims=(4, 4), boundary_blur_sigma=100.0).boundary_blur_sigma == 100
-
-
-@pytest.mark.parametrize(
-    "setting, message",
-    [
-        ("graphcut.far_distance=-3", "graphcut.far_distance must be >= 0, got -3"),
-        ("graphcut.neighbor_reach=-1", "graphcut.neighbor_reach must be >= 0, got -1"),
-    ],
-)
-def test_negative_graphcut_settings_rejected_before_any_work(small_scene, run_cli, capsys,
-                                                             monkeypatch, setting, message):
-    err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
-    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("settings", [("scale_min=500", "scale_max=600"),

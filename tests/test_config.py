@@ -108,7 +108,7 @@ def test_any_value_of_any_key_is_taken_or_rejected_with_value_error(key, text):
         pass
 
 
-_CONFIG_KEYS = ["tophat.scale_min", "graphcut.far_distance", "region", "eval.section"]
+_CONFIG_KEYS = ["tophat.scale_min", "lines.boundary_buffer_radius", "region", "eval.section"]
 _SCENE_KEYS = ["width", "height", "seed", "noise_sigma", "building"]
 _VALUES = ["64", "0", "-1", "2.5", "1e400", "1e308", "nan", "inf", "-inf", "x", "", "1,2,3,4",
            "32 32 20 20 10", "32 32 20 20 10 30", "1e308 0 1e308 1e308 1 45", "1 2 3"]

@@ -4,7 +4,8 @@ The oracles are the straightforward versions the module must reproduce
 bit for bit: the (labels x points) table built in one broadcast, the IDW
 field from a search of every anchor for every band pixel, and the bilinear
 sample of every pixel. The memory guards check that the working set follows
-the moved pixels, the pair block and the warp slab, not the band.
+the moved pixels and the pair block, not the band. The densification's reach
+is the module's FAR_DISTANCE, which the tests set with monkeypatch.
 """
 
 import tracemalloc
@@ -86,7 +87,7 @@ def reference_warp_dsm(dsm, field):
 # ---------------------------------------------------------------------------
 
 
-def random_problem(rng, h, w, n_points, n_contours=3, far_distance=20):
+def random_problem(rng, h, w, n_points, n_contours=3):
     """Random contour points (duplicates allowed) on an (h, w) grid with a
     two-layer band stack; points lie anywhere, including the border."""
     points = np.column_stack([rng.integers(0, w, n_points), rng.integers(0, h, n_points)])
@@ -95,8 +96,7 @@ def random_problem(rng, h, w, n_points, n_contours=3, far_distance=20):
     spans = [(a, b, bool(rng.integers(2))) for a, b in zip(edges[:-1], edges[1:])]
     bands = rng.random((2, h, w)) < 0.3
     point_band = rng.integers(0, 2, n_points)
-    params = gc.GraphcutConfig(far_distance=far_distance)
-    return gc.ContourProblem(points, spans, bands, params, point_band=point_band)
+    return gc.ContourProblem(points, spans, bands, point_band=point_band)
 
 
 def random_labeling(rng, n, radius=gc.LABEL_RADIUS):
@@ -158,8 +158,9 @@ def test_data_cost_table_of_labels_beyond_the_grid():
 def test_interpolate_matches_reference(monkeypatch, seed, far_distance, idw_neighbors):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(20, 90, 2)
-    problem = random_problem(rng, h, w, int(rng.integers(5, 120)), 4, far_distance)
+    problem = random_problem(rng, h, w, int(rng.integers(5, 120)), 4)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     monkeypatch.setattr(gc, "IDW_NEIGHBORS", idw_neighbors)
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance, idw_neighbors)
@@ -170,10 +171,11 @@ def test_interpolate_matches_reference(monkeypatch, seed, far_distance, idw_neig
 @pytest.mark.parametrize("far_distance", [4, 100])
 def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_distance):
     # the walk split into batches of a few pairs, down to one squared
-    # distance a batch and one source a chunk; both reaches gather and scatter
+    # distance a batch and one pixel a chunk
     rng = np.random.default_rng(block + far_distance)
-    problem = random_problem(rng, 61, 47, 40, far_distance=far_distance)
+    problem = random_problem(rng, 61, 47, 40)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     monkeypatch.setattr(gc, "_PAIR_BLOCK", block)
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance)
@@ -183,8 +185,9 @@ def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_
 def test_interpolate_with_more_neighbors_than_anchors(monkeypatch):
     # far_distance beyond the grid: the contour points are the only anchors
     rng = np.random.default_rng(11)
-    problem = random_problem(rng, 30, 25, 6, n_contours=2, far_distance=40)
+    problem = random_problem(rng, 30, 25, 6, n_contours=2)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 40)
     n_anchors = len(np.unique(problem.points, axis=0))
     for k in (1, n_anchors, n_anchors + 1, 50):
         monkeypatch.setattr(gc, "IDW_NEIGHBORS", k)
@@ -193,11 +196,12 @@ def test_interpolate_with_more_neighbors_than_anchors(monkeypatch):
         assert same_field(got, want)
 
 
-def test_interpolate_of_zero_labels_is_positive_zero():
+def test_interpolate_of_zero_labels_is_positive_zero(monkeypatch):
     # the warp samples only pixels with a non-zero offset; a zero labeling
     # must give +0.0 everywhere
-    problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2, far_distance=6)
+    problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2)
     labeling = gc.Labeling(np.zeros((problem.size, 2), int))
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 6)
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, 6)
     assert same_field(got, want)
@@ -212,10 +216,10 @@ def test_interpolate_on_tiny_grids(monkeypatch, shape, far_distance):
     h, w = shape
     points = [(int(rng.integers(w)), int(rng.integers(h)))]
     problem = gc.ContourProblem(
-        np.array(points), [(0, 1, False)], np.zeros((1, h, w), bool),
-        gc.GraphcutConfig(far_distance=far_distance), point_band=np.zeros(1, int),
+        np.array(points), [(0, 1, False)], np.zeros((1, h, w), bool), point_band=np.zeros(1, int),
     )
     labeling = gc.Labeling(np.array([[3, -2]]))
+    monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     for k in (1, 8):
         monkeypatch.setattr(gc, "IDW_NEIGHBORS", k)
         got = gc.interpolate_offsets(problem, labeling)
@@ -223,27 +227,27 @@ def test_interpolate_on_tiny_grids(monkeypatch, shape, far_distance):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_interpolate_reach_beyond_the_grid_is_the_grid_side(seed):
+def test_interpolate_reach_beyond_the_grid_is_the_grid_side(monkeypatch, seed):
     # no pixel is far at either reach, and 10**30 neither overflows nor allocates
     rng = np.random.default_rng(seed)
     h, w = (int(v) for v in rng.integers(8, 30, 2))
-    problem = random_problem(rng, h, w, 12, far_distance=max(h, w))
+    problem = random_problem(rng, h, w, 12)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", max(h, w))
     want = gc.interpolate_offsets(problem, labeling)
     assert same_field(want, reference_interpolate_offsets(problem, labeling, max(h, w)))
-    problem.params = gc.GraphcutConfig(far_distance=10**30)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 10**30)
     assert same_field(gc.interpolate_offsets(problem, labeling), want)
 
 
-def distinct_problem(rng, h, w, n_points, far_distance):
+def distinct_problem(rng, h, w, n_points):
     """Random contour points on distinct pixels, in two open contours."""
     flat = rng.choice(h * w, n_points, replace=False)
     points = np.column_stack([flat % w, flat // w])
     half = n_points // 2
     bands = rng.random((2, h, w)) < 0.3
-    params = gc.GraphcutConfig(far_distance=far_distance)
     return gc.ContourProblem(
-        points, [(0, half, False), (half, n_points, False)], bands, params,
+        points, [(0, half, False), (half, n_points, False)], bands,
         point_band=rng.integers(0, 2, n_points),
     )
 
@@ -252,29 +256,31 @@ def distinct_problem(rng, h, w, n_points, far_distance):
 def test_interpolate_does_not_depend_on_the_point_order(monkeypatch, seed, far_distance,
                                                         idw_neighbors):
     rng = np.random.default_rng(seed)
-    problem = distinct_problem(rng, 40, 33, 60, far_distance)
+    problem = distinct_problem(rng, 40, 33, 60)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     monkeypatch.setattr(gc, "IDW_NEIGHBORS", idw_neighbors)
     want = gc.interpolate_offsets(problem, labeling)
     for _ in range(3):
         order = rng.permutation(problem.size)
         shuffled = gc.ContourProblem(
             problem.points[order], problem.contour_spans, problem.line_buffer,
-            problem.params, point_band=problem.point_band[order],
+            point_band=problem.point_band[order],
         )
         got = gc.interpolate_offsets(shuffled, gc.Labeling(labeling.offsets[order]))
         assert same_field(got, want)
 
 
 @pytest.mark.parametrize("seed, far_distance", [(0, 5), (1, 20), (2, 200)])
-def test_transposed_problem_gives_the_transposed_field(seed, far_distance):
+def test_transposed_problem_gives_the_transposed_field(monkeypatch, seed, far_distance):
     rng = np.random.default_rng(seed)
-    problem = random_problem(rng, 37, 52, 50, far_distance=far_distance)
+    problem = random_problem(rng, 37, 52, 50)
     labeling = random_labeling(rng, problem.size)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     field = gc.interpolate_offsets(problem, labeling)
     transposed = gc.ContourProblem(
         problem.points[:, ::-1], problem.contour_spans, problem.line_buffer.transpose(0, 2, 1),
-        problem.params, point_band=problem.point_band,
+        point_band=problem.point_band,
     )
     got = gc.interpolate_offsets(transposed, gc.Labeling(labeling.offsets[:, ::-1]))
     assert got.dx.tobytes() == np.ascontiguousarray(field.dy.T).tobytes()
@@ -348,11 +354,12 @@ def test_warp_next_to_an_infinite_nodata_hole():
     assert out.tobytes() == want.tobytes()
 
 
-def test_warp_end_to_end_matches_reference():
+def test_warp_end_to_end_matches_reference(monkeypatch):
     # a solved problem: densified offsets of a random labeling on a holey DSM
     rng = np.random.default_rng(21)
     h, w = 70, 90
-    problem = random_problem(rng, h, w, 150, n_contours=5, far_distance=9)
+    problem = random_problem(rng, h, w, 150, n_contours=5)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 9)
     field = gc.interpolate_offsets(problem, random_labeling(rng, problem.size))
     dsm = holey_dsm(rng, h, w)
     got = gc.warp_dsm(dsm, field)
@@ -391,22 +398,33 @@ def test_warp_allocates_for_the_moved_band_not_the_grid():
     assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
 
 
+def square_ring(c, s):
+    """The outline of the square [c - s, c + s) on both axes, walked
+    clockwise: 8s - 4 pixels."""
+    lo, hi = c - s, c + s - 1
+    return ([(x, lo) for x in range(lo, hi)] + [(hi, y) for y in range(lo, hi)]
+            + [(x, hi) for x in range(hi, lo, -1)] + [(lo, y) for y in range(hi, lo, -1)])
+
+
 def test_interpolate_memory_follows_the_block_not_the_band():
-    # far_distance covers the grid: every pixel but the contour is searched,
-    # out to 370 px from the 200 contour anchors
+    # six closed square rings around the centre, 40 px apart: at the
+    # module's reach the band holds 217,968 px, 83 % of the grid, and every
+    # band pixel is searched
     n = 512
     rng = np.random.default_rng(6)
-    ring = [(x, 200) for x in range(200, 300)] + [(300, y) for y in range(200, 300)]
+    rings = [square_ring(n // 2, s) for s in range(20, 240, 40)]
+    edges = np.cumsum([0] + [len(r) for r in rings])
+    points = np.array([p for r in rings for p in r])
     problem = gc.ContourProblem(
-        np.array(ring), [(0, len(ring), False)], np.zeros((1, n, n), bool),
-        gc.GraphcutConfig(far_distance=n), point_band=np.zeros(len(ring), int),
+        points, [(a, b, True) for a, b in zip(edges[:-1], edges[1:])],
+        np.zeros((1, n, n), bool), point_band=np.zeros(len(points), int),
     )
     labeling = random_labeling(rng, problem.size)
     field, peak = traced_peak(gc.interpolate_offsets, problem, labeling)
     outputs = field.dx.nbytes + field.dy.nbytes
-    # per pixel: the int32 distances and counts, a float64 weight, four
-    # masks and the int64 list of open pixels (28 bytes); per pair of the
-    # block: eight int64 or float64 temporaries
+    # per pixel: the int32 distances and counts, a float64 weight, two masks
+    # and the int64 list of open pixels (26 bytes, at most 28); per pair of
+    # the block: eight int64 or float64 temporaries
     bound = 28 * n * n + 8 * 8 * gc._PAIR_BLOCK
     assert peak - outputs < bound
     assert bound < n * n * gc.IDW_NEIGHBORS * 8  # less than one array of the band's neighbours

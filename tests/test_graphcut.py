@@ -5,14 +5,13 @@ from dsmsharp import graphcut as gc
 from dsmsharp.raster import Contour, Heightfield
 
 
-def small_problem(points, buffer_bits, closed=True, **params):
+def small_problem(points, buffer_bits, closed=True):
     """One contour whose points all use the single (h, w) buffer layer."""
     spans = [(0, len(points), closed)]
     return gc.ContourProblem(
         np.asarray(points),
         spans,
         np.asarray(buffer_bits, bool)[None],
-        gc.GraphcutConfig(**params),
         point_band=np.zeros(len(points), int),
     )
 
@@ -149,13 +148,6 @@ def test_point_band_is_required():
         gc.ContourProblem(np.array([[0, 0]]), [(0, 1, False)], np.zeros((1, 4, 4), bool))
 
 
-@pytest.mark.parametrize("name", ["neighbor_reach", "line_buffer_radius"])
-def test_problem_rejects_negative_reach(name):
-    small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: 0})
-    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
-        small_problem([(1, 1), (2, 1)], np.zeros((4, 4), bool), **{name: -1})
-
-
 # ---------------------------------------------------------------------------
 # Energy
 # ---------------------------------------------------------------------------
@@ -207,6 +199,16 @@ def test_neighbor_pairs_open_contour_reach():
     # open contour: i pairs with i+1..i+8 without wrapping
     want = {(i, j) for i in range(12) for j in range(i + 1, min(i + 9, 12))}
     assert {tuple(p) for p in prob.pairs} == want
+
+
+def test_neighbor_reach_is_read_when_the_problem_is_built(monkeypatch):
+    pts = [(i, 0) for i in range(6)]
+    monkeypatch.setattr(gc, "NEIGHBOR_REACH", 2)
+    prob = small_problem(pts, np.zeros((1, 6), bool), closed=True)
+    monkeypatch.setattr(gc, "NEIGHBOR_REACH", 0)
+    want = {tuple(sorted((i, (i + k) % 6))) for i in range(6) for k in (1, 2)}
+    assert {tuple(p) for p in prob.pairs} == want
+    assert len(small_problem(pts, np.zeros((1, 6), bool)).pairs) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def test_interpolate_midpoint_between_two_anchors(monkeypatch):
     monkeypatch.setattr(gc, "IDW_NEIGHBORS", 2)
     h, w = 3, 25
     pts = [(2, 1)]
-    prob = small_problem(pts, np.zeros((h, w), bool), closed=False, far_distance=20)
+    prob = small_problem(pts, np.zeros((h, w), bool), closed=False)
     labeling = gc.Labeling(np.array([[4, 0]]))
     field = gc.interpolate_offsets(prob, labeling)
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
@@ -334,22 +336,15 @@ def test_interpolate_midpoint_between_two_anchors(monkeypatch):
     assert abs(field.dy[1, 12]) < 1e-6
 
 
-def test_interpolate_rejects_negative_far_distance():
-    # the problem's config rejects the reach before anything is densified
-    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=0)
-    gc.interpolate_offsets(prob, gc.Labeling(np.array([[1, 0]])))
-    with pytest.raises(ValueError, match="far_distance must be >= 0"):
-        small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=-3)
-
-
-def test_interpolate_reads_far_distance_from_the_problem():
+def test_interpolate_reads_far_distance_when_called(monkeypatch):
     labeling = gc.Labeling(np.array([[1, 0]]))
+    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
     # reach 0: every pixel off the contour is a zero anchor
-    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=0)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 0)
     field = gc.interpolate_offsets(prob, labeling)
     assert field.dx[1, 2] == 1 and np.count_nonzero(field.dx) == 1
     # reach 2: the ring around the point blends in its offset
-    prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False, far_distance=2)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 2)
     field = gc.interpolate_offsets(prob, labeling)
     assert 0 < field.dx[1, 3] < 1 and field.dx[1, 4] == 0
 

@@ -189,10 +189,18 @@ def _reference_fit_segment(region, mag, min_length):
     ux, uy = math.cos(phi), math.sin(phi)
     t = dxs * ux + dys * uy
     tmin, tmax = float(t.min()), float(t.max())
+    # ends beyond the image's footprint move along the line onto its edge;
+    # the image is one cell larger than the gradients' grid
+    h, w = mag.shape[0] + 1, mag.shape[1] + 1
+    for c, u, side in ((cx, ux, w), (cy, uy, h)):
+        if u != 0.0:
+            a, b = sorted(((-0.5 - c) / u, (side - 0.5 - c) / u))
+            tmin, tmax = max(tmin, a), min(tmax, b)
     if tmax - tmin < min_length:
         return None
     e1 = (cx + tmin * ux, cy + tmin * uy)
     e2 = (cx + tmax * ux, cy + tmax * uy)
+    e1, e2 = ((min(max(x, -0.5), w - 0.5), min(max(y, -0.5), h - 0.5)) for x, y in (e1, e2))
     if e2 < e1:
         e1, e2 = e2, e1
     return LineSegment(e1, e2)
@@ -294,6 +302,32 @@ def _seeded_regions(rng, h, w):
     for dr, dc in ((0, 1), (1, 0), (1, 1), (1, 3), (3, 1), (-1, 1)):
         for n in range(2, 16):
             yield [(20 + k * dr, 1 + k * dc) for k in range(n)]
+
+
+def _border_scene(seed):
+    """Noise over four straight steps at random angles, most of them cutting
+    the image's border."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(v) for v in rng.integers(16, 64, 2))
+    img = rng.normal(128, 40, (h, w))
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(4):
+        a, c = rng.uniform(0, np.pi), rng.uniform(-w, w)
+        img += 80 * ((np.cos(a) * xx + np.sin(a) * yy) > c)
+    return np.clip(img, 0, 255)
+
+
+@pytest.mark.parametrize("seed", [75, 151])
+def test_segment_ends_stay_on_the_image_footprint(seed):
+    # on these scenes a fitted end projects past the border; it moves along
+    # its line onto the footprint's edge, where sharpen takes it
+    img = _border_scene(seed)
+    h, w = img.shape
+    segs = lines.detect_segments(img)
+    ends = [p for s in segs for p in (s.p1, s.p2)]
+    assert all(-0.5 <= x <= w - 0.5 and -0.5 <= y <= h - 0.5 for x, y in ends)
+    assert any(x in (-0.5, w - 0.5) or y in (-0.5, h - 0.5) for x, y in ends)
+    assert segs == reference_detect_segments(img)
 
 
 def test_fit_guard_matches_unguarded_fit():
