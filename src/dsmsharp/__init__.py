@@ -9,7 +9,6 @@ evaluation harness for boundary-buffer RMSE.
 """
 
 from .raster import (
-    BinaryMask,
     Contour,
     GridFormatError,
     Heightfield,

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as ev
 from . import graphcut as gc
 from . import lines as ln
@@ -82,7 +84,7 @@ def _mask_stage(dsm, cfg, out=None):
     if out is not None:
         raster.save_mask(top.mask, out / "building_mask.pgm")
         raster.save_mask(contour_mask, out / "boundary_contours.pgm")
-        logger.info("extract-mask: %d building pixels", top.mask.count())
+        logger.info("extract-mask: %d building pixels", np.count_nonzero(top.mask))
     return top, contour_mask
 
 
@@ -184,7 +186,7 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
 
     if contour_mask is None or not _same_grid(truth, original):
         contour_mask = _mask_stage(on_truth["original"], cfg)[1]
-    if contour_mask.count() == 0:
+    if not contour_mask.any():
         raise ValueError(_NO_CONTOURS)
 
     distance = ev.boundary_distance(contour_mask)
@@ -326,7 +328,7 @@ def cmd_run_all(args) -> int:
     top, contour_mask = _mask_stage(dsm, cfg, out)
     # on the DSM's grid the evaluation scores against these contours; off it,
     # the resampled original may hold buildings the DSM's tophat misses
-    if _same_grid(truth_grid, dsm) and contour_mask.count() == 0:
+    if _same_grid(truth_grid, dsm) and not contour_mask.any():
         raise ValueError(_NO_CONTOURS)
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
     mask, ramps = top.mask, gc.ramp_contours(top) if "graphcut" in methods else None

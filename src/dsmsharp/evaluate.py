@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import BinaryMask, Heightfield, boundary_distance, sample_bilinear
+from .raster import Heightfield, boundary_distance, sample_bilinear
 
 
 @dataclass(eq=False)
@@ -72,15 +72,15 @@ def resample_to(reference: Heightfield, moving: Heightfield) -> Heightfield:
     return Heightfield(out, reference.cell_size, reference.origin, reference.nodata)
 
 
-def rmse(computed: Heightfield, truth: Heightfield, scope: BinaryMask | None = None) -> float:
+def rmse(computed: Heightfield, truth: Heightfield, scope: np.ndarray | None = None) -> float:
     """Root mean square difference over in-scope cells valid in both fields."""
     if computed.values.shape != truth.values.shape:
         raise ValueError("fields must share one grid; resample first")
     select = computed.valid_mask() & truth.valid_mask()
     if scope is not None:
-        if scope.bits.shape != truth.values.shape:
+        if scope.shape != truth.values.shape:
             raise ValueError("scope mask dimensions do not match")
-        select &= scope.bits
+        select &= scope
     n = int(select.sum())
     if n == 0:
         raise ValueError("no valid cells in scope")
@@ -125,7 +125,7 @@ def report(
 def sweep(
     computed: Heightfield,
     truth: Heightfield,
-    boundary_mask: BinaryMask,
+    boundary_mask: np.ndarray,
     max_width: int = 20,
 ) -> list[tuple[int, float]]:
     """Boundary-buffer RMSE at every width 1..max_width: one report over them."""
@@ -147,8 +147,8 @@ def cross_section(
     Station count is floor(length / step) + 1. Per-variant RMSE is computed
     against ``truth_name`` (default: the first variant).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     if not variants:
         raise ValueError("no variants given")
     names = list(variants)
@@ -166,6 +166,8 @@ def cross_section(
         if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
             raise ValueError("anchor outside raster")
     length = math.hypot(x2 - x1, y2 - y1)
+    if length == 0:
+        raise ValueError("anchor has zero length")
     n_st = int(math.floor(length / step)) + 1
     stations = np.arange(n_st) * step
     ux, uy = (x2 - x1) / length, (y2 - y1) / length

@@ -46,7 +46,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .raster import (
-    BinaryMask,
     Contour,
     Heightfield,
     boundary_distance,
@@ -264,7 +263,7 @@ def side_bands(
         inside = (xs >= 0) & (xs < walk.shape[1]) & (ys >= 0) & (ys < walk.shape[0])
         walk[ys[inside], xs[inside]] = True
         # the window spans the walk plus radius, so clipping at its edge loses nothing
-        buffer = dilate_mask(BinaryMask(walk), radius).bits
+        buffer = dilate_mask(walk, radius)
         cross = dx * (yy - y1) - dy * (xx - x1)
         left, right = buffer & (cross >= 0), buffer & (cross <= 0)
         vals, ok = dsm.values[win], valid[win]
@@ -294,7 +293,7 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
     shape = values.shape
     low = np.zeros(shape, dtype=bool)
     high = np.zeros(shape, dtype=bool)
-    labels, boxes = label(top.mask.bits)
+    labels, boxes = label(top.mask)
     pad = LABEL_RADIUS
     for idx, sl in enumerate(boxes, start=1):
         win = tuple(
@@ -302,14 +301,14 @@ def ramp_contours(top: Tophat) -> tuple[list[Contour], list[Contour]]:
         )
         comp = labels[win] == idx
         height = float(np.percentile(values[win][comp], HEIGHT_PERCENTILE))
-        reach = dilate_mask(BinaryMask(comp), pad).bits
+        reach = dilate_mask(comp, pad)
         for region, fraction in ((low, GROUND_FRACTION), (high, ROOF_FRACTION)):
             parts, _ = label(reach & (values[win] > fraction * height))
             touching = np.unique(parts[comp])
             region[win] |= np.isin(parts, touching[touching > 0])
     del labels
-    ground = trace_contours(dilate_mask(BinaryMask(low), 1))
-    roof = trace_contours(BinaryMask(high))
+    ground = trace_contours(dilate_mask(low, 1))
+    roof = trace_contours(high)
     return ground, roof
 
 
@@ -603,7 +602,7 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
 
     contour = np.zeros((h, w), dtype=bool)
     contour[uniq[:, 1], uniq[:, 0]] = True
-    low = boundary_distance(BinaryMask(contour)).ravel()
+    low = boundary_distance(contour).ravel()
     contour = contour.ravel()
     # no pixel lies farther than the grid's larger side from the contour
     reach = min(FAR_DISTANCE, max(h, w))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import GAUSSIAN_SIGMA_MAX, BinaryMask, bresenham_line, dilate_mask, gaussian, read_text
+from .raster import GAUSSIAN_SIGMA_MAX, bresenham_line, dilate_mask, gaussian, read_text
 from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
@@ -290,30 +290,16 @@ def _suppress_duplicates(segments: list[LineSegment], radius: float = 2.0) -> li
 # ---------------------------------------------------------------------------
 
 
-def _buffer_fraction_hits(points: np.ndarray, buffer_bits: np.ndarray) -> tuple[int, int]:
-    h, w = buffer_bits.shape
-    xs, ys = points[:, 0], points[:, 1]
-    inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
-    hits = int(buffer_bits[ys[inside], xs[inside]].sum())
-    return hits, len(points)
-
-
 def filter_segments(
     segments: list[LineSegment],
-    boundary_mask: BinaryMask,
+    boundary_mask: np.ndarray,
     buffer_radius: int = 5,
 ) -> list[LineSegment]:
     """Keep segments with strictly more than half their raster pixels on the
-    dilated DSM boundary; order is preserved."""
-    if buffer_radius < 0:
-        raise ValueError("buffer_radius must be >= 0")
-    buffer = dilate_mask(boundary_mask, buffer_radius).bits
-    out = []
-    for seg in segments:
-        hits, total = _buffer_fraction_hits(seg.raster_points(), buffer)
-        if 2 * hits > total:
-            out.append(seg)
-    return out
+    dilated DSM boundary; order is preserved. This is the width walk on the
+    one image."""
+    hits = _width_walk([seg.raster_points() for seg in segments], [boundary_mask], buffer_radius)
+    return [seg for seg, hit in zip(segments, hits) if hit is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +308,30 @@ def filter_segments(
 
 
 def _width_walk(
-    walks: list[np.ndarray], rungs: Iterable[Rung], overlap_radius: int
+    walks: list[np.ndarray], images: Iterable[np.ndarray], radius: int
 ) -> list[int | None]:
-    """Per raster walk, the 1-based index of the first rung whose contour
-    image, dilated by overlap_radius, holds more than half of it, or None.
+    """Per raster walk, the 1-based index of the first image whose dilation
+    by radius holds strictly more than half of the walk's pixels, or None;
+    a pixel off the grid is a miss.
 
-    Rungs are drawn one at a time and only while some walk is unmatched,
+    Images are drawn one at a time and only while some walk is unmatched,
     so a lazy ladder builds no rung past the last one needed.
     """
-    if overlap_radius < 0:
-        raise ValueError("overlap_radius must be >= 0")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     widths: list[int | None] = [None] * len(walks)
     pending = list(range(len(walks)))
-    upward = iter(rungs)
+    upward = iter(images)
     index = 0
-    while pending and (rung := next(upward, None)) is not None:
+    while pending and (image := next(upward, None)) is not None:
         index += 1
-        buffer = dilate_mask(rung.contour_image, overlap_radius).bits
+        buffer = dilate_mask(image, radius)
+        h, w = buffer.shape
         unmatched = []
         for k in pending:
-            hits, total = _buffer_fraction_hits(walks[k], buffer)
-            if 2 * hits > total:
+            xs, ys = walks[k][:, 0], walks[k][:, 1]
+            inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+            if 2 * int(buffer[ys[inside], xs[inside]].sum()) > len(xs):
                 widths[k] = index
             else:
                 unmatched.append(k)
@@ -355,7 +344,7 @@ def estimate_width(
 ) -> int:
     """1-based index of the first contour image whose buffered pixels cover
     more than half the segment's raster walk."""
-    (width,) = _width_walk([segment.raster_points()], stack, overlap_radius)
+    (width,) = _width_walk([segment.raster_points()], stack.contour_images, overlap_radius)
     if width is None:
         raise UnmatchedSegmentError("unmatched segment")
     return width
@@ -374,7 +363,11 @@ def assign_widths(
     is dilated once, by ``overlap_radius`` (the method's fixed 2 px in the
     pipeline), for all the segments still unmatched.
     """
-    widths = _width_walk([seg.raster_points() for seg in segments], rungs, overlap_radius)
+    widths = _width_walk(
+        [seg.raster_points() for seg in segments],
+        (rung.contour_image for rung in rungs),
+        overlap_radius,
+    )
     out = []
     for seg, width in zip(segments, widths):
         if width is None:

@@ -1,10 +1,11 @@
 """Raster containers and the low-level operations shared by the whole pipeline.
 
 Heightfields travel as ESRI ASCII grids, images as binary PGM/PPM, masks as
-PGM with 0/255. Row 0 is always the top image row; the ASCII-grid origin is
-the lower-left corner of the raster footprint. All containers are treated as
-immutable after construction and every operation returns a new object, so
-they are safe to share between threads.
+PGM with 0/255; in memory a mask is an (h, w) bool array. Row 0 is always
+the top image row; the ASCII-grid origin is the lower-left corner of the
+raster footprint. All containers are treated as immutable after
+construction and every operation returns a new object, so they are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -110,29 +111,6 @@ class RasterImage:
     @property
     def bands(self) -> int:
         return 1 if self.samples.ndim == 2 else 3
-
-
-@dataclass(eq=False)
-class BinaryMask:
-    """Per-pixel boolean raster; ``bits`` is (h, w) bool."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.ndim != 2:
-            raise ValueError("mask must be a 2-d array")
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    def count(self) -> int:
-        return int(self.bits.sum())
 
 
 @dataclass(eq=False)
@@ -393,17 +371,17 @@ def save_image(img: RasterImage, path: str | Path) -> None:
     path.write_bytes(header + img.samples.tobytes())
 
 
-def load_mask(path: str | Path) -> BinaryMask:
+def load_mask(path: str | Path) -> np.ndarray:
     """Read a PGM mask; any nonzero sample is foreground."""
     img = load_image(path)
     if img.bands != 1:
         raise ImageFormatError(f"{path}: mask must be single-band")
-    return BinaryMask(img.samples > 0)
+    return img.samples > 0
 
 
-def save_mask(mask: BinaryMask, path: str | Path) -> None:
+def save_mask(mask: np.ndarray, path: str | Path) -> None:
     """Write a mask as PGM with foreground 255."""
-    save_image(RasterImage(np.where(mask.bits, 255, 0).astype(np.uint8)), path)
+    save_image(RasterImage(np.where(mask, 255, 0).astype(np.uint8)), path)
 
 
 def grayscale(img: RasterImage) -> RasterImage:
@@ -444,13 +422,14 @@ def _extreme(hf: Heightfield, se_half: int, extreme, pad: float) -> Heightfield:
     return hf.like(work)
 
 
-def dilate_mask(mask: BinaryMask, radius: int) -> BinaryMask:
-    """Chebyshev (square) dilation: set iff a set bit lies within distance radius."""
+def dilate_mask(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Chebyshev (square) dilation into a new mask: set iff a set bit lies
+    within distance radius."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    bits = mask.bits.copy()
+    bits = mask.copy()
     window_extreme(bits, radius, np.maximum)
-    return BinaryMask(bits)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +533,9 @@ def gaussian(values: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
+def boundary_distance(boundary_mask: np.ndarray) -> np.ndarray:
     """Chessboard distance to the nearest boundary bit: ``distance <= w`` is
-    ``dilate_mask(boundary_mask, w).bits``; beyond every width when empty.
+    ``dilate_mask(boundary_mask, w)``; beyond every width when empty.
 
     As scipy.ndimage.distance_transform_cdt(~bits, metric="chessboard"),
     int32. The distance along each row comes first; then one sweep down and
@@ -564,7 +543,7 @@ def boundary_distance(boundary_mask: BinaryMask) -> np.ndarray:
     one, which is exact for the chessboard metric. Storing the distance
     minus the row index (plus it, going up) makes the "plus one" free.
     """
-    bits = boundary_mask.bits
+    bits = boundary_mask
     if not bits.any():
         return np.full(bits.shape, np.iinfo(np.int32).max, dtype=np.int32)
     h, w = bits.shape
@@ -707,13 +686,13 @@ def _shoelace(points: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
-def trace_contours(mask: BinaryMask) -> list[Contour]:
+def trace_contours(mask: np.ndarray) -> list[Contour]:
     """Outer boundary of every 8-connected foreground component.
 
     Contours of three or more points are closed and oriented with positive
     shoelace sum over (x, y); tiny (1-2 pixel) components come back open.
     """
-    labels, boxes = label(mask.bits)
+    labels, boxes = label(mask)
     contours: list[Contour] = []
     for idx, sl in enumerate(boxes, start=1):
         comp = labels[sl] == idx
@@ -731,14 +710,14 @@ def trace_contours(mask: BinaryMask) -> list[Contour]:
     return contours
 
 
-def rasterize_contours(contours: list[Contour], shape: tuple[int, int]) -> BinaryMask:
+def rasterize_contours(contours: list[Contour], shape: tuple[int, int]) -> np.ndarray:
     """Burn contour points into a fresh mask of the given (height, width)."""
     bits = np.zeros(shape, dtype=bool)
     for c in contours:
         xs = np.clip(c.points[:, 0], 0, shape[1] - 1)
         ys = np.clip(c.points[:, 1], 0, shape[0] - 1)
         bits[ys, xs] = True
-    return BinaryMask(bits)
+    return bits
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ takes their union. For square elements the opening shrinks as the element
 grows (Matheron's granulometry; it still holds with the border clipping and
 nodata skipping of ``raster.erode``/``dilate``), so the thresholded
 responses are nested and their union is the response at the top of the
-ladder: ``top_tophat`` thresholds that one tophat.
+ladder: ``top_tophat`` thresholds that one tophat. Every mask here, like
+every mask in the package, is an (h, w) bool array.
 
 The scale at which a building first appears doubles as a width estimate for
 the line segments along its boundary. ``ladder`` yields the rungs (mask and
@@ -31,14 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .raster import (
-    BinaryMask,
-    Contour,
-    Heightfield,
-    rasterize_contours,
-    trace_contours,
-    window_extreme,
-)
+from .raster import Contour, Heightfield, rasterize_contours, trace_contours, window_extreme
 
 
 @dataclass(frozen=True)
@@ -73,8 +67,8 @@ class Rung(NamedTuple):
     rasterised outer contours."""
 
     scale: int
-    mask: BinaryMask
-    contour_image: BinaryMask
+    mask: np.ndarray
+    contour_image: np.ndarray
 
 
 @dataclass(eq=False)
@@ -87,8 +81,8 @@ class TophatStack:
     """
 
     scales: list[int]
-    cumulative_masks: list[BinaryMask] = field(default_factory=list)
-    contour_images: list[BinaryMask] = field(default_factory=list)
+    cumulative_masks: list[np.ndarray] = field(default_factory=list)
+    contour_images: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -126,17 +120,17 @@ class Tophat(NamedTuple):
     """A white tophat with -inf on nodata and its cells above the threshold."""
 
     response: np.ndarray
-    mask: BinaryMask
+    mask: np.ndarray
 
 
 def _thresholded(dsm: Heightfield, scale: int, threshold: float) -> Tophat:
     values = white_tophat(dsm, scale).values
     values[values == dsm.nodata] = -np.inf
-    return Tophat(values, BinaryMask(values > threshold))
+    return Tophat(values, values > threshold)
 
 
 def ladder(
-    dsm: Heightfield, params: TophatParams | None = None, building: BinaryMask | None = None
+    dsm: Heightfield, params: TophatParams | None = None, building: np.ndarray | None = None
 ) -> Iterator[Rung]:
     """The ladder's rungs bottom up, each built when the caller asks for it.
 
@@ -153,10 +147,8 @@ def ladder(
             mask = building
         else:
             mask = _thresholded(dsm, scale, params.height_threshold).mask
-        yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.bits.shape))
-        if scale >= covering or (
-            building is not None and np.array_equal(mask.bits, building.bits)
-        ):
+        yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.shape))
+        if scale >= covering or (building is not None and np.array_equal(mask, building)):
             return
 
 
@@ -180,7 +172,7 @@ def top_tophat(dsm: Heightfield, params: TophatParams | None = None) -> Tophat:
     return _thresholded(dsm, params.top_scale, params.height_threshold)
 
 
-def boundary_contours(mask: BinaryMask) -> list[Contour]:
+def boundary_contours(mask: np.ndarray) -> list[Contour]:
     """Outer contours of the building mask. They scope segment filtering
     and the evaluation buffers; graph-cut traces its own ramp contours
     around the same buildings (graphcut.ramp_contours)."""

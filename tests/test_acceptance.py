@@ -14,7 +14,7 @@ import pytest
 from dsmsharp import graphcut as gc
 from dsmsharp import lines, planefit, raster
 from dsmsharp.cli import main as cli_main
-from dsmsharp.raster import BinaryMask, Heightfield
+from dsmsharp.raster import Heightfield
 from dsmsharp.tophat import TophatParams, TophatStack, build_stack
 
 from test_graphcut import LABELS3, brute_force_energy, small_problem
@@ -236,11 +236,11 @@ def test_criterion_6_sweep_monotone():
         truth = Heightfield(np.zeros((96, 96)))
         boundary = np.zeros((96, 96), bool)
         boundary[47:49, 20:76] = True
-        band = raster.dilate_mask(BinaryMask(boundary), 3).bits
+        band = raster.dilate_mask(boundary, 3)
         vals = np.zeros((96, 96))
         vals[band] = 0.8  # error confined to the 3-px boundary band
         computed = Heightfield(vals)
-        pairs = ev.sweep(computed, truth, BinaryMask(boundary), 20)
+        pairs = ev.sweep(computed, truth, boundary, 20)
         values = [v for _, v in pairs]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -307,7 +307,7 @@ def test_criterion_8_scale_sweep_and_worked_values():
             bits = np.zeros(shape, bool)
             if present:
                 bits[10, 2:28] = True
-            return BinaryMask(bits)
+            return bits
 
         seg = lines.LineSegment((2.0, 10.0), (27.0, 10.0))
         first = TophatStack(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmsharp import evaluate as ev
-from dsmsharp.raster import DEFAULT_NODATA, BinaryMask, Heightfield, dilate_mask
+from dsmsharp.raster import DEFAULT_NODATA, Heightfield, dilate_mask
 
 
 def field(vals, **kw):
@@ -109,10 +109,10 @@ def test_rmse_scoped():
     comp = field(vals)
     bits = np.zeros((4, 4), bool)
     bits[0, 0] = True
-    assert ev.rmse(comp, truth, BinaryMask(bits)) == pytest.approx(2.0)
+    assert ev.rmse(comp, truth, bits) == pytest.approx(2.0)
     bits2 = np.zeros((4, 4), bool)
     bits2[3, 3] = True
-    assert ev.rmse(comp, truth, BinaryMask(bits2)) == 0.0
+    assert ev.rmse(comp, truth, bits2) == 0.0
 
 
 def test_rmse_ignores_nodata_and_errors_when_empty():
@@ -136,7 +136,7 @@ def test_rmse_grid_mismatch():
 def boundary(shape, sl):
     bits = np.zeros(shape, bool)
     bits[sl] = True
-    return BinaryMask(bits)
+    return bits
 
 
 def test_boundary_scopes_nested():
@@ -148,14 +148,14 @@ def test_boundary_scopes_nested():
 
 def test_boundary_scopes_nested_random():
     rng = np.random.default_rng(72)
-    b = BinaryMask(rng.random((30, 30)) < 0.05)
+    b = rng.random((30, 30)) < 0.05
     distance = ev.boundary_distance(b)
     assert ((distance <= 2) <= (distance <= 4)).all()
     assert ((distance <= 4) <= (distance <= 9)).all()
 
 
 def test_boundary_scopes_empty_boundary():
-    distance = ev.boundary_distance(BinaryMask(np.zeros((10, 10), bool)))
+    distance = ev.boundary_distance(np.zeros((10, 10), bool))
     assert not (distance <= 10**6).any()
 
 
@@ -178,7 +178,7 @@ def _scored_grids(draw):
         return Heightfield(np.array(cells).reshape(h, w))
 
     widths = tuple(draw(st.lists(st.integers(1, 15), min_size=1, max_size=5)))
-    return BinaryMask(bits.reshape(h, w)), grid(), grid(), widths
+    return bits.reshape(h, w), grid(), grid(), widths
 
 
 @settings(max_examples=300)
@@ -187,7 +187,7 @@ def test_distance_buffers_match_dilation_oracle(case):
     mask, computed, truth, widths = case
     distance = ev.boundary_distance(mask)
     for w in range(0, 16):
-        assert np.array_equal(distance <= w, dilate_mask(mask, w).bits)
+        assert np.array_equal(distance <= w, dilate_mask(mask, w))
     try:
         want = oracle_per_buffer(computed, truth, mask, widths)
     except ValueError as exc:
@@ -225,7 +225,7 @@ def test_sweep_nonincreasing_for_banded_error():
     truth = field(np.zeros((50, 50)))
     vals = np.zeros((50, 50))
     b = boundary((50, 50), (slice(24, 26), slice(5, 45)))
-    band = dilate_mask(b, 3).bits
+    band = dilate_mask(b, 3)
     vals[band] = 1.0  # constant-magnitude error confined to a 3-px band
     comp = field(vals)
     pairs = ev.sweep(comp, truth, b, 20)
@@ -307,6 +307,19 @@ def test_cross_section_unknown_truth():
     hf = field(np.zeros((10, 10)))
     with pytest.raises(ValueError):
         ev.cross_section({"t": hf}, ((0.0, 0.0), (5.0, 0.0)), truth_name="nope")
+
+
+def test_cross_section_rejects_a_zero_length_anchor():
+    hf = field(np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="anchor has zero length"):
+        ev.cross_section({"t": hf}, ((2.0, 2.0), (2.0, 2.0)))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf")])
+def test_cross_section_rejects_a_step_not_finite_and_positive(step):
+    hf = field(np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        ev.cross_section({"t": hf}, ((0.0, 0.0), (5.0, 0.0)), step=step)
 
 
 # ---------------------------------------------------------------------------

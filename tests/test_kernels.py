@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from dsmsharp import raster
-from dsmsharp.raster import GAUSSIAN_SIGMA_MAX, BinaryMask
+from dsmsharp.raster import GAUSSIAN_SIGMA_MAX
 
 EXTREMES = {np.minimum: ndimage.minimum_filter1d, np.maximum: ndimage.maximum_filter1d}
 
@@ -109,7 +109,7 @@ def test_label_on_large_masks(seed):
 
 @given(bits=masks.filter(np.any))
 def test_boundary_distance_as_scipy(bits):
-    distance = raster.boundary_distance(BinaryMask(bits))
+    distance = raster.boundary_distance(bits)
     expected = ndimage.distance_transform_cdt(~bits, metric="chessboard")
     assert same_bits(distance, expected)
 
@@ -117,7 +117,7 @@ def test_boundary_distance_as_scipy(bits):
 def test_boundary_distance_on_a_large_grid():
     bits = np.random.default_rng(8).random((150, 97)) < 0.002
     expected = ndimage.distance_transform_cdt(~bits, metric="chessboard")
-    assert same_bits(raster.boundary_distance(BinaryMask(bits)), expected)
+    assert same_bits(raster.boundary_distance(bits), expected)
 
 
 def scipy_gaussian(values, sigma):

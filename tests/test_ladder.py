@@ -18,7 +18,7 @@ from dsmsharp.tophat import TophatParams
 
 
 def oracle_assign_widths(segments, stack, overlap_radius=2):
-    buffers = [raster.dilate_mask(ci, overlap_radius).bits for ci in stack.contour_images]
+    buffers = [raster.dilate_mask(ci, overlap_radius) for ci in stack.contour_images]
     out = []
     for seg in segments:
         pts = seg.raster_points()
@@ -67,9 +67,9 @@ def check_walk(dsm, ortho, params, tophat_scales):
     # the walk ends at the largest index when every segment matched, else
     # at the first rung equal to the building mask; it never evaluates the
     # top rung's tophat, which is the building mask
-    top = stack.cumulative_masks[-1].bits
+    top = stack.cumulative_masks[-1]
     saturated = next(
-        i for i, m in enumerate(stack.cumulative_masks, start=1) if np.array_equal(m.bits, top)
+        i for i, m in enumerate(stack.cumulative_masks, start=1) if np.array_equal(m, top)
     )
     if len(expected) == len(segments):
         walked_rungs = max((s.width_index for s in expected), default=0)
@@ -166,11 +166,11 @@ def test_ladder_without_building_mask_is_the_stack():
     rungs = list(tophat.ladder(dsm, params))
     assert [r.scale for r in rungs] == stack.scales
     for rung, mask, cimg in zip(rungs, stack.cumulative_masks, stack.contour_images):
-        assert np.array_equal(rung.mask.bits, mask.bits)
-        assert np.array_equal(rung.contour_image.bits, cimg.bits)
+        assert np.array_equal(rung.mask, mask)
+        assert np.array_equal(rung.contour_image, cimg)
 
     # given the building mask, the ladder ends at its first equal rung
     building = stack.cumulative_masks[-1]
     walked = list(tophat.ladder(dsm, params, building=building))
-    assert np.array_equal(walked[-1].mask.bits, building.bits)
-    assert not any(np.array_equal(r.mask.bits, building.bits) for r in walked[:-1])
+    assert np.array_equal(walked[-1].mask, building)
+    assert not any(np.array_equal(r.mask, building) for r in walked[:-1])

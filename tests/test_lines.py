@@ -9,12 +9,12 @@ from scipy import ndimage
 
 from dsmsharp import lines
 from dsmsharp.lines import DetectorParams, LineSegment, UnmatchedSegmentError
-from dsmsharp.raster import BinaryMask, RasterImage, bresenham_line, dilate_mask
+from dsmsharp.raster import RasterImage, bresenham_line, dilate_mask
 from dsmsharp.tophat import TophatStack
 
 
 def make_stack(contour_images):
-    masks = [BinaryMask(c.bits.copy()) for c in contour_images]
+    masks = [c.copy() for c in contour_images]
     return TophatStack(
         scales=list(range(10, 10 * len(contour_images) + 1, 10)),
         cumulative_masks=masks,
@@ -417,7 +417,7 @@ def test_segment_inside_buffer_kept():
     bits = np.zeros((40, 40), bool)
     bits[20, 5:35] = True
     seg = LineSegment((5.0, 20.0), (34.0, 20.0))
-    assert lines.filter_segments([seg], BinaryMask(bits), 2) == [seg]
+    assert lines.filter_segments([seg], bits, 2) == [seg]
 
 
 def test_exactly_half_is_removed():
@@ -425,17 +425,16 @@ def test_exactly_half_is_removed():
     bits = np.zeros((10, 20), bool)
     bits[5, 0:5] = True
     seg = LineSegment((0.0, 5.0), (9.0, 5.0))
-    assert lines.filter_segments([seg], BinaryMask(bits), 0) == []
+    assert lines.filter_segments([seg], bits, 0) == []
     bits[5, 5] = True  # 6 of 10 now hit
-    assert lines.filter_segments([seg], BinaryMask(bits), 0) == [seg]
+    assert lines.filter_segments([seg], bits, 0) == [seg]
 
 
 def test_filter_matches_bresenham_recount():
     rng = np.random.default_rng(23)
-    bits = rng.random((50, 50)) < 0.2
-    mask = BinaryMask(bits)
+    mask = rng.random((50, 50)) < 0.2
     radius = 3
-    buffered = dilate_mask(mask, radius).bits
+    buffered = dilate_mask(mask, radius)
     segs = []
     for _ in range(40):
         x1, y1, x2, y2 = rng.integers(0, 50, 4)
@@ -454,8 +453,7 @@ def test_filter_matches_bresenham_recount():
 
 def test_filter_monotone_in_radius_and_preserves_order():
     rng = np.random.default_rng(29)
-    bits = rng.random((40, 40)) < 0.15
-    mask = BinaryMask(bits)
+    mask = rng.random((40, 40)) < 0.15
     segs = [
         LineSegment((float(a), float(b)), (float(c), float(d)))
         for a, b, c, d in rng.integers(0, 40, (30, 4))
@@ -478,13 +476,13 @@ def test_filter_monotone_in_radius_and_preserves_order():
 def _contour_image_with_line(shape, row, x0, x1):
     bits = np.zeros(shape, bool)
     bits[row, x0:x1] = True
-    return BinaryMask(bits)
+    return bits
 
 
 def test_width_one_for_first_image():
     shape = (30, 30)
     imgs = [_contour_image_with_line(shape, 10, 2, 28)] + [
-        BinaryMask(np.zeros(shape, bool)) for _ in range(3)
+        np.zeros(shape, bool) for _ in range(3)
     ]
     stack = make_stack(imgs)
     seg = LineSegment((2.0, 10.0), (27.0, 10.0))
@@ -493,7 +491,7 @@ def test_width_one_for_first_image():
 
 def test_width_is_index_of_last_image():
     shape = (30, 30)
-    imgs = [BinaryMask(np.zeros(shape, bool)) for _ in range(39)] + [
+    imgs = [np.zeros(shape, bool) for _ in range(39)] + [
         _contour_image_with_line(shape, 10, 2, 28)
     ]
     stack = make_stack(imgs)
@@ -503,7 +501,7 @@ def test_width_is_index_of_last_image():
 
 def test_unmatched_segment_raises():
     shape = (30, 30)
-    stack = make_stack([BinaryMask(np.zeros(shape, bool)) for _ in range(5)])
+    stack = make_stack([np.zeros(shape, bool) for _ in range(5)])
     seg = LineSegment((2.0, 10.0), (27.0, 10.0))
     with pytest.raises(UnmatchedSegmentError, match="unmatched segment"):
         lines.estimate_width(seg, stack, 2)
@@ -518,25 +516,25 @@ def test_width_nesting_against_cumulative_masks():
         bits = np.zeros(shape, bool)
         if i >= 1:
             bits[10 : 12 + 4 * i, 5:35] = True
-        masks.append(BinaryMask(bits))
+        masks.append(bits)
         edge = np.zeros(shape, bool)
         if i >= 1:
             edge[10, 5:35] = True
-        imgs.append(BinaryMask(edge))
+        imgs.append(edge)
     stack = TophatStack(scales=[10, 20, 30, 40], cumulative_masks=masks, contour_images=imgs)
     seg = LineSegment((5.0, 10.0), (34.0, 10.0))
     width = lines.estimate_width(seg, stack, 2)
     assert width == 2
     pts = seg.raster_points()
     for j in range(width - 1, 4):
-        buf = dilate_mask(stack.cumulative_masks[j], 2).bits
+        buf = dilate_mask(stack.cumulative_masks[j], 2)
         hits = sum(bool(buf[y, x]) for x, y in pts)
         assert 2 * hits > len(pts)
 
 
 def test_assign_widths_drops_unmatched(caplog):
     shape = (30, 30)
-    imgs = [_contour_image_with_line(shape, 10, 2, 28), BinaryMask(np.zeros(shape, bool))]
+    imgs = [_contour_image_with_line(shape, 10, 2, 28), np.zeros(shape, bool)]
     stack = make_stack(imgs)
     good = LineSegment((2.0, 10.0), (27.0, 10.0))
     bad = LineSegment((2.0, 25.0), (27.0, 25.0))

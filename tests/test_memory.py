@@ -26,7 +26,7 @@ from dsmsharp import evaluate as ev
 from dsmsharp import planefit as pf
 from dsmsharp import raster, synth
 from dsmsharp.lines import LineSegment
-from dsmsharp.raster import BinaryMask, GridFormatError, Heightfield
+from dsmsharp.raster import GridFormatError, Heightfield
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import white_tophat
 
@@ -124,7 +124,7 @@ def reference_adjust_all(dsm, segments, debug_rows):
 
 
 def reference_report(computed, truth, distance, widths):
-    per_buffer = {w: ev.rmse(computed, truth, BinaryMask(distance <= w)) for w in widths}
+    per_buffer = {w: ev.rmse(computed, truth, distance <= w) for w in widths}
     return ev.RmseReport(ev.rmse(computed, truth), per_buffer)
 
 
@@ -334,14 +334,14 @@ def test_report_matches_one_threshold_per_width(nodata):
     truth = holey_field(rng, shape, nodata)
     boundary = np.zeros(shape, dtype=bool)
     boundary[10:20, 12] = True
-    distance = ev.boundary_distance(BinaryMask(boundary))
+    distance = ev.boundary_distance(boundary)
     widths = tuple(range(1, int(distance.max()) + 4)) + (5, 1000)
     got = ev.report(computed, truth, distance, widths)
     want = reference_report(computed, truth, distance, widths)
     assert got.whole_image == want.whole_image
     assert got.per_buffer == want.per_buffer
     # no boundary: every width scopes nothing
-    empty = ev.boundary_distance(BinaryMask(np.zeros(shape, dtype=bool)))
+    empty = ev.boundary_distance(np.zeros(shape, dtype=bool))
     assert outcome(ev.report, computed, truth, empty, (3,)) == outcome(
         reference_report, computed, truth, empty, (3,)
     )
@@ -355,7 +355,7 @@ def test_report_work_is_bounded_by_the_grid():
     truth = Heightfield(rng.normal(size=(32, 32)))
     boundary = np.zeros((32, 32), dtype=bool)
     boundary[16, 8:24] = True
-    distance = ev.boundary_distance(BinaryMask(boundary))
+    distance = ev.boundary_distance(boundary)
     reach = int(distance.max())
     widths = tuple(range(1, 10**6 + 1))
     start = time.perf_counter()

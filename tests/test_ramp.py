@@ -6,7 +6,7 @@ import pytest
 from dsmsharp import graphcut as gc
 from dsmsharp import evaluate, lines, raster, synth
 from dsmsharp.lines import LineSegment
-from dsmsharp.raster import BinaryMask, Contour, Heightfield
+from dsmsharp.raster import Contour, Heightfield
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams, boundary_contours, top_tophat
 
@@ -51,7 +51,7 @@ def _check_bands(seg, roof_bits, radius):
     assert (dist[ground] <= radius).all()
     assert (dist[roof] <= radius).all()
     # together the two sides are exactly the two-sided line buffer
-    two_sided = raster.dilate_mask(BinaryMask(_walk(seg, shape)), radius).bits
+    two_sided = raster.dilate_mask(_walk(seg, shape), radius)
     assert np.array_equal(ground | roof, two_sided)
     # each band stays on its own side; the roof side is where the DSM is high
     cross = _cross(seg, shape)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dsmsharp import raster
 from dsmsharp.raster import (
-    BinaryMask,
     GridFormatError,
     Heightfield,
     ImageFormatError,
@@ -356,8 +355,8 @@ def test_mask_roundtrip(tmp_path):
     bits = np.zeros((4, 4), dtype=bool)
     bits[1:3, 2] = True
     p = tmp_path / "m.pgm"
-    raster.save_mask(BinaryMask(bits), p)
-    assert np.array_equal(raster.load_mask(p).bits, bits)
+    raster.save_mask(bits, p)
+    assert np.array_equal(raster.load_mask(p), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +470,14 @@ def test_windows_beyond_the_grid_equal_the_grid_sized_window(shape, beyond):
     vals = rng.normal(size=shape)
     vals[rng.random(shape) < 0.2] = -9999.0
     hf = Heightfield(vals)
-    bits = BinaryMask(rng.random(shape) < 0.1)
+    bits = rng.random(shape) < 0.1
     grid = max(shape) - 1  # this half size already spans the grid from any cell
     eroded = raster.erode(hf, grid + beyond).values
     assert eroded.tobytes() == naive_erode(vals, hf.valid_mask(), grid, hf.nodata).tobytes()
     for op in (raster.erode, raster.dilate):
         assert op(hf, grid + beyond).values.tobytes() == op(hf, grid).values.tobytes()
-    dilated = raster.dilate_mask(bits, grid + beyond).bits
-    assert dilated.tobytes() == raster.dilate_mask(bits, grid).bits.tobytes()
+    dilated = raster.dilate_mask(bits, grid + beyond)
+    assert dilated.tobytes() == raster.dilate_mask(bits, grid).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +487,24 @@ def test_windows_beyond_the_grid_equal_the_grid_sized_window(shape, beyond):
 
 def test_dilate_mask_radius0_identity():
     rng = np.random.default_rng(11)
-    m = BinaryMask(rng.random((9, 9)) < 0.3)
-    assert np.array_equal(raster.dilate_mask(m, 0).bits, m.bits)
+    m = rng.random((9, 9)) < 0.3
+    assert np.array_equal(raster.dilate_mask(m, 0), m)
 
 
 def test_dilate_mask_single_bit_block():
     bits = np.zeros((11, 11), dtype=bool)
     bits[5, 5] = True
-    out = raster.dilate_mask(BinaryMask(bits), 2)
+    out = raster.dilate_mask(bits, 2)
     want = np.zeros((11, 11), dtype=bool)
     want[3:8, 3:8] = True
-    assert np.array_equal(out.bits, want)
+    assert np.array_equal(out, want)
 
 
 def test_dilate_mask_matches_chebyshev_oracle():
     rng = np.random.default_rng(12)
     bits = rng.random((15, 14)) < 0.15
     radius = 3
-    out = raster.dilate_mask(BinaryMask(bits), radius).bits
+    out = raster.dilate_mask(bits, radius)
     ys, xs = np.nonzero(bits)
     want = np.zeros_like(bits)
     for y in range(bits.shape[0]):
@@ -517,10 +516,10 @@ def test_dilate_mask_matches_chebyshev_oracle():
 
 def test_dilate_mask_monotone_in_radius():
     rng = np.random.default_rng(13)
-    m = BinaryMask(rng.random((12, 12)) < 0.2)
-    prev = raster.dilate_mask(m, 0).bits
+    m = rng.random((12, 12)) < 0.2
+    prev = raster.dilate_mask(m, 0)
     for r in (1, 2, 4):
-        cur = raster.dilate_mask(m, r).bits
+        cur = raster.dilate_mask(m, r)
         assert (prev <= cur).all()
         prev = cur
 
@@ -531,13 +530,13 @@ def test_dilate_mask_monotone_in_radius():
 
 
 def test_trace_empty_mask():
-    assert raster.trace_contours(BinaryMask(np.zeros((5, 5), bool))) == []
+    assert raster.trace_contours(np.zeros((5, 5), bool)) == []
 
 
 def test_trace_3x3_block():
     bits = np.zeros((7, 7), bool)
     bits[2:5, 2:5] = True
-    cs = raster.trace_contours(BinaryMask(bits))
+    cs = raster.trace_contours(bits)
     assert len(cs) == 1
     c = cs[0]
     assert c.closed and len(c) == 8
@@ -549,14 +548,14 @@ def test_trace_two_components():
     bits = np.zeros((12, 12), bool)
     bits[1:4, 1:4] = True
     bits[7:11, 6:10] = True
-    assert len(raster.trace_contours(BinaryMask(bits))) == 2
+    assert len(raster.trace_contours(bits)) == 2
 
 
 def test_contours_rasterize_back_inside_mask():
     rng = np.random.default_rng(21)
     for _ in range(10):
         bits = rng.random((24, 24)) < 0.4
-        cs = raster.trace_contours(BinaryMask(bits))
+        cs = raster.trace_contours(bits)
         for c in cs:
             assert bits[c.points[:, 1], c.points[:, 0]].all()
 
@@ -564,7 +563,7 @@ def test_contours_rasterize_back_inside_mask():
 def test_contour_points_touch_background():
     bits = np.zeros((10, 10), bool)
     bits[2:8, 3:9] = True
-    (c,) = raster.trace_contours(BinaryMask(bits))
+    (c,) = raster.trace_contours(bits)
     padded = np.pad(bits, 1)
     for x, y in c.points:
         neigh = padded[y : y + 3, x : x + 3]
@@ -574,7 +573,7 @@ def test_contour_points_touch_background():
 def test_closed_contours_counter_clockwise():
     bits = np.zeros((9, 9), bool)
     bits[1:6, 2:8] = True
-    (c,) = raster.trace_contours(BinaryMask(bits))
+    (c,) = raster.trace_contours(bits)
     x, y = c.points[:, 0], c.points[:, 1]
     shoelace = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
     assert shoelace > 0
@@ -584,7 +583,7 @@ def test_consecutive_contour_points_8_connected():
     bits = np.zeros((13, 13), bool)
     bits[2:11, 2:11] = True
     bits[2:5, 2:5] = False  # notch
-    (c,) = raster.trace_contours(BinaryMask(bits))
+    (c,) = raster.trace_contours(bits)
     pts = c.points
     nxt = np.roll(pts, -1, axis=0)
     gaps = np.abs(pts - nxt).max(axis=1)
@@ -601,7 +600,7 @@ def test_trace_visits_every_outer_border_pixel():
     rng = np.random.default_rng(22)
     for _ in range(15):
         bits = ndimage.binary_closing(rng.random((26, 26)) < 0.45)
-        contours = raster.trace_contours(BinaryMask(bits))
+        contours = raster.trace_contours(bits)
         traced = set()
         for c in contours:
             traced |= {tuple(p) for p in c.points}

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from dsmsharp import tophat
-from dsmsharp.raster import Heightfield, rasterize_contours, trace_contours
+from dsmsharp.raster import (
+    Heightfield,
+    dilate_mask,
+    load_mask,
+    rasterize_contours,
+    save_mask,
+    trace_contours,
+)
 from dsmsharp.tophat import TophatParams
 
 
@@ -133,8 +140,8 @@ def test_stack_shares_the_last_rung_past_the_ladders_end():
     assert len(stack.cumulative_masks) == len(stack.contour_images) == len(stack.scales)
     for scale, mask, contours in stack:
         response = tophat.white_tophat(hf, scale).values
-        assert np.array_equal(mask.bits, response > params.height_threshold)
-        assert np.array_equal(contours.bits, rasterize_contours(trace_contours(mask), (8, 11)).bits)
+        assert np.array_equal(mask, response > params.height_threshold)
+        assert np.array_equal(contours, rasterize_contours(trace_contours(mask), (8, 11)))
     assert all(m is stack.cumulative_masks[3] for m in stack.cumulative_masks[3:])
 
 
@@ -142,10 +149,10 @@ def test_flat_field_gives_empty_stack():
     hf = Heightfield(np.zeros((32, 32)))
     params = TophatParams(scale_min=5, scale_max=25, scale_step=5)
     stack = tophat.build_stack(hf, params)
-    assert all(m.count() == 0 for m in stack.cumulative_masks)
-    assert all(c.count() == 0 for c in stack.contour_images)
+    assert not any(m.any() for m in stack.cumulative_masks)
+    assert not any(c.any() for c in stack.contour_images)
     mask = tophat.top_tophat(hf, params).mask
-    assert mask.count() == 0
+    assert not mask.any()
     assert tophat.boundary_contours(mask) == []
 
 
@@ -160,16 +167,16 @@ def test_appearance_scales_of_two_blocks():
     small = (slice(20, 28), slice(20, 28))
     large = (slice(60, 160), slice(60, 160))
     # scale 10: window 11 > 8 catches the small block, not the large one
-    assert stack.cumulative_masks[0].bits[small].all()
-    assert not stack.cumulative_masks[0].bits[large].any()
+    assert stack.cumulative_masks[0][small].all()
+    assert not stack.cumulative_masks[0][large].any()
     # the large block stays absent until the element is strictly wider than it
     acc = np.zeros(hf.values.shape, bool)
     for i, scale in enumerate(params.scales()):
         window = 2 * (scale // 2) + 1
-        covered = stack.cumulative_masks[i].bits[large].all()
+        covered = stack.cumulative_masks[i][large].all()
         assert covered == (window > 100), (scale, window, covered)
         acc |= naive_tophat(hf.values, scale) > params.height_threshold
-        assert np.array_equal(stack.cumulative_masks[i].bits, acc)
+        assert np.array_equal(stack.cumulative_masks[i], acc)
 
 
 def test_cumulative_masks_are_nested():
@@ -182,17 +189,17 @@ def test_cumulative_masks_are_nested():
     params = TophatParams(scale_min=5, scale_max=45, scale_step=5)
     stack = tophat.build_stack(Heightfield(vals), params)
     for a, b in zip(stack.cumulative_masks, stack.cumulative_masks[1:]):
-        assert (a.bits <= b.bits).all()
+        assert (a <= b).all()
     final = tophat.top_tophat(Heightfield(vals), params).mask
     for m in stack.cumulative_masks:
-        assert (m.bits <= final.bits).all()
+        assert (m <= final).all()
 
 
 def test_contour_images_inside_masks():
     hf, _ = block_field(40, 10, 9.0)
     stack = tophat.build_stack(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15))
     for mask, cimg in zip(stack.cumulative_masks, stack.contour_images):
-        assert (cimg.bits <= mask.bits).all()
+        assert (cimg <= mask).all()
 
 
 def test_single_scale_stack_equals_thresholded_tophat():
@@ -201,7 +208,7 @@ def test_single_scale_stack_equals_thresholded_tophat():
     stack = tophat.build_stack(hf, params)
     resp = tophat.white_tophat(hf, 9)
     want = resp.valid_mask() & (resp.values > 2.5)
-    assert np.array_equal(stack.cumulative_masks[0].bits, want)
+    assert np.array_equal(stack.cumulative_masks[0], want)
 
 
 def test_boundary_contours_of_block():
@@ -216,7 +223,25 @@ def test_boundary_contours_of_block():
 def test_building_mask_matches_footprint():
     hf, fp = block_field(64, 12, 10.0)
     mask = tophat.top_tophat(hf, TophatParams(scale_min=15, scale_max=30, scale_step=15)).mask
-    assert np.array_equal(mask.bits, fp)
+    assert np.array_equal(mask, fp)
+
+
+def test_every_mask_is_a_2d_bool_array(tmp_path):
+    hf, _ = block_field(40, 10, 9.0)
+    params = TophatParams(scale_min=5, scale_max=25, scale_step=10)
+    top = tophat.top_tophat(hf, params)
+    stack = tophat.build_stack(hf, params)
+    masks = [top.mask, *stack.cumulative_masks, *stack.contour_images]
+    for rung in tophat.ladder(hf, params, building=top.mask):
+        masks += [rung.mask, rung.contour_image]
+    contour_mask = rasterize_contours(trace_contours(top.mask), top.mask.shape)
+    masks += [contour_mask, dilate_mask(contour_mask, 2)]
+    save_mask(contour_mask, tmp_path / "m.pgm")
+    loaded = load_mask(tmp_path / "m.pgm")
+    masks.append(loaded)
+    for mask in masks:
+        assert type(mask) is np.ndarray and mask.dtype == bool and mask.shape == (40, 40)
+    assert np.array_equal(loaded, contour_mask)
 
 
 def _holey_border_field():
@@ -244,9 +269,9 @@ def test_building_mask_is_the_last_stack_mask(params):
     hf = _holey_border_field()
     stack = tophat.build_stack(hf, params)
     mask = tophat.top_tophat(hf, params).mask
-    assert mask.count() > 0
-    assert np.array_equal(mask.bits, stack.cumulative_masks[-1].bits)
-    assert not mask.bits[~hf.valid_mask()].any()
+    assert mask.any()
+    assert np.array_equal(mask, stack.cumulative_masks[-1])
+    assert not mask[~hf.valid_mask()].any()
 
 
 def test_each_stack_mask_is_its_own_thresholded_response():
@@ -258,5 +283,5 @@ def test_each_stack_mask_is_its_own_thresholded_response():
         resp = tophat.white_tophat(hf, scale)
         own = resp.valid_mask() & (resp.values > params.height_threshold)
         union |= own
-        assert np.array_equal(mask.bits, own), scale
-        assert np.array_equal(mask.bits, union), scale
+        assert np.array_equal(mask, own), scale
+        assert np.array_equal(mask, union), scale
