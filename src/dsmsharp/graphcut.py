@@ -49,6 +49,7 @@ from .raster import (
     Contour,
     Heightfield,
     boundary_distance,
+    bresenham_line,
     dilate_mask,
     label,
     sample_bilinear,
@@ -76,6 +77,8 @@ IDW_NEIGHBORS = 8
 # (pixel, offset) pairs interpolate_offsets tests at a time; bounds its
 # temporaries
 _PAIR_BLOCK = 1 << 16
+# moved pixels warp_dsm samples at a time; bounds its temporaries
+_WARP_BLOCK = 1 << 13
 
 # band layers of a problem, and the ramp levels that pick their contours
 GROUND, ROOF = 0, 1
@@ -244,6 +247,8 @@ def side_bands(
     # only the walk's pixels on the grid are dilated, and from any of them a
     # radius of the grid's larger side already covers the whole grid
     radius = min(radius, max(h, w))
+    # the walk is formed only on the grid grown by the radius, however long
+    box = (-radius, -radius, w - 1 + radius, h - 1 + radius)
     bands = np.zeros((2, h, w), dtype=bool)
     valid = dsm.valid_mask()
     for seg in segments:
@@ -251,11 +256,11 @@ def side_bands(
         dx, dy = x2 - x1, y2 - y1
         if dx == 0 and dy == 0:
             continue
-        pts = seg.raster_points()
+        pts = bresenham_line(round(x1), round(y1), round(x2), round(y2), box)
+        if not len(pts):
+            continue  # the band lies off the grid
         x0, y0 = np.maximum(pts.min(axis=0) - radius, 0)
         xe, ye = np.minimum(pts.max(axis=0) + radius + 1, (w, h))
-        if x0 >= xe or y0 >= ye:
-            continue  # the band lies off the grid
         win = np.s_[y0:ye, x0:xe]
         yy, xx = np.mgrid[win]
         walk = np.zeros(yy.shape, dtype=bool)
@@ -725,16 +730,21 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
     touches nodata becomes nodata. Only the pixels with a non-zero offset
     are sampled: every other pixel gets what the bilinear sample at its own
     centre gives, its cell plus 0.0 (a -0.0 cell reads 0.0), or nodata where
-    the cell is nodata. So the zero field reproduces the input, and beyond
-    the output grid memory follows the moved pixels, not the grid.
+    the cell is nodata. So the zero field reproduces the input. The moved
+    pixels are sampled _WARP_BLOCK at a time, so beyond the output grid and
+    the moved pixels' flat indices memory follows the block, not the grid.
+    A non-finite offset of a moved pixel raises ValueError.
     """
     if field.dx.shape != dsm.values.shape or field.dy.shape != dsm.values.shape:
         raise ValueError("offset field dimensions do not match the DSM")
     out = dsm.values + 0.0
     out[~dsm.valid_mask()] = dsm.nodata
-    ys, xs = np.nonzero((field.dx != 0) | (field.dy != 0))
-    vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
-    out[ys, xs] = np.where(valid, vals, dsm.nodata)
+    w = out.shape[1]
+    moved = np.flatnonzero((field.dx != 0) | (field.dy != 0))
+    for lo in range(0, moved.size, _WARP_BLOCK):
+        ys, xs = np.divmod(moved[lo : lo + _WARP_BLOCK], w)
+        vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
+        out[ys, xs] = np.where(valid, vals, dsm.nodata)
     return dsm.like(out)
 
 

@@ -725,28 +725,44 @@ def rasterize_contours(contours: list[Contour], shape: tuple[int, int]) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def bresenham_line(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-    """Integer raster walk from (x0, y0) to (x1, y1) inclusive, (n, 2) int array."""
+def bresenham_line(
+    x0: int, y0: int, x1: int, y1: int, box: tuple[int, int, int, int] | None = None
+) -> np.ndarray:
+    """Integer raster walk from (x0, y0) to (x1, y1) inclusive, (n, 2) int array.
+
+    The walk takes one step per pixel along its major axis, the one of the
+    larger span a (x on a tie), and its step k = 0..a lies
+    floor((2bk + a) / 2a) pixels along the minor axis of span b: b * k / a
+    rounded half away from the start. This closed form gives the points of
+    the classic error-accumulating loop. With ``box = (xmin, ymin, xmax,
+    ymax)``, inclusive, only the walk's points inside the box are returned,
+    in walk order. Only the steps whose major coordinate lies in the box are
+    formed, so however long the segment, the work follows the box.
+    """
     x0, y0, x1, y1 = int(x0), int(y0), int(x1), int(y1)
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    pts = []
-    x, y = x0, y0
-    while True:
-        pts.append((x, y))
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
-    return np.array(pts, dtype=np.int64)
+    ends = [(x0, x1), (y0, y1)]
+    major = 1 if abs(y1 - y0) > abs(x1 - x0) else 0
+    (m0, m1), (n0, n1) = ends[major], ends[1 - major]
+    a, b = abs(m1 - m0), abs(n1 - n0)
+    sm, sn = (1 if m0 < m1 else -1), (1 if n0 < n1 else -1)
+    first, last = 0, a
+    if box is not None:
+        lo, hi = box[major], box[major + 2]
+        # the steps whose major coordinate m0 + sm * k lies in [lo, hi]
+        k_lo, k_hi = (lo - m0, hi - m0) if sm > 0 else (m0 - hi, m0 - lo)
+        first, last = max(first, k_lo), min(last, k_hi)
+    if first > last:
+        return np.empty((0, 2), dtype=np.int64)
+    # counted from the first step, so the numbers stay as small as the box
+    den = max(2 * a, 1)
+    q, r = divmod(2 * b * first + a, den)
+    steps = np.arange(last - first + 1, dtype=np.int64)
+    m = (m0 + sm * first) + sm * steps
+    n = (n0 + sn * q) + sn * ((r + 2 * b * steps) // den)
+    if box is not None:
+        keep = (box[1 - major] <= n) & (n <= box[3 - major])
+        m, n = m[keep], n[keep]
+    return np.column_stack([m, n] if major == 0 else [n, m])
 
 
 def sample_bilinear(
@@ -760,10 +776,15 @@ def sample_bilinear(
     Returns (values, valid). With ``skip_nodata`` the weights are
     renormalised over valid support cells and a sample is invalid only when
     all four are nodata; otherwise a nodata cell of nonzero weight invalidates it.
+    A NaN or infinite coordinate raises ValueError.
     """
     h, w = hf.values.shape
-    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, w - 1.0)
-    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, h - 1.0)
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("sample coordinates must be finite")
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.minimum(x0, w - 2) if w > 1 else x0 * 0

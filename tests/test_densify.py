@@ -4,8 +4,9 @@ The oracles are the straightforward versions the module must reproduce
 bit for bit: the (labels x points) table built in one broadcast, the IDW
 field from a search of every anchor for every band pixel, and the bilinear
 sample of every pixel. The memory guards check that the working set follows
-the moved pixels and the pair block, not the band. The densification's reach
-is the module's FAR_DISTANCE, which the tests set with monkeypatch.
+the warp block and the pair block, not the moved pixels or the band. The
+densification's reach is the module's FAR_DISTANCE, which the tests set with
+monkeypatch.
 """
 
 import tracemalloc
@@ -309,14 +310,43 @@ def random_field(rng, h, w, moved_share):
     return gc.OffsetField(dx, dy)
 
 
-@pytest.mark.parametrize("seed, moved_share", [(0, 0.0), (1, 0.1), (2, 0.5), (3, 1.0)])
-def test_warp_matches_reference(seed, moved_share):
+WARP_CASES = [(0, 0.0), (1, 0.1), (2, 0.5), (3, 1.0)]
+
+
+def seeded_warp_case(seed, moved_share):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(2, 40, 2)
-    dsm = holey_dsm(rng, h, w)
-    field = random_field(rng, h, w, moved_share)
+    return holey_dsm(rng, h, w), random_field(rng, h, w, moved_share)
+
+
+def end_to_end_warp_case(monkeypatch):
+    """A solved problem: densified offsets of a random labeling on a holey DSM."""
+    rng = np.random.default_rng(21)
+    h, w = 70, 90
+    problem = random_problem(rng, h, w, 150, n_contours=5)
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 9)
+    field = gc.interpolate_offsets(problem, random_labeling(rng, problem.size))
+    return holey_dsm(rng, h, w), field
+
+
+def warps_like_reference(dsm, field):
     got = gc.warp_dsm(dsm, field)
-    assert got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    return got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+
+
+@pytest.mark.parametrize("seed, moved_share", WARP_CASES)
+def test_warp_matches_reference(seed, moved_share):
+    assert warps_like_reference(*seeded_warp_case(seed, moved_share))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_warp_over_many_blocks_matches_reference(monkeypatch, block):
+    # one moved pixel a block, a block that splits every grid unevenly, and
+    # one block for all
+    monkeypatch.setattr(gc, "_WARP_BLOCK", block)
+    for case in WARP_CASES:
+        assert warps_like_reference(*seeded_warp_case(*case))
+    assert warps_like_reference(*end_to_end_warp_case(monkeypatch))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2)])
@@ -355,15 +385,17 @@ def test_warp_next_to_an_infinite_nodata_hole():
 
 
 def test_warp_end_to_end_matches_reference(monkeypatch):
-    # a solved problem: densified offsets of a random labeling on a holey DSM
-    rng = np.random.default_rng(21)
-    h, w = 70, 90
-    problem = random_problem(rng, h, w, 150, n_contours=5)
-    monkeypatch.setattr(gc, "FAR_DISTANCE", 9)
-    field = gc.interpolate_offsets(problem, random_labeling(rng, problem.size))
-    dsm = holey_dsm(rng, h, w)
-    got = gc.warp_dsm(dsm, field)
-    assert got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    assert warps_like_reference(*end_to_end_warp_case(monkeypatch))
+
+
+# a NaN offset used to be cast to the index -2**63
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warp_rejects_a_non_finite_offset(bad):
+    dsm = Heightfield(np.arange(16.0).reshape(4, 4))
+    dx, dy = np.zeros((4, 4)), np.zeros((4, 4))
+    dx[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        gc.warp_dsm(dsm, gc.OffsetField(dx, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +427,19 @@ def test_warp_allocates_for_the_moved_band_not_the_grid():
     out, peak = traced_peak(gc.warp_dsm, dsm, field)
     grid = n * n * 8
     assert peak - out.values.nbytes < 2 * grid
+    assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+
+
+def test_warp_allocates_for_the_block_not_the_moved_pixels():
+    # every pixel moves: beyond its output the warp holds the moved pixels'
+    # flat indices (one grid) and the block's temporaries
+    n = 512
+    rng = np.random.default_rng(7)
+    dsm = Heightfield(rng.normal(10.0, 3.0, (n, n)))
+    field = gc.OffsetField(rng.normal(0.0, 2.0, (n, n)), np.full((n, n), 0.5))
+    out, peak = traced_peak(gc.warp_dsm, dsm, field)
+    grid = n * n * 8
+    assert peak - out.values.nbytes < 2.5 * grid
     assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
 
 

@@ -1,5 +1,7 @@
 """Graph-cut on the smeared ramp: ramp contours, one-sided bands, move skipping."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,23 @@ def test_side_bands_off_the_grid_adds_nothing():
         assert not gc.side_bands(dsm, [off_grid], 2).any()
         both = gc.side_bands(dsm, [off_grid, on_grid], 2)
         assert np.array_equal(both, gc.side_bands(dsm, [on_grid], 2))
+
+
+# its three-million-pixel walk used to take two seconds and 400 MB
+def test_side_bands_of_a_far_reaching_segment_walk_only_the_grid():
+    n = 64
+    seg = LineSegment((18.5, 10.0), (3000000.5, 11.0))
+    roof_bits = np.mgrid[0:n, 0:n][0] < 10
+    start = time.perf_counter()
+    bands = gc.side_bands(Heightfield(np.where(roof_bits, 5.0, 0.0)), [seg], 2)
+    assert time.perf_counter() - start < 0.5
+    # on the grid the walk is row 10 from x = 18; the roof lies above it
+    walk = np.zeros((n, n), dtype=bool)
+    walk[10, 18:] = True
+    buffer = raster.dilate_mask(walk, 2)
+    cross = _cross(seg, (n, n))
+    assert np.array_equal(bands[gc.GROUND], buffer & (cross >= 0))
+    assert np.array_equal(bands[gc.ROOF], buffer & (cross <= 0))
 
 
 def test_side_bands_rejects_negative_radius():

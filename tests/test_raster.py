@@ -634,6 +634,51 @@ def test_bresenham_endpoints_and_connectivity():
     assert (steps == 1).all()
 
 
+def reference_bresenham(x0, y0, x1, y1):
+    """The classic error-accumulating loop, one step at a time."""
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    pts = []
+    x, y = x0, y0
+    while True:
+        pts.append((x, y))
+        if x == x1 and y == y1:
+            break
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x += sx
+        if e2 <= dx:
+            err += dx
+            y += sy
+    return np.array(pts, dtype=np.int64)
+
+
+_coords = st.integers(-1000, 1000)
+
+
+@settings(max_examples=500)
+@given(ends=st.tuples(_coords, _coords, _coords, _coords),
+       box=st.none() | st.tuples(_coords, _coords, _coords, _coords))
+def test_bresenham_closed_form_matches_the_loop(ends, box):
+    want = reference_bresenham(*ends)
+    if box is not None:
+        xmin, ymin, xmax, ymax = box
+        want = want[(xmin <= want[:, 0]) & (want[:, 0] <= xmax)
+                    & (ymin <= want[:, 1]) & (want[:, 1] <= ymax)]
+    got = raster.bresenham_line(*ends, box=box)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_bresenham_box_forms_only_its_own_steps():
+    # three million steps, 46 of them in the box
+    pts = raster.bresenham_line(3_000_000, 11, 18, 10, box=(0, 0, 63, 63))
+    assert pts.tolist() == [[x, 10] for x in range(63, 17, -1)]
+
+
 def test_bilinear_ignores_nodata_of_zero_weight():
     vals = np.arange(16.0).reshape(4, 4)
     vals[1, 2] = -9999.0
@@ -659,6 +704,17 @@ def test_bilinear_ignores_infinite_nodata_of_zero_weight(skip_nodata):
     assert valid.tolist() == [True, True, skip_nodata]
     assert got[0] == 5.0 and got[1] == 3.0
     assert got[2] == (5.0 if skip_nodata else -np.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("skip_nodata", [False, True])
+def test_bilinear_rejects_non_finite_coords(bad, axis, skip_nodata):
+    hf = Heightfield(np.arange(16.0).reshape(4, 4))
+    coords = [np.array([1.0, 2.5, 0.0]), np.array([0.5, 1.0, 3.0])]
+    coords[axis][1] = bad
+    with pytest.raises(ValueError, match="sample coordinates must be finite"):
+        raster.sample_bilinear(hf, *coords, skip_nodata=skip_nodata)
 
 
 def test_bilinear_exact_at_integer_coords():
