@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per pipeline stage plus run-all.
 
-Every stage reads and writes plain files (ASCII grids, PGM/PPM, CSV) so
-intermediate products stay inspectable, and all outputs are deterministic:
+The stages are public, file-free functions over in-memory products; the
+subcommands check, print and write plain files (ASCII grids, PGM/PPM, CSV)
+so intermediate products stay inspectable, and all outputs are deterministic:
 re-running a subcommand on unchanged inputs reproduces byte-identical files.
 """
 
@@ -13,16 +14,14 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluate as ev
 from . import graphcut as gc
 from . import lines as ln
 from . import planefit as pf
 from . import raster, synth
 from .config import PipelineConfig, build_config
-# build_stack is not called here; it stays bound for the tracer that wraps
-# the CLI's names (perfbench/tracing.py)
+# the tracer (perfbench/tracing.py) wraps boundary_contours here and tests wrap
+# top_tophat; build_stack is not called here and stays bound only for the tracer
 from .tophat import boundary_contours, build_stack, ladder, top_tophat  # noqa: F401
 
 logger = logging.getLogger("dsmsharp")
@@ -72,64 +71,60 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages: each subcommand runs one, run-all runs them in sequence
-# and hands the products on in memory
+# Pipeline stages: file-free; each subcommand runs one, run-all all of them
 # ---------------------------------------------------------------------------
 
 
-def _mask_stage(dsm, cfg, out=None):
-    """The top-scale tophat and its mask's rasterised contours; masks written to out if given."""
-    top = top_tophat(dsm, cfg.tophat)
-    contour_mask = raster.rasterize_contours(boundary_contours(top.mask), dsm.values.shape)
-    if out is not None:
-        raster.save_mask(top.mask, out / "building_mask.pgm")
-        raster.save_mask(contour_mask, out / "boundary_contours.pgm")
-        logger.info("extract-mask: %d building pixels", np.count_nonzero(top.mask))
-    return top, contour_mask
+def mask_stage(dsm, tophat_params):
+    """The top-scale tophat, whose mask is the building mask, and that
+    mask's boundary contours rasterised onto the DSM grid."""
+    top = top_tophat(dsm, tophat_params)
+    return top, raster.rasterize_contours(boundary_contours(top.mask), dsm.values.shape)
 
 
-def _lines_stage(dsm, ortho, mask, contour_mask, cfg, out):
-    """Detect, filter and width-annotate the ortho's segments. The width
-    indices walk the tophat ladder up from its bottom rung only as far as
-    they need; the walk reuses the building mask as its top rung and stops
-    at the first rung equal to it."""
+def lines_stage(dsm, ortho, building, contour_mask, cfg):
+    """The ortho's raw segments, those the contours keep and those of them
+    the width walk matches, each with its width index. The walk climbs the
+    tophat ladder from its bottom rung only as far as it needs; it reuses
+    the building mask as its top rung and stops at the first rung equal to it."""
     raw = ln.detect_segments(raster.grayscale(ortho), cfg.detector)
     filtered = ln.filter_segments(raw, contour_mask, cfg.boundary_buffer_radius)
-    rungs = ladder(dsm, cfg.tophat, building=mask)
-    filtered = ln.assign_widths(filtered, rungs)
-    ln.save_segments_csv(raw, out / "segments_raw.csv")
-    ln.save_segments_csv(filtered, out / "segments_filtered.csv")
-    logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(filtered))
-    return filtered
+    return raw, filtered, ln.assign_widths(filtered, ladder(dsm, cfg.tophat, building=building))
 
 
-def _sharpen_stage(method, dsm, segments, ramps, out, debug):
-    """Adjust the DSM with one method; graph-cut moves the ``ramps`` contours."""
-    if method == "graphcut":
-        adjusted = _sharpen_graphcut(dsm, segments, ramps, out, debug)
-    else:
-        rows: list | None = [] if debug else None
-        adjusted = pf.adjust_all(dsm, segments, debug_rows=rows)
-        if debug:
-            pf.save_planes_csv(rows, out / "planes.csv")
-    raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
-    logger.info("sharpen: wrote adjusted_%s.asc", method)
-    return adjusted
-
-
-def _sharpen_graphcut(dsm, segments, ramps, outdir, debug):
+def sharpen_stage(method, dsm, segments, ramps):
+    """The DSM adjusted by one method, and the method's by-products: plane
+    fit's per-side rows, or graph-cut's (problem, labeling, offset field),
+    None when there are no ``ramps`` contours to move."""
+    if method == "planefit":
+        rows = []
+        return pf.adjust_all(dsm, segments, debug_rows=rows), rows
     ground, roof = ramps
     if not ground and not roof:
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
-        return dsm.copy()
+        return dsm.copy(), None
     problem = gc.build_problem(ground, roof, segments, dsm)
     labeling = gc.minimize(problem)
     field = gc.interpolate_offsets(problem, labeling)
-    if debug:
-        gc.save_labeling_csv(problem, labeling, outdir / "labeling.csv")
-        raster.save_heightfield(dsm.like(field.dx), outdir / "offsets_dx.asc")
-        raster.save_heightfield(dsm.like(field.dy), outdir / "offsets_dy.asc")
-    return gc.warp_dsm(dsm, field)
+    return gc.warp_dsm(dsm, field), (problem, labeling, field)
+
+
+def score_stage(truth, variants, contour_mask, widths):
+    """name -> ev.report of each variant (all on the truth grid) over buffers
+    around ``contour_mask``; a scope without valid cells is named."""
+    if not contour_mask.any():
+        raise ValueError(_NO_CONTOURS)
+    distance = ev.boundary_distance(contour_mask)
+    reports = {}
+    for name, hf in variants.items():
+        try:
+            reports[name] = ev.report(hf, truth, distance, widths)
+        except ValueError:
+            both = hf.valid_mask() & truth.valid_mask()
+            width = min(w for w in widths if not (both & (distance <= w)).any())
+            scope = f"within {width} px of the boundary" if both.any() else "in the whole image"
+            raise ValueError(f"variant {name!r} has no valid cells {scope}") from None
+    return reports
 
 
 def _same_grid(a, b) -> bool:
@@ -161,19 +156,34 @@ def _check_against_truth(cfg, truth):
             )
 
 
-def _score(name, hf, truth, distance, widths):
-    """ev.report of one variant; a scope without valid cells is named: the
-    whole image, or the narrowest empty buffer (the buffers nest)."""
-    try:
-        return ev.report(hf, truth, distance, widths)
-    except ValueError:
-        both = hf.valid_mask() & truth.valid_mask()
-        width = min(w for w in widths if not (both & (distance <= w)).any())
-        scope = f"within {width} px of the boundary" if both.any() else "in the whole image"
-        raise ValueError(f"variant {name!r} has no valid cells {scope}") from None
+def _save_masks(top, contour_mask, out):
+    raster.save_mask(top.mask, out / "building_mask.pgm")
+    raster.save_mask(contour_mask, out / "boundary_contours.pgm")
+    logger.info("extract-mask: %d building pixels", top.mask.sum())
 
 
-def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
+def _save_lines(raw, matched, out):
+    ln.save_segments_csv(raw, out / "segments_raw.csv")
+    ln.save_segments_csv(matched, out / "segments_filtered.csv")
+    logger.info("detect-lines: %d raw, %d filtered segments", len(raw), len(matched))
+
+
+def _sharpen_and_save(method, dsm, segments, ramps, out, debug):
+    """sharpen_stage with its grid written and returned, and with --debug its by-products."""
+    adjusted, extra = sharpen_stage(method, dsm, segments, ramps)
+    if debug and method == "planefit":
+        pf.save_planes_csv(extra, out / "planes.csv")
+    elif debug and extra is not None:
+        gc.save_labeling_csv(extra[0], extra[1], out / "labeling.csv")
+        raster.save_heightfield(dsm.like(extra[2].dx), out / "offsets_dx.asc")
+        raster.save_heightfield(dsm.like(extra[2].dy), out / "offsets_dy.asc")
+    del extra  # graph-cut's offset field is two grids
+    raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
+    logger.info("sharpen: wrote adjusted_%s.asc", method)
+    return adjusted
+
+
+def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
     """RMSE report + sweeps (+ optional cross-section) on the truth grid.
 
     The buffers come from one distance map of the original DSM's building
@@ -182,18 +192,18 @@ def _evaluate_stage(truth, original, variants, cfg, out, contour_mask=None):
     """
     on_truth = {}
     for name, hf in [("original", original)] + list(variants.items()):
-        on_truth[name] = hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
+        try:
+            on_truth[name] = hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
+        except ValueError as exc:
+            row = "original" if name == "original" else f"variant {name!r}"
+            raise ValueError(f"{row}: {exc}") from None
 
     if contour_mask is None or not _same_grid(truth, original):
-        contour_mask = _mask_stage(on_truth["original"], cfg)[1]
-    if not contour_mask.any():
-        raise ValueError(_NO_CONTOURS)
-
-    distance = ev.boundary_distance(contour_mask)
+        contour_mask = mask_stage(on_truth["original"], cfg.tophat)[1]
     sweep_widths = range(1, cfg.sweep_max_width + 1)
     widths = tuple(sorted({*cfg.eval_widths, *sweep_widths}))
-    rows = [(cfg.region, name, _score(name, hf, truth, distance, widths))
-            for name, hf in on_truth.items()]
+    reports = score_stage(truth, on_truth, contour_mask, widths)
+    rows = [(cfg.region, name, rep) for name, rep in reports.items()]
     for _, name, rep in rows:
         ev.write_sweep_csv([(w, rep.per_buffer[w]) for w in sweep_widths], out / f"sweep_{name}.csv")
     ev.write_report_csv(rows, out / "rmse_report.csv", cfg.eval_widths)
@@ -230,7 +240,7 @@ def cmd_extract_mask(args) -> int:
     cfg = _config_from_args(args)
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     out = _outdir(cfg)
-    _mask_stage(dsm, cfg, out)
+    _save_masks(*mask_stage(dsm, cfg.tophat), out)
     if args.dump_stack:
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
@@ -243,10 +253,11 @@ def cmd_extract_mask(args) -> int:
 def cmd_detect_lines(args) -> int:
     cfg = _config_from_args(args)
     dsm, ortho = _load_dsm_and_ortho(cfg)
-    top, contour_mask = _mask_stage(dsm, cfg)
+    top, contour_mask = mask_stage(dsm, cfg.tophat)
     mask = top.mask
     del top  # the response is not kept past the mask stage
-    _lines_stage(dsm, ortho, mask, contour_mask, cfg, _outdir(cfg))
+    raw, _, matched = lines_stage(dsm, ortho, mask, contour_mask, cfg)
+    _save_lines(raw, matched, _outdir(cfg))
     return 0
 
 
@@ -266,7 +277,7 @@ def cmd_sharpen(args) -> int:
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     _check_on_grid(seg_path, segments, seg_lines, dsm)
     ramps = gc.ramp_contours(top_tophat(dsm, cfg.tophat)) if args.method == "graphcut" else None
-    _sharpen_stage(args.method, dsm, segments, ramps, _outdir(cfg), args.debug)
+    _sharpen_and_save(args.method, dsm, segments, ramps, _outdir(cfg), args.debug)
     return 0
 
 
@@ -312,7 +323,7 @@ def cmd_evaluate(args) -> int:
         name: raster.load_heightfield(_require_file(path, "variant"))
         for name, path in paths.items()
     }
-    _evaluate_stage(truth, original, variants, cfg, _outdir(cfg))
+    _evaluate_and_save(truth, original, variants, cfg, _outdir(cfg))
     return 0
 
 
@@ -325,7 +336,8 @@ def cmd_run_all(args) -> int:
     truth_grid = raster.read_grid_header(truth_path)
     _check_against_truth(cfg, truth_grid)
     out = _outdir(cfg)
-    top, contour_mask = _mask_stage(dsm, cfg, out)
+    top, contour_mask = mask_stage(dsm, cfg.tophat)
+    _save_masks(top, contour_mask, out)
     # on the DSM's grid the evaluation scores against these contours; off it,
     # the resampled original may hold buildings the DSM's tophat misses
     if _same_grid(truth_grid, dsm) and not contour_mask.any():
@@ -333,11 +345,12 @@ def cmd_run_all(args) -> int:
     methods = ["graphcut", "planefit"] if args.method == "both" else [args.method]
     mask, ramps = top.mask, gc.ramp_contours(top) if "graphcut" in methods else None
     del top  # the response is not kept past the ramps
-    segments = _lines_stage(dsm, ortho, mask, contour_mask, cfg, out)
-    del ortho, mask  # the methods read neither
-    variants = {m: _sharpen_stage(m, dsm, segments, ramps, out, args.debug) for m in methods}
+    raw, filtered, segments = lines_stage(dsm, ortho, mask, contour_mask, cfg)
+    _save_lines(raw, segments, out)
+    del ortho, mask, raw, filtered  # the methods read none of them
+    variants = {m: _sharpen_and_save(m, dsm, segments, ramps, out, args.debug) for m in methods}
     truth = raster.load_heightfield(truth_path)
-    _evaluate_stage(truth, dsm, variants, cfg, out, contour_mask)
+    _evaluate_and_save(truth, dsm, variants, cfg, out, contour_mask)
     return 0
 
 

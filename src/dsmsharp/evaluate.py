@@ -52,7 +52,8 @@ def resample_to(reference: Heightfield, moving: Heightfield) -> Heightfield:
     rx0, ry0, rx1, ry1 = _world_extent(reference)
     mx0, my0, mx1, my1 = _world_extent(moving)
     if rx1 <= mx0 or mx1 <= rx0 or ry1 <= my0 or my1 <= ry0:
-        raise ValueError("disjoint extents")
+        raise ValueError(f"disjoint extents: x {mx0:g}..{mx1:g}, y {my0:g}..{my1:g} does not"
+                         f" overlap the reference grid's x {rx0:g}..{rx1:g}, y {ry0:g}..{ry1:g}")
 
     cols = np.arange(reference.width)
     rows = np.arange(reference.height)
@@ -128,9 +129,9 @@ def sweep(
     boundary_mask: np.ndarray,
     max_width: int = 20,
 ) -> list[tuple[int, float]]:
-    """Boundary-buffer RMSE at every width 1..max_width: one report over them."""
-    if max_width < 1:
-        raise ValueError("max_width must be >= 1")
+    """Boundary-buffer RMSE at every width 1..max_width (<= the grid's larger side)."""
+    if not 1 <= max_width <= max(truth.values.shape):
+        raise ValueError(f"max_width must be in 1..{max(truth.values.shape)}, got {max_width}")
     widths = tuple(range(1, max_width + 1))
     rep = report(computed, truth, boundary_distance(boundary_mask), widths)
     return sorted(rep.per_buffer.items())

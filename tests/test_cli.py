@@ -542,6 +542,34 @@ def test_evaluate_empty_scope_names_variant_and_scope_and_writes_nothing(
     assert list(small_scene["out"].iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["evaluate", "--dsm", "{dsm}", "--variant", "far={far}"], "variant 'far'"),
+        (["evaluate", "--dsm", "{far}"], "original"),
+        (["run-all", "--dsm", "{far}", "--ortho", "{ortho}"], "original"),
+    ],
+    ids=["evaluate-variant", "evaluate-dsm", "run-all"],
+)
+def test_grid_off_the_truth_is_named_with_both_extents(
+    small_scene, tmp_path, run_cli, capsys, argv, row
+):
+    dsm = raster.load_heightfield(small_scene["dsm"])
+    far = tmp_path / "far.asc"
+    raster.save_heightfield(raster.Heightfield(dsm.values, origin=(1000.0, 1000.0)), far)
+    paths = {"dsm": small_scene["dsm"], "ortho": small_scene["ortho"], "far": far}
+    code = run_cli(
+        *(arg.format(**paths) for arg in argv), "--truth", small_scene["truth"],
+        "--out", small_scene["out"], *SMALL_SCALE_ARGS,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {row}: disjoint extents: x 1000..1064, y 1000..1064 does not overlap"
+        " the reference grid's x 0..64, y 0..64\n"
+    )
+    assert not (small_scene["out"] / "rmse_report.csv").exists()
+
+
 def test_evaluate_dilates_no_mask(small_scene, run_cli, monkeypatch):
     """One distance map stands for every buffer: no per-width dilation."""
     radii = []
@@ -1249,6 +1277,49 @@ def test_traced_run_all_counts_every_graph_cut_step(small_scene, run_cli, monkey
         assert values[f"graphcut.{step}.calls"] == 1, step
     assert values["graphcut.points"] > 0 and values["graphcut.pairs"] > 0
     assert values["planefit.adjust_all.calls"] == 1 and values["planefit.sides"] > 0
+    # every stage calls the names the tracer wraps, so no per-layer count reads 0
+    for name in ("tophat.boundary_contours.calls", "tophat.contour_points", "lines.raw",
+                 "lines.filtered", "lines.width_matched", "evaluate.report.calls"):
+        assert values[name] > 0, name
+
+
+def test_stage_functions_give_the_files_run_all_writes(small_scene, tmp_path, run_cli):
+    """The public stage functions, run in memory and saved with the CLI's
+    writers, give run-all's files byte for byte, its debug dumps included."""
+    out = small_scene["out"]
+    assert run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--out", out, "--debug", *SMALL_SCALE_ARGS,
+    ) == 0
+    cfg = config.build_config(None, {"tophat.scale_min": "10", "tophat.scale_max": "40"})
+    dsm, ortho = raster.load_heightfield(small_scene["dsm"]), raster.load_image(small_scene["ortho"])
+    top, contour_mask = cli.mask_stage(dsm, cfg.tophat)
+    raw, _, matched = cli.lines_stage(dsm, ortho, top.mask, contour_mask, cfg)
+    ramps = graphcut.ramp_contours(top)
+    variants, extras = {"original": dsm}, {}
+    for method in ("graphcut", "planefit"):
+        variants[method], extras[method] = cli.sharpen_stage(method, dsm, matched, ramps)
+    truth = raster.load_heightfield(small_scene["truth"])
+    reports = cli.score_stage(truth, variants, contour_mask, cfg.eval_widths)
+
+    mine = tmp_path / "mine"
+    mine.mkdir()
+    raster.save_mask(top.mask, mine / "building_mask.pgm")
+    raster.save_mask(contour_mask, mine / "boundary_contours.pgm")
+    save_segments_csv(raw, mine / "segments_raw.csv")
+    save_segments_csv(matched, mine / "segments_filtered.csv")
+    for method in ("graphcut", "planefit"):
+        raster.save_heightfield(variants[method], mine / f"adjusted_{method}.asc")
+    planefit.save_planes_csv(extras["planefit"], mine / "planes.csv")
+    problem, labeling, field = extras["graphcut"]
+    graphcut.save_labeling_csv(problem, labeling, mine / "labeling.csv")
+    raster.save_heightfield(dsm.like(field.dx), mine / "offsets_dx.asc")
+    raster.save_heightfield(dsm.like(field.dy), mine / "offsets_dy.asc")
+    rows = [(cfg.region, name, rep) for name, rep in reports.items()]
+    evaluate.write_report_csv(rows, mine / "rmse_report.csv", cfg.eval_widths)
+    assert len(list(mine.iterdir())) == 11
+    for path in mine.iterdir():
+        assert path.read_bytes() == (out / path.name).read_bytes(), path.name
 
 
 # ---------------------------------------------------------------------------

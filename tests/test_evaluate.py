@@ -48,7 +48,8 @@ def test_resample_nodata_block():
 def test_resample_disjoint_extents():
     a = field(np.zeros((4, 4)), origin=(0.0, 0.0))
     b = field(np.zeros((4, 4)), origin=(100.0, 100.0))
-    with pytest.raises(ValueError, match="disjoint extents"):
+    with pytest.raises(ValueError, match=r"disjoint extents: x 100\.\.104, y 100\.\.104 does"
+                       r" not overlap the reference grid's x 0\.\.4, y 0\.\.4$"):
         ev.resample_to(a, b)
 
 
@@ -219,6 +220,15 @@ def test_sweep_identical_all_zero():
     pairs = ev.sweep(hf, hf, b, 5)
     assert [w for w, _ in pairs] == [1, 2, 3, 4, 5]
     assert all(v == 0.0 for _, v in pairs)
+
+
+def test_sweep_rejects_a_width_past_the_grid_before_building_the_widths():
+    hf = field(np.zeros((8, 8)))
+    b = boundary((8, 8), (slice(3, 5), slice(2, 6)))
+    for width in (0, 9, 10**5):
+        with pytest.raises(ValueError, match=f"max_width must be in 1..8, got {width}"):
+            ev.sweep(hf, hf, b, width)
+    assert [w for w, _ in ev.sweep(hf, hf, b, 8)] == list(range(1, 9))
 
 
 def test_sweep_nonincreasing_for_banded_error():

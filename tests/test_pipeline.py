@@ -2,28 +2,28 @@
 
 import numpy as np
 
-from dsmsharp import evaluate, graphcut, lines, planefit, raster, synth, tophat
+from dsmsharp import evaluate, graphcut, planefit, raster, synth, tophat
+from dsmsharp.cli import lines_stage, mask_stage, sharpen_stage
+from dsmsharp.config import PipelineConfig
 from dsmsharp.synth import Building, SceneSpec
 from dsmsharp.tophat import TophatParams
 
 
 def run_front_end(spec, tophat_params):
+    """The CLI's mask and lines stages on a generated scene, with default
+    settings but the tophat ladder."""
     truth, smeared, ortho = synth.generate(spec)
-    stack = tophat.build_stack(smeared, tophat_params)
-    contours = tophat.boundary_contours(tophat.top_tophat(smeared, tophat_params).mask)
-    cmask = raster.rasterize_contours(contours, smeared.values.shape)
-    raw = lines.detect_segments(raster.grayscale(ortho))
-    filtered = lines.assign_widths(lines.filter_segments(raw, cmask, 5), stack, 2)
-    return truth, smeared, stack, contours, cmask, filtered
+    top, cmask = mask_stage(smeared, tophat_params)
+    cfg = PipelineConfig(tophat=tophat_params)
+    _, _, matched = lines_stage(smeared, ortho, top.mask, cmask, cfg)
+    return truth, smeared, tophat.boundary_contours(top.mask), cmask, matched
 
 
 def run_graphcut(dsm, segments, tophat_params):
-    """The CLI's graph-cut stage: ramp contours, one-sided bands, minimize, warp."""
-    ground, roof = graphcut.ramp_contours(tophat.top_tophat(dsm, tophat_params))
-    problem = graphcut.build_problem(ground, roof, segments, dsm)
-    labeling = graphcut.minimize(problem)
-    field = graphcut.interpolate_offsets(problem, labeling)
-    return problem, labeling, graphcut.warp_dsm(dsm, field)
+    """The CLI's graph-cut stage on the ramps of the DSM's top-scale tophat."""
+    ramps = graphcut.ramp_contours(tophat.top_tophat(dsm, tophat_params))
+    warped, (problem, labeling, _) = sharpen_stage("graphcut", dsm, segments, ramps)
+    return problem, labeling, warped
 
 
 def test_rotated_building_detected_and_sharpened():
@@ -35,7 +35,7 @@ def test_rotated_building_detected_and_sharpened():
         seed=13,
     )
     params = TophatParams(scale_min=10, scale_max=120)
-    truth, smeared, stack, contours, cmask, filtered = run_front_end(spec, params)
+    truth, smeared, contours, cmask, filtered = run_front_end(spec, params)
     assert len(filtered) == 4
     # all four segments slope at +-30 / -60 degrees
     for s in filtered:
@@ -56,7 +56,7 @@ def test_two_buildings_give_two_contours_and_eight_segments():
         seed=3,
     )
     params = TophatParams(scale_min=10, scale_max=80)
-    truth, smeared, stack, contours, cmask, filtered = run_front_end(spec, params)
+    truth, smeared, contours, cmask, filtered = run_front_end(spec, params)
     assert len(contours) == 2
     assert len(filtered) == 8
     widths = {s.width_index for s in filtered}
@@ -82,14 +82,8 @@ def test_nodata_hole_survives_both_methods():
     vals[40:44, 40:44] = -9999.0
     holey = raster.Heightfield(vals)
     params = TophatParams(scale_min=10, scale_max=60)
-    stack = tophat.build_stack(holey, params)
-    mask = tophat.top_tophat(holey, params).mask
-    cmask = raster.rasterize_contours(tophat.boundary_contours(mask), vals.shape)
-    segs = lines.assign_widths(
-        lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 5),
-        stack,
-        2,
-    )
+    top, cmask = mask_stage(holey, params)
+    _, _, segs = lines_stage(holey, ortho, top.mask, cmask, PipelineConfig(tophat=params))
     assert len(segs) == 4
 
     adjusted = planefit.adjust_all(holey, segs)
@@ -110,7 +104,7 @@ def test_building_flush_with_border():
         seed=2,
     )
     params = TophatParams(scale_min=10, scale_max=60)
-    truth, smeared, stack, contours, cmask, segs = run_front_end(spec, params)
+    truth, smeared, contours, cmask, segs = run_front_end(spec, params)
     # only three sides have image-visible edges; the fourth runs along the border
     assert len(segs) == 3
     adjusted = planefit.adjust_all(smeared, segs)
@@ -132,10 +126,10 @@ def test_graphcut_corrects_displaced_boundary():
     params = TophatParams(scale_min=10, scale_max=80)
     # roll the DSM 4 px east of the ortho to emulate a displaced boundary
     rolled = smeared.like(np.roll(smeared.values, 4, axis=1))
-    mask = tophat.top_tophat(rolled, params).mask
-    cmask = raster.rasterize_contours(tophat.boundary_contours(mask), rolled.values.shape)
+    top, cmask = mask_stage(rolled, params)
     # graph-cut needs no width indices, so all four filtered edges take part
-    segments = lines.filter_segments(lines.detect_segments(raster.grayscale(ortho)), cmask, 8)
+    cfg = PipelineConfig(tophat=params, boundary_buffer_radius=8)
+    _, segments, _ = lines_stage(rolled, ortho, top.mask, cmask, cfg)
     assert len(segments) == 4
     problem, labeling, warped = run_graphcut(rolled, segments, params)
     assert (labeling.offsets != 0).any(axis=1).all()
