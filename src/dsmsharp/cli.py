@@ -156,6 +156,17 @@ def _check_against_truth(cfg, truth):
             )
 
 
+def _check_overlap(truth, grids) -> None:
+    """Reject, before any work, a grid (name -> heightfield or header) whose
+    extent misses the truth grid's; the error names its row."""
+    for name, grid in grids.items():
+        try:
+            ev.check_overlap(truth, grid)
+        except ValueError as exc:
+            row = "original" if name == "original" else f"variant {name!r}"
+            raise ValueError(f"{row}: {exc}") from None
+
+
 def _save_masks(top, contour_mask, out):
     raster.save_mask(top.mask, out / "building_mask.pgm")
     raster.save_mask(contour_mask, out / "boundary_contours.pgm")
@@ -190,13 +201,10 @@ def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
     contours (``contour_mask`` when on the truth grid, else computed here).
     Every variant is scored once, over all the widths, before any file is written.
     """
-    on_truth = {}
-    for name, hf in [("original", original)] + list(variants.items()):
-        try:
-            on_truth[name] = hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
-        except ValueError as exc:
-            row = "original" if name == "original" else f"variant {name!r}"
-            raise ValueError(f"{row}: {exc}") from None
+    on_truth = {
+        name: hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
+        for name, hf in [("original", original), *variants.items()]
+    }
 
     if contour_mask is None or not _same_grid(truth, original):
         contour_mask = mask_stage(on_truth["original"], cfg.tophat)[1]
@@ -323,6 +331,7 @@ def cmd_evaluate(args) -> int:
         name: raster.load_heightfield(_require_file(path, "variant"))
         for name, path in paths.items()
     }
+    _check_overlap(truth, {"original": original, **variants})
     _evaluate_and_save(truth, original, variants, cfg, _outdir(cfg))
     return 0
 
@@ -335,6 +344,7 @@ def cmd_run_all(args) -> int:
     truth_path = _require_file(cfg.truth, "truth")
     truth_grid = raster.read_grid_header(truth_path)
     _check_against_truth(cfg, truth_grid)
+    _check_overlap(truth_grid, {"original": dsm})
     out = _outdir(cfg)
     top, contour_mask = mask_stage(dsm, cfg.tophat)
     _save_masks(top, contour_mask, out)
@@ -431,7 +441,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

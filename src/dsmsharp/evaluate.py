@@ -37,9 +37,19 @@ class CrossSection:
     rmse: dict[str, float]  # per variant, against the designated truth
 
 
-def _world_extent(hf: Heightfield) -> tuple[float, float, float, float]:
-    x0, y0 = hf.origin
-    return x0, y0, x0 + hf.width * hf.cell_size, y0 + hf.height * hf.cell_size
+def _world_extent(grid) -> tuple[float, float, float, float]:
+    x0, y0 = grid.origin
+    return x0, y0, x0 + grid.width * grid.cell_size, y0 + grid.height * grid.cell_size
+
+
+def check_overlap(reference, moving) -> None:
+    """Raise ValueError, naming both world extents, when ``moving`` does not
+    overlap ``reference``; each may be a Heightfield or a raster.GridHeader."""
+    rx0, ry0, rx1, ry1 = _world_extent(reference)
+    mx0, my0, mx1, my1 = _world_extent(moving)
+    if rx1 <= mx0 or mx1 <= rx0 or ry1 <= my0 or my1 <= ry0:
+        raise ValueError(f"disjoint extents: x {mx0:g}..{mx1:g}, y {my0:g}..{my1:g} does not"
+                         f" overlap the reference grid's x {rx0:g}..{rx1:g}, y {ry0:g}..{ry1:g}")
 
 
 def resample_to(reference: Heightfield, moving: Heightfield) -> Heightfield:
@@ -47,13 +57,10 @@ def resample_to(reference: Heightfield, moving: Heightfield) -> Heightfield:
 
     Bilinear over the valid neighbours of each sample position (weights
     renormalised when some support cells are nodata); reference cells whose
-    centers fall outside the moving raster's footprint become nodata.
+    centers fall outside the moving raster's footprint become nodata. Grids
+    that do not overlap are rejected (see check_overlap).
     """
-    rx0, ry0, rx1, ry1 = _world_extent(reference)
-    mx0, my0, mx1, my1 = _world_extent(moving)
-    if rx1 <= mx0 or mx1 <= rx0 or ry1 <= my0 or my1 <= ry0:
-        raise ValueError(f"disjoint extents: x {mx0:g}..{mx1:g}, y {my0:g}..{my1:g} does not"
-                         f" overlap the reference grid's x {rx0:g}..{rx1:g}, y {ry0:g}..{ry1:g}")
+    check_overlap(reference, moving)
 
     cols = np.arange(reference.width)
     rows = np.arange(reference.height)

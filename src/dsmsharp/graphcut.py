@@ -25,9 +25,9 @@ exactly their current energy, so they cannot decide it and are cut only
 when the move is accepted. The labeling is the same as cutting every point
 at once (see minimize). The winning offsets are densified by Shepard's
 inverse-square weighting of each pixel's nearest anchors, found by an exact
-search over rings of integer offsets that takes every anchor tied at the
-last distance (see interpolate_offsets), and applied as a backward
-bilinear warp.
+search of the integer offsets one squared distance at a time that takes
+every anchor tied at the last distance (see interpolate_offsets), and
+applied as a backward bilinear warp.
 
 The cuts are the package's only use of scipy: its sparse max-flow and
 breadth-first search. They are imported on first use, not with the module,
@@ -74,8 +74,8 @@ LINE_BUFFER_RADIUS = 2
 FAR_DISTANCE = 20
 # anchors whose offsets interpolate_offsets blends into each band pixel
 IDW_NEIGHBORS = 8
-# (pixel, offset) pairs interpolate_offsets tests at a time; bounds its
-# temporaries
+# (pixel, offset) pairs of one shell interpolate_offsets tests at a time;
+# bounds its temporaries
 _PAIR_BLOCK = 1 << 16
 # moved pixels warp_dsm samples at a time; bounds its temporaries
 _WARP_BLOCK = 1 << 13
@@ -581,16 +581,15 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     So the field does not depend on the order of the anchors, and the field
     of the transposed problem is the transposed field, bit for bit.
 
-    The nearest anchors are found by walking integer offsets in (d^2, dy,
-    dx) order, whole shells at a time, over the band pixels still open. A
-    pixel at Chebyshev distance c from the contour has no contour anchor
-    nearer than c and no far anchor nearer than the reach minus c, so it
-    joins the walk at the shell of the smaller; it closes once it holds k
-    anchors and its shell is complete. Each batch of shells is gathered
-    from the open pixels, a chunk of them at a time, and each chunk adds
-    its own pairs. Beyond the output grids and a few grid-sized masks and
-    counters, memory follows _PAIR_BLOCK (pixel, offset) pairs, or one
-    pixel's shells when they are more.
+    The nearest anchors are found by walking the squared distances q = 1,
+    2, 3, ... over the band pixels still open, each shell being every
+    integer offset with dx^2 + dy^2 == q. A pixel at Chebyshev distance c
+    from the contour has no contour anchor nearer than c and no far anchor
+    nearer than the reach minus c, so it joins the walk at the shell of the
+    smaller; it closes once it holds k anchors after a shell. Each shell is
+    gathered from the open pixels a chunk at a time. Beyond the output grids
+    and a few grid-sized masks and counters, memory follows _PAIR_BLOCK
+    (pixel, offset) pairs, or one pixel's shell when it is more.
     """
     if len(labeling) != problem.size:
         raise ValueError("labeling size does not match problem")
@@ -625,102 +624,47 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     weight = np.zeros(h * w)
     sum_dx, sum_dy = dx.reshape(-1), dy.reshape(-1)
     active = np.empty(0, dtype=np.intp)  # the open pixels that have joined the walk
-    joined, last, lo = 0, int(low.max()), 1  # pixels with low <= joined have joined
+    joined, last, q = 0, int(low.max()), 0  # pixels with low <= joined have joined
     while active.size or joined < last:
+        q += 1
         if active.size == 0:
-            lo = max(lo, int(low[low > joined].min()) ** 2)
-        while joined < last and (joined + 1) ** 2 <= lo:
+            q = max(q, int(low[low > joined].min()) ** 2)
+        while joined < last and (joined + 1) ** 2 <= q:
             joined += 1
             active = np.concatenate([active, np.flatnonzero(low == joined)])
-        # about pi offsets per unit of d^2, so some _PAIR_BLOCK pairs a
-        # batch; a batch ends where the next pixels join
-        hi = lo + max(1, _PAIR_BLOCK // (4 * active.size))
-        if joined < last:
-            hi = min(hi, (joined + 1) ** 2)
-        q, oy, ox = _offsets(lo, hi)
-        lo = hi
-        if q.size == 0:
+        oy, ox = _shell(q)
+        if ox.size == 0:
             continue
-        flat, step = oy * w + ox, max(1, _PAIR_BLOCK // q.size)
-        # the chunks split the open pixels, so each holds all of its
-        # pixels' pairs of the batch and adds them on its own
+        flat, step = oy * w + ox, max(1, _PAIR_BLOCK // ox.size)
         for i in range(0, active.size, step):
-            pixels, anchors, cols = _pairs(active[i : i + step], ox, flat, anchor, w)
-            if pixels.size:
-                _add_shells(pixels, q[cols], sum_dx[anchors], sum_dy[anchors], k,
-                            count, weight, sum_dx, sum_dy)
+            pixels = active[i : i + step]
+            t = pixels[:, None] + flat
+            hit = ((pixels % w)[:, None] + ox).view(np.uint64) < w
+            hit &= t.view(np.uint64) < anchor.size
+            hit &= np.take(anchor, t, mode="clip")
+            rows, cols = np.nonzero(hit)
+            t = t[rows, cols]
+            # a chunk's pixels are distinct; the offset sums are integers,
+            # exact in float64, and a pixel without a hit adds +0.0
+            n = np.bincount(rows, minlength=pixels.size)
+            count[pixels] += n
+            weight[pixels] += n / q
+            sum_dx[pixels] += np.bincount(rows, sum_dx[t], minlength=pixels.size) / q
+            sum_dy[pixels] += np.bincount(rows, sum_dy[t], minlength=pixels.size) / q
         active = active[count[active] < k]
     np.divide(sum_dx, weight, out=sum_dx, where=band)
     np.divide(sum_dy, weight, out=sum_dy, where=band)
     return OffsetField(dx, dy)
 
 
-def _pairs(sources, ox, flat, targets, w):
-    """(source, target, offset index) of every offset from a source pixel
-    that lands on the grid on a set bit of ``targets`` (flat, like the
-    pixels); ``flat`` is each offset as a flat step, ``ox`` its x part."""
-    t = sources[:, None] + flat
-    ok = ((sources % w)[:, None] + ox).view(np.uint64) < w
-    ok &= t.view(np.uint64) < targets.size
-    ok &= np.take(targets, t, mode="clip")
-    rows, cols = np.nonzero(ok)
-    return sources[rows], t[rows, cols], cols
-
-
-def _add_shells(pixels, q, odx, ody, k, count, weight, sum_dx, sum_dy):
-    """Add one batch of anchors, each (pixel, squared distance, offset), to
-    the pixels' sums in increasing distance.
-
-    A pixel takes each of its shells, whole, while it holds fewer than k
-    anchors before that shell. A shell adds its anchor count and its integer
-    offset sums divided by its squared distance, each pixel's shells in
-    increasing order whatever the batch, so the sums repeat bit for bit.
-    """
-    order = np.lexsort((q, pixels))
-    pixels, q = pixels[order], q[order]
-    new_pixel = np.empty(pixels.size, dtype=bool)
-    new_pixel[0] = True
-    np.not_equal(pixels[1:], pixels[:-1], out=new_pixel[1:])
-    new_shell = new_pixel.copy()
-    new_shell[1:] |= q[1:] != q[:-1]
-    shell = np.cumsum(new_shell) - 1
-    starts = np.flatnonzero(new_shell)
-    n = np.bincount(shell)
-    sx = np.bincount(shell, odx[order])  # integer sums, exact in float64
-    sy = np.bincount(shell, ody[order])
-    pixels, q = pixels[starts], q[starts]
-    # anchors each pixel holds before each of its shells
-    before = np.cumsum(n) - n
-    before -= np.maximum.accumulate(np.where(new_pixel[starts], before, 0))
-    before += count[pixels]
-    take = before < k
-    pixels, q, n, sx, sy = pixels[take], q[take], n[take], sx[take], sy[take]
-    # ufunc.at adds in index order, so each pixel's shells add in order
-    np.add.at(count, pixels, n)
-    np.add.at(weight, pixels, n / q)
-    np.add.at(sum_dx, pixels, sx / q)
-    np.add.at(sum_dy, pixels, sy / q)
-
-
-def _offsets(lo: int, hi: int):
-    """(d^2, dy, dx) of every integer offset with lo <= d^2 < hi, in
-    (d^2, dy, dx) order."""
-    r = math.isqrt(hi - 1)
-    ys = np.arange(-r, r + 1)
-    # each row's dx >= 0 run, from the least with dx^2 >= lo - dy^2 to the
-    # largest with dx^2 < hi - dy^2; a float square root rounds correctly,
-    # so its floor and ceiling are exact below 2**52
-    top = np.sqrt(hi - 1 - ys * ys).astype(np.int64)
-    bottom = np.ceil(np.sqrt(np.maximum(lo - ys * ys, 0))).astype(np.int64)
-    runs = np.maximum(top - bottom + 1, 0)
-    ys = np.repeat(ys, runs)
-    xs = np.arange(ys.size) - np.repeat(np.cumsum(runs) - runs - bottom, runs)
-    mirror = xs > 0
-    ys = np.concatenate([ys, ys[mirror]])
-    xs = np.concatenate([xs, -xs[mirror]])
-    q = xs * xs + ys * ys
-    order = np.lexsort((xs, ys, q))
-    return q[order], ys[order], xs[order]
+def _shell(q: int):
+    """(dy, dx) of every integer offset with dx^2 + dy^2 == q."""
+    dy = np.arange(-math.isqrt(q), math.isqrt(q) + 1)
+    # a float square root is exact on a perfect square below 2**52
+    dx = np.sqrt(q - dy * dy).astype(np.int64)
+    on = dx * dx + dy * dy == q
+    dy, dx = dy[on], dx[on]
+    return np.concatenate([dy, dy[dx > 0]]), np.concatenate([dx, -dx[dx > 0]])
 
 
 def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:

@@ -79,6 +79,15 @@ def test_synth_scene_errors_name_file_and_line(tmp_path, run_cli, capsys, body, 
     assert not out.exists()
 
 
+def test_synth_scene_too_large_to_allocate(tmp_path, run_cli, capsys):
+    # 6.9 EiB per grid fails at the first allocation, whatever the machine
+    scene = scene_file(tmp_path, "width = 1000000000\nheight = 1000000000\n")
+    out = tmp_path / "out"
+    assert run_cli("synth", "--scene", scene, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "allocate" in err[0]
+
+
 def test_synth_empty_scene_three_files(tmp_path, run_cli):
     scene = scene_file(tmp_path, "width = 16\nheight = 16\n")
     out = tmp_path / "o"
@@ -567,7 +576,10 @@ def test_grid_off_the_truth_is_named_with_both_extents(
         f"error: {row}: disjoint extents: x 1000..1064, y 1000..1064 does not overlap"
         " the reference grid's x 0..64, y 0..64\n"
     )
-    assert not (small_scene["out"] / "rmse_report.csv").exists()
+    # the check runs before any stage: nothing is written, not even --out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "far.asc", "ortho.pgm", "smeared.asc", "truth.asc",
+    ]
 
 
 def test_evaluate_dilates_no_mask(small_scene, run_cli, monkeypatch):
@@ -1231,20 +1243,48 @@ def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, rung_builds
     assert [r.split(",")[1] for r in rows[1:]] == ["original", "planefit"]
 
 
-def _tracing():
-    """The benchmark's tracer module, loaded from its file as it is."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _perfbench(name):
+    """A benchmark module (perfbench/<name>.py), loaded from its file as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 of each workload's seed-1 inputs, as the benchmark writes them
+BENCH_INPUTS = {
+    "city": {
+        "truth.asc": "82b732d1162298bb3df9c2557d50308a848ac3cfb567af3699ef8b4fcfb7d905",
+        "dsm.asc": "d0e4c5feade0eee7ce229a035b87ef137a31ea507dc763a0967564ef4a703101",
+        "ortho.pgm": "8445d41af3ba7434e9a6b91984cb14a5c838f6e0c1cea5fddb3d7ec0c91f8a0d",
+    },
+    "clutter": {
+        "truth.asc": "406d474d6ac6d7ef1cd5a25d000a2a6a04e9351b6487e8cae2888470231aa65c",
+        "dsm.asc": "c76b8ebbae09f8a3dc63ec0315940fbcb34b2d62f42d009ee98b86fa129c0474",
+        "ortho.pgm": "178920495f1a8022c2b633b358c69ba9b37b54b7e102059986f266653bfaa1ff",
+    },
+    "chain": {
+        "truth.asc": "7407b9c0e086ad34a369f4dc47760aa6fba113b962af0af27c66e6b7be22e354",
+        "dsm.asc": "20b3a685229c528f1541ffa90a5f99d1617055bbecfa870d95e73e9bc64b1a68",
+        "ortho.pgm": "a4f532b263605af508d9e43e9671861f2a0e151a53e22878e30ae7aee96fe45c",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_INPUTS))
+def test_bench_inputs_do_not_move(tmp_path, workload):
+    """A change to the scene generator or the writers that moves the
+    benchmark's inputs fails here, not in a later bench comparison."""
+    scenes = _perfbench("scenes")
+    assert scenes.write_inputs(workload, 1, tmp_path) == BENCH_INPUTS[workload]
 
 
 def test_traced_names_resolve():
     """Every (module, attribute) the benchmark tracer wraps still exists and
     takes the keywords the tracer passes, so a refactor that drops one fails
     here instead of breaking a traced run."""
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     assert tracing.WRAPPED
     for module_name, attr, _ in tracing.WRAPPED:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
@@ -1258,7 +1298,7 @@ def test_traced_names_resolve():
 
 
 def test_traced_run_all_counts_every_graph_cut_step(small_scene, run_cli, monkeypatch):
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     # the tracer replaces module attributes and adds a log handler; the
     # originals come back after the test
     for module_name, attr, _ in tracing.WRAPPED:

@@ -171,8 +171,8 @@ def test_interpolate_matches_reference(monkeypatch, seed, far_distance, idw_neig
 @pytest.mark.parametrize("block", [1, 7, 64, 1000])
 @pytest.mark.parametrize("far_distance", [4, 100])
 def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_distance):
-    # the walk split into batches of a few pairs, down to one squared
-    # distance a batch and one pixel a chunk
+    # each shell's open pixels split into chunks of a few pairs, down to
+    # one pixel a chunk
     rng = np.random.default_rng(block + far_distance)
     problem = random_problem(rng, 61, 47, 40)
     labeling = random_labeling(rng, problem.size)
@@ -181,6 +181,19 @@ def test_interpolate_over_many_blocks_matches_reference(monkeypatch, block, far_
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, far_distance)
     assert same_field(got, want)
+
+
+def test_shell_is_every_offset_at_its_squared_distance():
+    # brute force over the square of side 2 * 71 + 1 (71^2 > 5000); empty
+    # shells (3, 7) and crowded ones (325, 1105) included. The brute-force
+    # list has no duplicates, so equal sorted lists rule them out too
+    r = 71
+    dy, dx = (a.ravel() for a in np.mgrid[-r : r + 1, -r : r + 1])
+    d2 = dx * dx + dy * dy
+    for q in range(1, 5001):
+        oy, ox = gc._shell(q)
+        got = sorted(zip(oy.tolist(), ox.tolist()))
+        assert got == sorted(zip(dy[d2 == q].tolist(), dx[d2 == q].tolist())), q
 
 
 def test_interpolate_with_more_neighbors_than_anchors(monkeypatch):
