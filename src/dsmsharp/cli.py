@@ -4,6 +4,7 @@ The stages are public, file-free functions over in-memory products; the
 subcommands check, print and write plain files (ASCII grids, PGM/PPM, CSV)
 so intermediate products stay inspectable, and all outputs are deterministic:
 re-running a subcommand on unchanged inputs reproduces byte-identical files.
+``main`` builds the config, and a bad input exits 2 with an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ def _require_file(path: Path | None, what: str) -> Path:
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    return cfg.out
 
 
 def _load_dsm_and_ortho(cfg: PipelineConfig):
@@ -232,8 +232,7 @@ def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_synth(args, cfg) -> None:
     scene = synth.parse_scene_config(_require_file(Path(args.scene), "scene"))
     truth, smeared, ortho = synth.generate(scene)
     out = _outdir(cfg)
@@ -241,11 +240,9 @@ def cmd_synth(args) -> int:
     raster.save_heightfield(smeared, out / "smeared.asc")
     raster.save_image(ortho, out / "ortho.pgm")
     logger.info("synth: wrote truth.asc, smeared.asc, ortho.pgm to %s", out)
-    return 0
 
 
-def cmd_extract_mask(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_extract_mask(args, cfg) -> None:
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     out = _outdir(cfg)
     _save_masks(*mask_stage(dsm, cfg.tophat), out)
@@ -255,24 +252,20 @@ def cmd_extract_mask(args) -> int:
         for scale, cum, cimg in ladder(dsm, cfg.tophat):
             raster.save_mask(cum, stack_dir / f"mask_{scale:03d}.pgm")
             raster.save_mask(cimg, stack_dir / f"contours_{scale:03d}.pgm")
-    return 0
 
 
-def cmd_detect_lines(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_detect_lines(args, cfg) -> None:
     dsm, ortho = _load_dsm_and_ortho(cfg)
     top, contour_mask = mask_stage(dsm, cfg.tophat)
     mask = top.mask
     del top  # the response is not kept past the mask stage
     raw, _, matched = lines_stage(dsm, ortho, mask, contour_mask, cfg)
     _save_lines(raw, matched, _outdir(cfg))
-    return 0
 
 
-def cmd_sharpen(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_sharpen(args, cfg) -> None:
     # the segments are checked before the DSM is read or anything is written
-    seg_path = Path(args.segments) if args.segments else Path(cfg.out) / "segments_filtered.csv"
+    seg_path = Path(args.segments) if args.segments else cfg.out / "segments_filtered.csv"
     seg_lines: list[int] = []
     segments = ln.load_segments_csv(_require_file(seg_path, "segments"), seg_lines)
     if args.method == "planefit":
@@ -286,7 +279,6 @@ def cmd_sharpen(args) -> int:
     _check_on_grid(seg_path, segments, seg_lines, dsm)
     ramps = gc.ramp_contours(top_tophat(dsm, cfg.tophat)) if args.method == "graphcut" else None
     _sharpen_and_save(args.method, dsm, segments, ramps, _outdir(cfg), args.debug)
-    return 0
 
 
 def _check_on_grid(path, segments, line_numbers, dsm) -> None:
@@ -313,6 +305,8 @@ def _variant_paths(items) -> dict[str, Path]:
         name, _, path = (t.strip() for t in item.partition("="))
         if not name:
             raise ValueError(f"--variant needs a name before '=', got {item!r}")
+        if not path:
+            raise ValueError(f"--variant needs a path after '=', got {item!r}")
         if name in ("original", "truth") or name in paths:
             raise ValueError(f"--variant name {name!r} is already taken")
         if "/" in name or os.sep in name:
@@ -321,8 +315,7 @@ def _variant_paths(items) -> dict[str, Path]:
     return paths
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_evaluate(args, cfg) -> None:
     paths = _variant_paths(args.variant)
     truth = raster.load_heightfield(_require_file(cfg.truth, "truth"))
     _check_against_truth(cfg, truth)
@@ -333,11 +326,9 @@ def cmd_evaluate(args) -> int:
     }
     _check_overlap(truth, {"original": original, **variants})
     _evaluate_and_save(truth, original, variants, cfg, _outdir(cfg))
-    return 0
 
 
-def cmd_run_all(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_run_all(args, cfg) -> None:
     dsm, ortho = _load_dsm_and_ortho(cfg)
     # the truth's header is checked now and its cells are read to score: a
     # fault in its body stops the run after the stage outputs are written
@@ -361,24 +352,11 @@ def cmd_run_all(args) -> int:
     variants = {m: _sharpen_and_save(m, dsm, segments, ramps, out, args.debug) for m in methods}
     truth = raster.load_heightfield(truth_path)
     _evaluate_and_save(truth, dsm, variants, cfg, out, contour_mask)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None, help="key = value config file")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override any config key, e.g. --set tophat.height_threshold=2.0",
-    )
-    sub.add_argument("--verbose", action="store_true", help="chatty logging")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,60 +368,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic truth/smeared/ortho triple")
     p.add_argument("--scene", required=True, help="scene description file")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract-mask", help="multi-scale tophat building mask from the DSM")
-    p.add_argument("--dsm", default=None)
+    p.add_argument("--dsm")
     p.add_argument("--dump-stack", action="store_true",
                    help="also write each per-scale mask, up to the first that covers the grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_extract_mask)
 
     p = sub.add_parser("detect-lines", help="detect, filter and width-annotate line segments")
-    p.add_argument("--dsm", default=None)
-    p.add_argument("--ortho", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_detect_lines)
+    p.add_argument("--dsm")
+    p.add_argument("--ortho")
 
     p = sub.add_parser("sharpen", help="adjust the DSM with one method")
     p.add_argument("--method", choices=("graphcut", "planefit"), required=True)
-    p.add_argument("--dsm", default=None)
-    p.add_argument("--segments", default=None, help="filtered segment CSV (default: <out>/segments_filtered.csv)")
+    p.add_argument("--dsm")
+    p.add_argument("--segments", help="filtered segment CSV (default: <out>/segments_filtered.csv)")
     p.add_argument("--debug", action="store_true", help="write method-specific debug dumps")
-    _add_common(p)
-    p.set_defaults(func=cmd_sharpen)
 
     p = sub.add_parser("evaluate", help="RMSE report, sweeps and cross-sections vs. truth")
-    p.add_argument("--dsm", default=None, help="the original (unadjusted) DSM")
-    p.add_argument("--truth", default=None)
+    p.add_argument("--dsm", help="the original (unadjusted) DSM")
+    p.add_argument("--truth")
     p.add_argument("--variant", action="append", metavar="NAME=PATH", help="adjusted DSM to score")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run-all", help="extract-mask, detect-lines, sharpen and evaluate in one go")
-    p.add_argument("--dsm", default=None)
-    p.add_argument("--ortho", default=None)
-    p.add_argument("--truth", default=None)
+    p.add_argument("--dsm")
+    p.add_argument("--ortho")
+    p.add_argument("--truth")
     p.add_argument("--method", choices=("graphcut", "planefit", "both"), default="both")
     p.add_argument("--debug", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_run_all)
 
+    # every subcommand, in the order added above, ends with the same options
+    funcs = (cmd_synth, cmd_extract_mask, cmd_detect_lines, cmd_sharpen, cmd_evaluate, cmd_run_all)
+    for p, func in zip(sub.choices.values(), funcs, strict=True):
+        p.add_argument("--config", type=Path, help="key = value config file")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override any config key, e.g. --set tophat.height_threshold=2.0")
+        p.add_argument("--verbose", action="store_true", help="chatty logging")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig acts once per process; the level is set again on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return args.func(args)
+        args.func(args, _config_from_args(args))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

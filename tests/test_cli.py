@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import inspect
 import io
@@ -635,8 +636,9 @@ def _evaluate_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch
         ["a/b={dsm}"],
         [f"a{os.sep}b={{dsm}}"],
         ["p={dsm}", "p={truth}"],
+        ["p="],
     ],
-    ids=["original", "truth", "empty", "blank", "slash", "os-sep", "repeated"],
+    ids=["original", "truth", "empty", "blank", "slash", "os-sep", "repeated", "empty-path"],
 )
 def test_evaluate_rejects_colliding_or_escaping_variant_names(
     small_scene, run_cli, capsys, monkeypatch, variants
@@ -905,6 +907,83 @@ def test_set_override_applies(small_scene, run_cli):
     )
     assert code == 0
     assert not raster.load_mask(small_scene["out"] / "building_mask.pgm").any()
+
+
+def test_verbose_applies_to_its_own_call_only(small_scene, run_cli, caplog):
+    # the logger's level and the capture's are restored after the test
+    caplog.set_level(logging.INFO, logger="dsmsharp")
+    counts = []
+    for flags in ((), ("--verbose",), ()):
+        caplog.clear()
+        code = run_cli(
+            "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"],
+            *SMALL_SCALE_ARGS, *flags,
+        )
+        assert code == 0
+        counts.append(sum("building pixels" in r.getMessage() for r in caplog.records))
+    assert counts == [0, 1, 0]
+
+
+# each subcommand's own options as (option strings, required, default,
+# choices, action, help), and the function it dispatches to; every
+# subcommand then ends with the same four options
+_COMMON_OPTIONS = [
+    (("--config",), False, None, None, "_StoreAction", "key = value config file"),
+    (("--out",), False, None, None, "_StoreAction", "output directory"),
+    (("--set",), False, None, None, "_AppendAction",
+     "override any config key, e.g. --set tophat.height_threshold=2.0"),
+    (("--verbose",), False, False, None, "_StoreTrueAction", "chatty logging"),
+]
+PARSER_SHAPE = [
+    ("synth", "cmd_synth", [
+        (("--scene",), True, None, None, "_StoreAction", "scene description file"),
+    ]),
+    ("extract-mask", "cmd_extract_mask", [
+        (("--dsm",), False, None, None, "_StoreAction", None),
+        (("--dump-stack",), False, False, None, "_StoreTrueAction",
+         "also write each per-scale mask, up to the first that covers the grid"),
+    ]),
+    ("detect-lines", "cmd_detect_lines", [
+        (("--dsm",), False, None, None, "_StoreAction", None),
+        (("--ortho",), False, None, None, "_StoreAction", None),
+    ]),
+    ("sharpen", "cmd_sharpen", [
+        (("--method",), True, None, ("graphcut", "planefit"), "_StoreAction", None),
+        (("--dsm",), False, None, None, "_StoreAction", None),
+        (("--segments",), False, None, None, "_StoreAction",
+         "filtered segment CSV (default: <out>/segments_filtered.csv)"),
+        (("--debug",), False, False, None, "_StoreTrueAction",
+         "write method-specific debug dumps"),
+    ]),
+    ("evaluate", "cmd_evaluate", [
+        (("--dsm",), False, None, None, "_StoreAction", "the original (unadjusted) DSM"),
+        (("--truth",), False, None, None, "_StoreAction", None),
+        (("--variant",), False, None, None, "_AppendAction", "adjusted DSM to score"),
+    ]),
+    ("run-all", "cmd_run_all", [
+        (("--dsm",), False, None, None, "_StoreAction", None),
+        (("--ortho",), False, None, None, "_StoreAction", None),
+        (("--truth",), False, None, None, "_StoreAction", None),
+        (("--method",), False, "both", ("graphcut", "planefit", "both"), "_StoreAction", None),
+        (("--debug",), False, False, None, "_StoreTrueAction", None),
+    ]),
+]
+
+
+def test_parser_shape_is_pinned():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    shape = [
+        (name, sub.get_default("func"), [
+            (tuple(a.option_strings), a.required, a.default, a.choices, type(a).__name__, a.help)
+            for a in sub._actions if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, sub in subs.choices.items()
+    ]
+    assert shape == [
+        (name, getattr(cli, func), [*options, *_COMMON_OPTIONS])
+        for name, func, options in PARSER_SHAPE
+    ]
 
 
 def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting):
@@ -1278,6 +1357,26 @@ def test_bench_inputs_do_not_move(tmp_path, workload):
     benchmark's inputs fails here, not in a later bench comparison."""
     scenes = _perfbench("scenes")
     assert scenes.write_inputs(workload, 1, tmp_path) == BENCH_INPUTS[workload]
+
+
+def test_every_benchmark_invocation_parses(tmp_path):
+    """Each argument list the benchmark passes to the CLI, timed and
+    quality, parses and reaches the subcommand it names."""
+    run = _perfbench("run")
+    dirs = {"in": tmp_path / "in", "out": tmp_path / "out", "first": tmp_path / "first"}
+    funcs = {
+        workload: [
+            cli.build_parser().parse_args(run._fill(argv, **dirs)).func
+            for argv, _ in [*spec["timed"], *spec.get("quality", [])]
+        ]
+        for workload, spec in run.WORKLOADS.items()
+    }
+    assert funcs == {
+        "city": [cli.cmd_run_all],
+        "clutter": [cli.cmd_run_all, cli.cmd_sharpen, cli.cmd_evaluate],
+        "chain": [cli.cmd_extract_mask, cli.cmd_detect_lines, cli.cmd_sharpen, cli.cmd_sharpen,
+                  cli.cmd_evaluate],
+    }
 
 
 def test_traced_names_resolve():
