@@ -57,6 +57,8 @@ def _load_dsm_and_ortho(cfg: PipelineConfig):
 
 
 def _config_from_args(args) -> PipelineConfig:
+    if args.config is not None and not args.config.strip():
+        raise ValueError(f"bad value {args.config!r} for --config")
     overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:
@@ -194,12 +196,13 @@ def _sharpen_and_save(method, dsm, segments, ramps, out, debug):
     return adjusted
 
 
-def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
+def _evaluate_and_save(truth, original, variants, cfg, contour_mask=None):
     """RMSE report + sweeps (+ optional cross-section) on the truth grid.
 
     The buffers come from one distance map of the original DSM's building
     contours (``contour_mask`` when on the truth grid, else computed here).
-    Every variant is scored once, over all the widths, before any file is written.
+    Every variant is scored once, over all the widths, before the output
+    directory is made or any file is written.
     """
     on_truth = {
         name: hf if _same_grid(truth, hf) else ev.resample_to(truth, hf)
@@ -211,6 +214,7 @@ def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
     sweep_widths = range(1, cfg.sweep_max_width + 1)
     widths = tuple(sorted({*cfg.eval_widths, *sweep_widths}))
     reports = score_stage(truth, on_truth, contour_mask, widths)
+    out = _outdir(cfg)
     rows = [(cfg.region, name, rep) for name, rep in reports.items()]
     for _, name, rep in rows:
         ev.write_sweep_csv([(w, rep.per_buffer[w]) for w in sweep_widths], out / f"sweep_{name}.csv")
@@ -219,7 +223,7 @@ def _evaluate_and_save(truth, original, variants, cfg, out, contour_mask=None):
     if cfg.section is not None:
         x1, y1, x2, y2 = cfg.section
         section_variants = {"truth": truth, **on_truth}
-        section = ev.cross_section(section_variants, ((x1, y1), (x2, y2)), truth_name="truth")
+        section = ev.cross_section(section_variants, ((x1, y1), (x2, y2)))
         ev.write_cross_section_csv(section, out / "cross_section.csv")
 
     for region, name, rep in rows:
@@ -245,11 +249,12 @@ def cmd_synth(args, cfg) -> None:
 def cmd_extract_mask(args, cfg) -> None:
     dsm = raster.load_heightfield(_require_file(cfg.dsm, "dsm"))
     out = _outdir(cfg)
-    _save_masks(*mask_stage(dsm, cfg.tophat), out)
+    top, contour_mask = mask_stage(dsm, cfg.tophat)
+    _save_masks(top, contour_mask, out)
     if args.dump_stack:
         stack_dir = out / "stack"
         stack_dir.mkdir(exist_ok=True)
-        for scale, cum, cimg in ladder(dsm, cfg.tophat):
+        for scale, cum, cimg in ladder(dsm, cfg.tophat, building=top.mask):
             raster.save_mask(cum, stack_dir / f"mask_{scale:03d}.pgm")
             raster.save_mask(cimg, stack_dir / f"contours_{scale:03d}.pgm")
 
@@ -325,7 +330,7 @@ def cmd_evaluate(args, cfg) -> None:
         for name, path in paths.items()
     }
     _check_overlap(truth, {"original": original, **variants})
-    _evaluate_and_save(truth, original, variants, cfg, _outdir(cfg))
+    _evaluate_and_save(truth, original, variants, cfg)
 
 
 def cmd_run_all(args, cfg) -> None:
@@ -351,7 +356,7 @@ def cmd_run_all(args, cfg) -> None:
     del ortho, mask, raw, filtered  # the methods read none of them
     variants = {m: _sharpen_and_save(m, dsm, segments, ramps, out, args.debug) for m in methods}
     truth = raster.load_heightfield(truth_path)
-    _evaluate_and_save(truth, dsm, variants, cfg, out, contour_mask)
+    _evaluate_and_save(truth, dsm, variants, cfg, contour_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-mask", help="multi-scale tophat building mask from the DSM")
     p.add_argument("--dsm")
     p.add_argument("--dump-stack", action="store_true",
-                   help="also write each per-scale mask, up to the first that covers the grid")
+                   help="also write each per-scale mask, up to the one equal to the building mask")
 
     p = sub.add_parser("detect-lines", help="detect, filter and width-annotate line segments")
     p.add_argument("--dsm")
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every subcommand, in the order added above, ends with the same options
     funcs = (cmd_synth, cmd_extract_mask, cmd_detect_lines, cmd_sharpen, cmd_evaluate, cmd_run_all)
     for p, func in zip(sub.choices.values(), funcs, strict=True):
-        p.add_argument("--config", type=Path, help="key = value config file")
+        p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key, e.g. --set tophat.height_threshold=2.0")

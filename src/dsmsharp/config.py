@@ -45,6 +45,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonblank_path(text: str) -> Path:
+    """Path(text), rejecting blank text, which Path would take as '.'."""
+    if not text.strip():
+        raise ValueError("blank path")
+    return Path(text)
+
+
 def _tuple_of(conv):
     """Converter for comma-separated values, each read with conv."""
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
@@ -53,10 +60,10 @@ def _tuple_of(conv):
 # key -> (config attribute path, converter); a parameter group's keys are
 # its fields, read by the type of their defaults
 _KEYS: dict[str, tuple[tuple[str, ...], object]] = {
-    "dsm": (("dsm",), Path),
-    "ortho": (("ortho",), Path),
-    "truth": (("truth",), Path),
-    "out": (("out",), Path),
+    "dsm": (("dsm",), nonblank_path),
+    "ortho": (("ortho",), nonblank_path),
+    "truth": (("truth",), nonblank_path),
+    "out": (("out",), nonblank_path),
     "region": (("region",), str),
     **{
         f"{group.name}.{f.name}": (
@@ -118,8 +125,9 @@ def apply_settings(cfg: PipelineConfig, settings: dict[str, str]) -> PipelineCon
             raise ValueError("eval.section needs four numbers: x1,y1,x2,y2")
         if key == "eval.section" and value[:2] == value[2:]:
             raise ValueError("eval.section has zero length")
-        if key == "eval.buffer_widths" and len({w for w in value if w >= 1}) < len(value):
-            raise ValueError(f"eval.buffer_widths must be distinct and positive, got {raw!r}")
+        if key == "eval.buffer_widths" and not 0 < len({w for w in value if w >= 1}) == len(value):
+            raise ValueError(f"eval.buffer_widths must be one or more distinct positive widths,"
+                             f" got {raw!r}")
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ValueError(f"{key} must be >= {_MINIMUM[key]}, got {value}")
         if len(attr_path) == 1:

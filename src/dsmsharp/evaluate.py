@@ -31,10 +31,8 @@ class RmseReport:
 class CrossSection:
     """Elevation profiles of several DSM variants along one segment."""
 
-    anchor: tuple[tuple[float, float], tuple[float, float]]
     stations: np.ndarray  # distances along the section, strictly increasing
     profiles: dict[str, np.ndarray]
-    rmse: dict[str, float]  # per variant, against the designated truth
 
 
 def _world_extent(grid) -> tuple[float, float, float, float]:
@@ -148,21 +146,14 @@ def cross_section(
     variants: dict[str, Heightfield],
     anchor: tuple[tuple[float, float], tuple[float, float]],
     step: float = 0.5,
-    truth_name: str | None = None,
 ) -> CrossSection:
-    """Bilinear elevation profiles at uniform stations along the anchor.
-
-    Station count is floor(length / step) + 1. Per-variant RMSE is computed
-    against ``truth_name`` (default: the first variant).
-    """
+    """Bilinear elevation profiles at uniform stations along the anchor;
+    the station count is floor(length / step) + 1. A sample without a valid
+    neighbour is nan."""
     if not 0 < step < math.inf:
         raise ValueError("step must be finite and positive")
     if not variants:
         raise ValueError("no variants given")
-    names = list(variants)
-    truth_name = truth_name or names[0]
-    if truth_name not in variants:
-        raise ValueError(f"unknown truth variant {truth_name!r}")
     shape = next(iter(variants.values())).values.shape
     for name, hf in variants.items():
         if hf.values.shape != shape:
@@ -186,14 +177,7 @@ def cross_section(
     for name, hf in variants.items():
         vals, valid = sample_bilinear(hf, xs, ys, skip_nodata=True)
         profiles[name] = np.where(valid, vals, np.nan)
-
-    truth_prof = profiles[truth_name]
-    out_rmse = {}
-    for name, prof in profiles.items():
-        both = ~np.isnan(prof) & ~np.isnan(truth_prof)
-        diff = prof[both] - truth_prof[both]
-        out_rmse[name] = float(np.sqrt((diff * diff).mean())) if both.any() else float("nan")
-    return CrossSection((tuple(anchor[0]), tuple(anchor[1])), stations, profiles, out_rmse)
+    return CrossSection(stations, profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,6 @@ def _neighbor_pairs(spans, reach: int) -> np.ndarray:
     chunks = []
     for start, stop, closed in spans:
         n = stop - start
-        if n < 2:
-            continue
         for k in range(1, min(reach, n - 1) + 1):
             if closed:
                 a = np.arange(n, dtype=np.int64)
@@ -608,15 +606,13 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     contour[uniq[:, 1], uniq[:, 0]] = True
     low = boundary_distance(contour).ravel()
     contour = contour.ravel()
-    # no pixel lies farther than the grid's larger side from the contour
-    reach = min(FAR_DISTANCE, max(h, w))
-    far = low >= reach
+    far = low >= FAR_DISTANCE
     anchor = contour | far
     band = ~anchor
     k = min(IDW_NEIGHBORS, int(np.count_nonzero(anchor)))
     # the distance below which a band pixel has no anchor, >= 1; 0 on anchors
     if far.any():
-        np.minimum(low, reach - low, out=low)
+        np.minimum(low, FAR_DISTANCE - low, out=low)
     low[anchor] = 0
     del contour, far
 

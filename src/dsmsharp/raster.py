@@ -4,8 +4,9 @@ Heightfields travel as ESRI ASCII grids, images as binary PGM/PPM, masks as
 PGM with 0/255; in memory a mask is an (h, w) bool array. Row 0 is always
 the top image row; the ASCII-grid origin is the lower-left corner of the
 raster footprint. All containers are treated as immutable after
-construction and every operation returns a new object, so they are safe to
-share between threads.
+construction, and every operation returns a new object except
+``window_extreme``, which rewrites the work array it is given; so the
+containers are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ class Contour:
     """Ordered trace of one region boundary.
 
     ``points`` is an (n, 2) int array of (x, y) pixel coordinates where
-    consecutive points are 8-connected. Closed contours are oriented so the
-    shoelace sum over (x, y) is positive.
+    consecutive points are 8-connected. The closed contours of
+    ``trace_contours`` run clockwise on screen: their shoelace sum over
+    (x, y) is never negative.
     """
 
     points: np.ndarray
@@ -681,16 +683,13 @@ def _moore_trace(fg: np.ndarray, sy: int, sx: int) -> list[tuple[int, int]]:
     return pts
 
 
-def _shoelace(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
 def trace_contours(mask: np.ndarray) -> list[Contour]:
     """Outer boundary of every 8-connected foreground component.
 
-    Contours of three or more points are closed and oriented with positive
-    shoelace sum over (x, y); tiny (1-2 pixel) components come back open.
+    Contours of three or more points are closed; tiny (1-2 pixel) components
+    come back open. Each trace starts at its component's first pixel in
+    raster order and turns clockwise on screen, so its shoelace sum over
+    (x, y) is never negative.
     """
     labels, boxes = label(mask)
     contours: list[Contour] = []
@@ -703,10 +702,7 @@ def trace_contours(mask: np.ndarray) -> list[Contour]:
         arr = np.array(pts, dtype=np.int64)
         arr[:, 0] += sl[1].start - 1
         arr[:, 1] += sl[0].start - 1
-        closed = len(arr) >= 3
-        if closed and _shoelace(arr) < 0:
-            arr = np.vstack([arr[:1], arr[1:][::-1]])
-        contours.append(Contour(arr, closed=closed))
+        contours.append(Contour(arr, closed=len(arr) >= 3))
     return contours
 
 

@@ -1,8 +1,9 @@
 """Deterministic synthetic scenes: crisp truth, smeared DSM, crisp ortho.
 
 Stands in for a real stereo-matched DSM at desk scale. The "smeared" field
-is the truth convolved with a truncated Gaussian (the boundary smoothing a
-semi-global matcher would introduce) plus seeded Gaussian noise, while the
+is the truth convolved with a truncated Gaussian (a symmetric stand-in for
+a stereo matcher's boundary smear, which is one-sided: it lies on the side
+the second view cannot see) plus seeded Gaussian noise, while the
 orthophoto keeps hard edges exactly at the truth discontinuities.
 """
 

@@ -13,11 +13,9 @@ The scale at which a building first appears doubles as a width estimate for
 the line segments along its boundary. ``ladder`` yields the rungs (mask and
 contour image per scale) bottom up, each built only when the caller asks
 for it, so the width walk of ``lines.assign_widths`` stops as soon as every
-segment has its index; given the building mask, the walk reuses it for the
-top rung and ends at the first rung equal to it, since nesting makes every
-later rung equal to it too. An element whose half side spans the grid
-opens the whole grid to one constant, and so does every larger one, so the
-ladder ends at the first such scale; ``extract-mask --dump-stack`` writes
+segment has its index. Its top rung is the building mask; the rungs are
+nested, so every rung from the first one equal to the building mask on
+repeats it, and the ladder ends there. ``extract-mask --dump-stack`` writes
 its rungs. ``build_stack`` lists one rung per scale, for
 ``lines.estimate_width``: the scales past the ladder's end share its last
 rung.
@@ -134,27 +132,27 @@ def ladder(
 ) -> Iterator[Rung]:
     """The ladder's rungs bottom up, each built when the caller asks for it.
 
-    The ladder ends at the first scale whose element covers the grid (see
-    white_tophat): every later rung would repeat its rung, bit for bit. With
-    ``building`` (the building mask of the same DSM and params) the top
-    rung reuses it instead of a tophat, and the walk ends after the first
-    rung equal to it: the masks are nested, so every later one is too.
+    ``building`` is the building mask of the same DSM and params, computed
+    here when not given. The top rung reuses it instead of a tophat, and the
+    walk ends after the first rung equal to it: the masks are nested, so
+    every later one is too.
     """
     params = params or TophatParams()
-    covering = 2 * (max(dsm.values.shape) - 1)  # the least scale whose half side spans the grid
+    if building is None:
+        building = top_tophat(dsm, params).mask
     for scale in range(params.scale_min, params.scale_max + 1, params.scale_step):
-        if building is not None and scale == params.top_scale:
+        if scale == params.top_scale:
             mask = building
         else:
             mask = _thresholded(dsm, scale, params.height_threshold).mask
         yield Rung(scale, mask, rasterize_contours(trace_contours(mask), mask.shape))
-        if scale >= covering or (building is not None and np.array_equal(mask, building)):
+        if np.array_equal(mask, building):
             return
 
 
 def build_stack(dsm: Heightfield, params: TophatParams | None = None) -> TophatStack:
     """Threshold the tophat response at each scale of the ladder; the scales
-    past its end, where the element covers the grid, share its last rung."""
+    past its end, whose masks equal the building mask, share its last rung."""
     params = params or TophatParams()
     stack = TophatStack(scales=params.scales())
     for rung in ladder(dsm, params):

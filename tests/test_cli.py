@@ -169,36 +169,44 @@ def test_non_finite_grid_header_exits_2(small_scene, tmp_path, run_cli, capsys, 
     ]
 
 
-def test_extract_mask_dump_stack(small_scene, run_cli):
+def dumped_scales(out):
+    """The scales of the dumped masks, which end at the first mask equal to
+    building_mask.pgm: every earlier one differs from it. Each mask comes
+    with its contour image."""
+    building = raster.load_mask(out / "building_mask.pgm")
+    masks = sorted((out / "stack").glob("mask_*.pgm"))
+    equal = [np.array_equal(raster.load_mask(m), building) for m in masks]
+    assert equal == [False] * len(masks[1:]) + [True]
+    assert sorted(c.name for c in (out / "stack").glob("contours_*.pgm")) == [
+        m.name.replace("mask_", "contours_") for m in masks
+    ]
+    return [int(m.stem.removeprefix("mask_")) for m in masks]
+
+
+def test_extract_mask_dump_stack(small_scene, run_cli, tophat_scales):
+    # the building first shows at the top scale, 30: the dump takes that
+    # rung from the mask stage's building mask, with no tophat of its own
     code = run_cli(
         "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"],
-        "--dump-stack", *SMALL_SCALE_ARGS,
+        "--dump-stack", "--set", "tophat.scale_max=30",
     )
     assert code == 0
-    stack_dir = small_scene["out"] / "stack"
-    assert len(list(stack_dir.glob("mask_*.pgm"))) == 4
-    assert len(list(stack_dir.glob("contours_*.pgm"))) == 4
+    assert dumped_scales(small_scene["out"]) == [10, 20, 30]
+    assert tophat_scales == [30, 10, 20]
 
 
 @pytest.mark.parametrize("scale_max", [None, 10**30])
-def test_extract_mask_dump_stack_ends_where_the_element_covers_the_grid(
-    small_scene, run_cli, scale_max
-):
-    # scale 130's 131 px element covers the 64 px grid and every later rung
-    # would repeat its rung: the default ladder (to 400) ends there, and so
-    # does one that cannot be listed
+def test_extract_mask_dump_stack_ends_at_the_building_mask(small_scene, run_cli, scale_max):
+    # the 28 px building first shows at scale 30, and every later rung would
+    # repeat that rung: the default ladder (to 400) ends there, and so does
+    # one that cannot be listed
     settings = [] if scale_max is None else ["--set", f"tophat.scale_max={scale_max}"]
     code = run_cli(
         "extract-mask", "--dsm", small_scene["dsm"], "--out", small_scene["out"],
         "--dump-stack", *settings,
     )
     assert code == 0
-    stack_dir = small_scene["out"] / "stack"
-    scales = list(range(10, 131, 10))
-    assert sorted(p.name for p in stack_dir.glob("mask_*.pgm")) == [
-        f"mask_{s:03d}.pgm" for s in scales
-    ]
-    assert len(list(stack_dir.glob("contours_*.pgm"))) == len(scales)
+    assert dumped_scales(small_scene["out"]) == [10, 20, 30]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +301,24 @@ def test_sharpen_graphcut_zero_optimal_is_identity(small_scene, run_cli):
     out = raster.load_heightfield(small_scene["out"] / "adjusted_graphcut.asc")
     original = raster.load_heightfield(small_scene["dsm"])
     assert np.array_equal(out.values, original.values)
+
+
+def test_sharpen_graphcut_without_buildings_copies_the_dsm(tmp_path, run_cli, caplog):
+    dsm = raster.Heightfield(np.random.default_rng(4).normal(0.0, 0.05, (32, 32)))
+    paths = {name: tmp_path / name for name in ("flat.asc", "copy.asc", "none.csv")}
+    raster.save_heightfield(dsm, paths["flat.asc"])
+    raster.save_heightfield(raster.load_heightfield(paths["flat.asc"]), paths["copy.asc"])
+    paths["none.csv"].write_text("x1,y1,x2,y2,width_index\n")
+    code = run_cli(
+        "sharpen", "--method", "graphcut", "--dsm", paths["flat.asc"],
+        "--segments", paths["none.csv"], "--out", tmp_path / "o", *SMALL_SCALE_ARGS,
+    )
+    assert code == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "dsmsharp"] == [
+        ("WARNING", "no boundary contours; graph-cut leaves the DSM unchanged")
+    ]
+    adjusted = (tmp_path / "o" / "adjusted_graphcut.asc").read_bytes()
+    assert adjusted == paths["copy.asc"].read_bytes()
 
 
 def test_sharpen_planefit_improves_boundary(small_scene, run_cli):
@@ -549,7 +575,18 @@ def test_evaluate_empty_scope_names_variant_and_scope_and_writes_nothing(
     )
     assert code == 2
     assert capsys.readouterr().err == f"error: variant 'bad' has no valid cells {scope}\n"
-    assert list(small_scene["out"].iterdir()) == []
+    assert not small_scene["out"].exists()
+
+
+def test_evaluate_without_buildings_writes_nothing(tmp_path, run_cli, capsys):
+    flat = tmp_path / "flat.asc"
+    raster.save_heightfield(raster.Heightfield(np.zeros((32, 32))), flat)
+    out = tmp_path / "X"
+    assert run_cli("evaluate", "--dsm", flat, "--truth", flat, "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no boundary contours on the original DSM; nothing to evaluate against"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -941,7 +978,7 @@ PARSER_SHAPE = [
     ("extract-mask", "cmd_extract_mask", [
         (("--dsm",), False, None, None, "_StoreAction", None),
         (("--dump-stack",), False, False, None, "_StoreTrueAction",
-         "also write each per-scale mask, up to the first that covers the grid"),
+         "also write each per-scale mask, up to the one equal to the building mask"),
     ]),
     ("detect-lines", "cmd_detect_lines", [
         (("--dsm",), False, None, None, "_StoreAction", None),
@@ -1012,12 +1049,50 @@ def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting
         "eval.sweep_max_width=0",
         "eval.buffer_widths=0,5",
         "eval.buffer_widths=5,5",
+        "eval.buffer_widths=",
+        "eval.buffer_widths=,",
         "lines.boundary_buffer_radius=-1",
     ],
 )
 def test_invalid_config_rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting):
     err = _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting)
     assert setting.split("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "spelling, name",
+    [
+        (["--out", ""], "out"),
+        (["--set", "out="], "out"),
+        (["--config", "{blank_out}"], "out"),
+        (["--dsm", ""], "dsm"),
+        (["--ortho", ""], "ortho"),
+        (["--truth", ""], "truth"),
+        (["--config", ""], "--config"),
+    ],
+    ids=["out-flag", "out-set", "out-config-line", "dsm-flag", "ortho-flag", "truth-flag",
+         "config-flag"],
+)
+def test_an_empty_path_is_rejected(small_scene, tmp_path, run_cli, capsys, monkeypatch,
+                                   spelling, name):
+    # Path('') is '.': taken as a path, an empty value would write every
+    # output into the working directory, or read it as a file
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    blank_out = tmp_path / "blank_out.cfg"
+    blank_out.write_text("out =\n")
+    code = run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], *SMALL_SCALE_ARGS,
+        *(arg.format(blank_out=blank_out) for arg in spelling),
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: bad value '' for {name}"]
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "blank_out.cfg", "ortho.pgm", "smeared.asc", "truth.asc", "work",
+    ]
 
 
 # every sweep row past the truth grid's larger side repeats the whole-image
@@ -1296,8 +1371,11 @@ def test_tophat_ladder_built_only_for_widths(small_scene, tmp_path, run_cli, run
         "evaluate", "--dsm", dsm, "--truth", truth, "--out", out,
         "--variant", f"planefit={out / 'adjusted_planefit.asc'}",
     ) == []
+    # the dump reuses the mask stage's building mask as its top rung
     dump = built("extract-mask", "--dsm", dsm, "--out", tmp_path / "dump", "--dump-stack")
-    assert dump == params.scales()
+    scales = dumped_scales(tmp_path / "dump")
+    assert dump == [s for s in scales if s != params.top_scale]
+    assert scales == params.scales()[: len(scales)]
 
 
 def test_run_all_truth_on_finer_grid(small_scene, tmp_path, run_cli, rung_builds):
@@ -1357,6 +1435,33 @@ def test_bench_inputs_do_not_move(tmp_path, workload):
     benchmark's inputs fails here, not in a later bench comparison."""
     scenes = _perfbench("scenes")
     assert scenes.write_inputs(workload, 1, tmp_path) == BENCH_INPUTS[workload]
+
+
+# each workload's seed-1 output digest (the first 16 hex digits of
+# perfbench/run.py's _digest): its timed invocations, then its quality ones
+BENCH_OUTPUTS = {
+    "city": ["97783fbca3599d06"],
+    "clutter": ["71f4aa2582a685ab", "c20903955e30aafd"],
+    "chain": ["67310bf21f745ece"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUTS))
+def test_bench_outputs_do_not_move(tmp_path, workload):
+    """The benchmark's seed-1 invocations, run in process, write the files
+    the benchmark's digests were recorded from: a change that moves any
+    output byte fails here, not in a later bench comparison."""
+    run, scenes = _perfbench("run"), _perfbench("scenes")
+    spec = run.WORKLOADS[workload]
+    dirs = {"in": tmp_path / "in", "out": tmp_path / "out", "first": tmp_path / "out"}
+    scenes.write_inputs(workload, 1, dirs["in"])
+    digests = []
+    for kind, out in (("timed", tmp_path / "out"), ("quality", tmp_path / "quality")):
+        if kind in spec:
+            for argv, _ in spec[kind]:
+                assert cli.main(run._fill(argv, **dict(dirs, out=out))) == 0
+            digests.append(run._digest(out)[:16])
+    assert digests == BENCH_OUTPUTS[workload]
 
 
 def test_every_benchmark_invocation_parses(tmp_path):

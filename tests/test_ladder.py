@@ -164,13 +164,18 @@ def test_ladder_without_building_mask_is_the_stack():
     params = TophatParams(scale_min=10, scale_max=50)
     stack = tophat.build_stack(dsm, params)
     rungs = list(tophat.ladder(dsm, params))
-    assert [r.scale for r in rungs] == stack.scales
+    assert [r.scale for r in rungs] == stack.scales[: len(rungs)]
     for rung, mask, cimg in zip(rungs, stack.cumulative_masks, stack.contour_images):
         assert np.array_equal(rung.mask, mask)
         assert np.array_equal(rung.contour_image, cimg)
 
-    # given the building mask, the ladder ends at its first equal rung
+    # it ends at its first rung equal to the building mask, as it does when
+    # given that mask; the stack's later rungs repeat that rung
     building = stack.cumulative_masks[-1]
+    assert np.array_equal(rungs[-1].mask, building)
+    assert not any(np.array_equal(r.mask, building) for r in rungs[:-1])
+    assert len(rungs) < len(stack)
+    last = stack.cumulative_masks[len(rungs) - 1]
+    assert all(m is last for m in stack.cumulative_masks[len(rungs) :])
     walked = list(tophat.ladder(dsm, params, building=building))
-    assert np.array_equal(walked[-1].mask, building)
-    assert not any(np.array_equal(r.mask, building) for r in walked[:-1])
+    assert [r.scale for r in walked] == [r.scale for r in rungs]

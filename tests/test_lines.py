@@ -32,6 +32,12 @@ def test_constant_image_gives_nothing():
     assert lines.detect_segments(img) == []
 
 
+@pytest.mark.parametrize("shape", [(1, 40), (40, 1), (1, 1)])
+def test_an_image_one_pixel_thin_gives_nothing(shape):
+    img = RasterImage((np.arange(40)[: max(shape)] * 6).reshape(shape).astype(np.uint8))
+    assert lines.detect_segments(img) == []
+
+
 def test_vertical_step_edge():
     img = np.zeros((128, 128), dtype=np.uint8)
     img[:, 64:] = 255

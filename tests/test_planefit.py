@@ -77,6 +77,13 @@ def test_collect_sides_clips_to_raster():
     assert sorted(set(right.pixels[:, 0].astype(int))) == [1]
 
 
+def test_collect_sides_of_a_rectangle_off_the_grid_are_empty():
+    dsm = Heightfield(np.zeros((10, 10)))
+    left, right = pf.collect_side_pixels(dsm, LineSegment((30.0, 2.0), (40.0, 2.0)), 3)
+    assert (left.side, right.side) == ("left", "right")
+    assert left.pixels.shape == right.pixels.shape == (0, 3)
+
+
 def test_collect_sides_respects_endpoints():
     dsm = Heightfield(np.zeros((20, 20)))
     seg = LineSegment((10.0, 5.0), (10.0, 9.0))
@@ -293,6 +300,19 @@ def test_adjust_all_constant_fallback_for_degenerate_side():
     seg = LineSegment((1.0, 2.0), (1.0, 9.0), width_index=1)
     out = pf.adjust_all(dsm, [seg])
     assert np.allclose(out.values, 2.0)
+
+
+def test_adjust_all_skips_a_side_without_valid_pixels():
+    # along the footprint's top edge, y = -0.5, the right side lies off the grid
+    vals = np.tile(np.arange(20, dtype=float), (20, 1))
+    dsm = Heightfield(vals)
+    seg = LineSegment((2.0, -0.5), (15.0, -0.5), width_index=1)
+    left, right = pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(1))
+    assert len(left) > 0 and len(right) == 0
+    rows = []
+    out = pf.adjust_all(dsm, [seg], debug_rows=rows)
+    assert [(r[4], r[8]) for r in rows] == [("left", len(left))]
+    assert np.allclose(out.values, vals)  # the left side's plane is the DSM's
 
 
 def test_debug_rows_collected():

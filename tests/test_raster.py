@@ -578,6 +578,19 @@ def test_closed_contours_counter_clockwise():
     shoelace = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
     assert shoelace > 0
 
+    # the trace starts at a component's first pixel in raster order and
+    # turns clockwise on screen: no closed contour has a negative sum, and a
+    # contour along a trail one pixel thin has a zero sum
+    rng = np.random.default_rng(31)
+    sums = []
+    for _ in range(40):
+        mask = rng.random((40, 40)) < rng.uniform(0.2, 0.7)
+        for c in raster.trace_contours(mask):
+            if c.closed:
+                x, y = c.points[:, 0], c.points[:, 1]
+                sums.append(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    assert min(sums) == 0 and max(sums) > 0
+
 
 def test_consecutive_contour_points_8_connected():
     bits = np.zeros((13, 13), bool)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,10 @@ def test_top_scale_and_ladder_do_not_list_the_scales(monkeypatch):
     params = TophatParams(scale_max=10**7 + 5)
     monkeypatch.setattr(TophatParams, "scales", lambda self: pytest.fail("listed the scales"))
     assert params.top_scale == 10**7
-    rungs = tophat.ladder(Heightfield(np.zeros((8, 8))), params)
-    assert [next(rungs).scale, next(rungs).scale] == [10, 20]
+    # the 30 px block first shows at scale 30, in the rung equal to the building mask
+    hf, _ = block_field(64, 30, 10.0)
+    rungs = [(rung.scale, rung.mask.any()) for rung in tophat.ladder(hf, params)]
+    assert rungs == [(10, False), (20, False), (30, True)]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (8, 8), (5, 30), (64, 64)])
@@ -117,18 +121,21 @@ def test_top_scale_and_ladder_do_not_list_the_scales(monkeypatch):
 def test_ladder_ends_at_the_first_scale_whose_element_covers_the_grid(
     shape, scale_min, scale_step
 ):
-    # every rung past that scale repeats its rung, bit for bit
+    # at the latest: every rung past that scale repeats its rung, bit for
+    # bit, and the ladder ends at its first rung equal to the building mask
     side = max(shape)
     hf = Heightfield(np.random.default_rng(side).normal(0.0, 5.0, shape))
     params = TophatParams(scale_min=scale_min, scale_max=10**30, scale_step=scale_step)
-    scales = [rung.scale for rung in tophat.ladder(hf, params)]
-    last = scales[-1]
-    assert scales == list(range(scale_min, last + 1, scale_step))
-    assert last // 2 >= side - 1
-    assert len(scales) == 1 or (last - scale_step) // 2 < side - 1
-    top = tophat.white_tophat(hf, last).values
-    for later in (last + scale_step, 10**30):
+    rungs = list(tophat.ladder(hf, params))
+    scales = [rung.scale for rung in rungs]
+    covering = next(s for s in itertools.count(scale_min, scale_step) if s // 2 >= side - 1)
+    assert scales == list(range(scale_min, scales[-1] + 1, scale_step))
+    assert scales[-1] <= covering
+    top = tophat.white_tophat(hf, covering).values
+    for later in (covering + scale_step, 10**30):
         assert tophat.white_tophat(hf, later).values.tobytes() == top.tobytes()
+    building = tophat.top_tophat(hf, params).mask
+    assert [np.array_equal(r.mask, building) for r in rungs] == [False] * len(rungs[1:]) + [True]
 
 
 def test_stack_shares_the_last_rung_past_the_ladders_end():
