@@ -57,8 +57,11 @@ def _load_dsm_and_ortho(cfg: PipelineConfig):
 
 
 def _config_from_args(args) -> PipelineConfig:
-    if args.config is not None and not args.config.strip():
-        raise ValueError(f"bad value {args.config!r} for --config")
+    # Path('') is '.'; the keys' paths are checked as the config is built
+    for flag in ("config", "segments", "scene"):
+        val = getattr(args, flag, None)
+        if val is not None and not val.strip():
+            raise ValueError(f"bad value {val!r} for --{flag}")
     overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:

@@ -359,12 +359,6 @@ def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     return table
 
 
-def _smooth_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
-    """(n_labels, n_labels) int smooth costs."""
-    d = labels[:, None, :] - labels[None, :, :]
-    return smooth_costs(d).astype(np.int64)
-
-
 def energy(problem: ContourProblem, labeling: Labeling) -> int:
     """Total cost: data over all points plus smoothness over neighbour pairs."""
     if len(labeling) != problem.size:
@@ -374,9 +368,8 @@ def energy(problem: ContourProblem, labeling: Labeling) -> int:
     ys = problem.points[:, 1] + offs[:, 1]
     hit = _hits(problem, np.arange(problem.size), xs, ys)
     total = int(data_costs(hit).sum())
-    if len(problem.pairs):
-        d = offs[problem.pairs[:, 0]] - offs[problem.pairs[:, 1]]
-        total += int(smooth_costs(d).sum())
+    d = offs[problem.pairs[:, 0]] - offs[problem.pairs[:, 1]]
+    total += int(smooth_costs(d).sum())
     return total
 
 
@@ -414,32 +407,27 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     theta1 = dtable[alpha_idx, var_ids].astype(np.int64)  # switch to alpha
 
     # arcs between two movable points
-    pair_rows = pair_cols = pair_caps = np.empty(0, dtype=np.int64)
-    pairs = problem.pairs
-    if len(pairs):
-        pa, pb = pairs[:, 0], pairs[:, 1]
-        va, vb = movable[pa], movable[pb]
+    pa, pb = problem.pairs[:, 0], problem.pairs[:, 1]
+    va, vb = movable[pa], movable[pb]
 
-        both = va & vb
-        if both.any():
-            ia, ib = pa[both], pb[both]
-            a_cost = vtable[assign[ia], assign[ib]]
-            b_cost = vtable[assign[ia], alpha_idx]
-            c_cost = vtable[alpha_idx, assign[ib]]
-            d_cost = vtable[alpha_idx, alpha_idx]
-            b_cost = np.maximum(b_cost, a_cost + d_cost - c_cost)  # truncate
-            np.add.at(theta1, idx_of[ia], c_cost - a_cost)
-            np.add.at(theta1, idx_of[ib], d_cost - c_cost)
-            cap = b_cost + c_cost - a_cost - d_cost
-            keep = cap > 0
-            pair_rows, pair_cols, pair_caps = idx_of[ia[keep]], idx_of[ib[keep]], cap[keep]
+    both = va & vb
+    ia, ib = pa[both], pb[both]
+    a_cost = vtable[assign[ia], assign[ib]]
+    b_cost = vtable[assign[ia], alpha_idx]
+    c_cost = vtable[alpha_idx, assign[ib]]
+    d_cost = vtable[alpha_idx, alpha_idx]
+    b_cost = np.maximum(b_cost, a_cost + d_cost - c_cost)  # truncate
+    np.add.at(theta1, idx_of[ia], c_cost - a_cost)
+    np.add.at(theta1, idx_of[ib], d_cost - c_cost)
+    cap = b_cost + c_cost - a_cost - d_cost
+    keep = cap > 0
+    pair_rows, pair_cols, pair_caps = idx_of[ia[keep]], idx_of[ib[keep]], cap[keep]
 
-        # one end fixed: a unary term on the movable end
-        for fixed, moving, only in ((pa, pb, vb & ~va), (pb, pa, va & ~vb)):
-            if only.any():
-                f, i = assign[fixed[only]], moving[only]
-                np.add.at(theta0, idx_of[i], vtable[f, assign[i]])
-                np.add.at(theta1, idx_of[i], vtable[f, alpha_idx])
+    # one end fixed: a unary term on the movable end
+    for fixed, moving, only in ((pa, pb, vb & ~va), (pb, pa, va & ~vb)):
+        f, i = assign[fixed[only]], moving[only]
+        np.add.at(theta0, idx_of[i], vtable[f, assign[i]])
+        np.add.at(theta1, idx_of[i], vtable[f, alpha_idx])
 
     # terminal links: cutting source->i pays the switch cost, i->sink the keep cost
     base = np.minimum(theta0, theta1)
@@ -503,7 +491,7 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     zero_idx = int(zero_candidates[0])
 
     dtable = _data_cost_table(problem, larr)
-    vtable = _smooth_cost_table(problem, larr)
+    vtable = smooth_costs(larr[:, None] - larr[None])
     point_ids = np.arange(problem.size)
     pa, pb = problem.pairs[:, 0], problem.pairs[:, 1]
     # contour id per point; the spans tile the points in order
@@ -594,7 +582,7 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     h, w = problem.line_buffer.shape[1:]
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
-    if problem.size == 0:
+    if problem.size == 0:  # a reach past the empty mask's distance leaves no anchor
         return OffsetField(dx, dy)
 
     uniq, first = np.unique(problem.points, axis=0, return_index=True)
@@ -623,8 +611,6 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     joined, last, q = 0, int(low.max()), 0  # pixels with low <= joined have joined
     while active.size or joined < last:
         q += 1
-        if active.size == 0:
-            q = max(q, int(low[low > joined].min()) ** 2)
         while joined < last and (joined + 1) ** 2 <= q:
             joined += 1
             active = np.concatenate([active, np.flatnonzero(low == joined)])

@@ -136,8 +136,6 @@ def detect_segments(gray, params: DetectorParams | None = None) -> list[LineSegm
     np.arctan2(gy, gx, out=angle[1:-1, 1:-1])  # gradient orientation; compared mod pi
     del gx, gy
     usable = mag > params.gradient_threshold
-    if not usable.any():
-        return []
     tol = math.radians(params.angle_tolerance)
 
     # flat grid padded by one cell; the border and the unusable cells start

@@ -144,9 +144,8 @@ def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:
 def apply_plane(dsm: Heightfield, sample: SideSample, plane: PlaneParams) -> Heightfield:
     """Overwrite exactly the sample pixels with plane heights; returns a copy."""
     out = dsm.values.copy()
-    if len(sample):
-        ys, xs, heights = _plane_cells(sample, plane)
-        out[ys, xs] = heights
+    ys, xs, heights = _plane_cells(sample, plane)
+    out[ys, xs] = heights
     return dsm.like(out)
 
 

@@ -465,9 +465,7 @@ def window_extreme(work: np.ndarray, half: int, extreme) -> None:
         raise ValueError("half must be >= 0")
     for lines in (work, work.T):
         n, m = lines.shape
-        size = 2 * min(int(half), n - 1) + 1  # a wider window covers the same cells
-        if size <= 1:
-            continue
+        size = 2 * min(int(half), max(n - 1, 0)) + 1  # a wider window covers the same cells
         span = 1 << (size.bit_length() - 1)  # the largest power of two <= size
         gap = size - span
         # lead copies of the first cell make cell i's window padded[i - gap :
@@ -477,14 +475,14 @@ def window_extreme(work: np.ndarray, half: int, extreme) -> None:
         for j in range(0, m, _SLAB):
             cells = lines[:, j : j + _SLAB]
             padded = buf[:, : cells.shape[1]]
-            padded[:lead] = cells[0]
+            padded[:lead] = cells[:1]
             padded[lead:] = cells
             step = 1
             while step < span:
                 extreme(padded[:-step], padded[step:], out=padded[:-step])
                 step *= 2
             extreme(padded[: n - gap], padded[gap:n], out=cells[gap:])
-            extreme(padded[0], padded[:gap], out=cells[:gap])
+            extreme(padded[:1], padded[:gap], out=cells[:gap])
 
 
 # the widest Gaussian accepted: its kernel reaches int(3 * sigma + 0.5) = 300
@@ -600,8 +598,6 @@ def label(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
     start = flips[0::2] - row * (w + 1)
     stop = flips[1::2] - row * (w + 1)
     labels = np.zeros((h, w), dtype=np.int32)
-    if not row.size:
-        return labels, []
 
     # the runs of the row above that touch each run form a contiguous range
     # [first, last) of the runs, sorted by (row, start)
@@ -747,8 +743,6 @@ def bresenham_line(
         # the steps whose major coordinate m0 + sm * k lies in [lo, hi]
         k_lo, k_hi = (lo - m0, hi - m0) if sm > 0 else (m0 - hi, m0 - lo)
         first, last = max(first, k_lo), min(last, k_hi)
-    if first > last:
-        return np.empty((0, 2), dtype=np.int64)
     # counted from the first step, so the numbers stay as small as the box
     den = max(2 * a, 1)
     q, r = divmod(2 * b * first + a, den)

@@ -114,14 +114,10 @@ def generate(spec: SceneSpec) -> tuple[Heightfield, Heightfield, RasterImage]:
         truth[fp] = spec.ground_height + b.height
         occupied |= fp
 
-    smeared = truth
-    if spec.boundary_blur_sigma > 0:
-        smeared = gaussian(truth, spec.boundary_blur_sigma)
+    smeared = gaussian(truth, spec.boundary_blur_sigma)
     rng = np.random.default_rng(spec.seed)
     if spec.noise_sigma > 0:
-        smeared = smeared + rng.normal(0.0, spec.noise_sigma, size=(h, w))
-    elif smeared is truth:
-        smeared = truth.copy()
+        smeared += rng.normal(0.0, spec.noise_sigma, size=(h, w))
 
     ortho = np.where(occupied, ROOF_INTENSITY, GROUND_INTENSITY).astype(np.uint8)
     return (

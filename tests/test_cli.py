@@ -1095,6 +1095,56 @@ def test_an_empty_path_is_rejected(small_scene, tmp_path, run_cli, capsys, monke
     ]
 
 
+@pytest.mark.parametrize("value", ["", "  "], ids=["empty", "blank"])
+@pytest.mark.parametrize("flag", ["--segments", "--scene"])
+def test_an_empty_segments_or_scene_path_is_rejected(tmp_path, run_cli, capsys, monkeypatch,
+                                                     flag, value):
+    # taken as given, '' would count as no --segments, which reads
+    # <out>/segments_filtered.csv, and as a scene path it is '.'
+    monkeypatch.chdir(tmp_path)
+    raster.save_heightfield(raster.Heightfield(np.zeros((16, 16))), tmp_path / "flat.asc")
+    (tmp_path / "o").mkdir()
+    save_segments_csv([], tmp_path / "o" / "segments_filtered.csv")
+    before = read_all_bytes(tmp_path)
+    command = {
+        "--segments": ["sharpen", "--method", "planefit", "--dsm", "flat.asc"],
+        "--scene": ["synth"],
+    }[flag]
+    assert run_cli(*command, flag, value, "--out", "o") == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: bad value {value!r} for {flag}"]
+    assert read_all_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run-all", "--dsm", "{dsm}", "--ortho", "{ortho}"],
+         "no truth path configured (flag --truth or config key 'truth')"),
+        (["extract-mask", "--dsm", "{dsm}", "--set", "tophat.scale_max"],
+         "--set expects key=value, got 'tophat.scale_max'"),
+        (["evaluate", "--dsm", "{dsm}", "--truth", "{truth}", "--variant", "x"],
+         "--variant expects name=path, got 'x'"),
+        (["extract-mask", "--dsm", "short.asc"],
+         "short.asc: line 3: malformed header: missing 'xllcorner'"),
+        (["detect-lines", "--dsm", "{dsm}", "--ortho", "zero.pgm"],
+         "zero.pgm: bad dimensions 0x5"),
+    ],
+    ids=["run-all-without-truth", "set-without-equals", "variant-without-equals",
+         "grid-header-cut-short", "pgm-of-zero-width"],
+)
+def test_malformed_arguments_and_inputs_are_rejected(small_scene, tmp_path, run_cli, capsys,
+                                                     monkeypatch, argv, message):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "short.asc").write_text("ncols 4\nnrows 4\n")
+    (work / "zero.pgm").write_bytes(b"P5\n0 5\n255\n")
+    code = run_cli(*(arg.format(**small_scene) for arg in argv), "--out", "o")
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (work / "o").exists()
+
+
 # every sweep row past the truth grid's larger side repeats the whole-image
 # RMSE; 10**20 was killed for memory, since every width from 1 was built
 @pytest.mark.parametrize("command", ["run-all", "evaluate"])
@@ -1409,59 +1459,95 @@ def _perfbench(name):
     return module
 
 
-# SHA-256 of each workload's seed-1 inputs, as the benchmark writes them
+# SHA-256 of each workload's inputs per seed, as the benchmark writes them
 BENCH_INPUTS = {
-    "city": {
-        "truth.asc": "82b732d1162298bb3df9c2557d50308a848ac3cfb567af3699ef8b4fcfb7d905",
-        "dsm.asc": "d0e4c5feade0eee7ce229a035b87ef137a31ea507dc763a0967564ef4a703101",
-        "ortho.pgm": "8445d41af3ba7434e9a6b91984cb14a5c838f6e0c1cea5fddb3d7ec0c91f8a0d",
+    1: {
+        "city": {
+            "truth.asc": "82b732d1162298bb3df9c2557d50308a848ac3cfb567af3699ef8b4fcfb7d905",
+            "dsm.asc": "d0e4c5feade0eee7ce229a035b87ef137a31ea507dc763a0967564ef4a703101",
+            "ortho.pgm": "8445d41af3ba7434e9a6b91984cb14a5c838f6e0c1cea5fddb3d7ec0c91f8a0d",
+        },
+        "clutter": {
+            "truth.asc": "406d474d6ac6d7ef1cd5a25d000a2a6a04e9351b6487e8cae2888470231aa65c",
+            "dsm.asc": "c76b8ebbae09f8a3dc63ec0315940fbcb34b2d62f42d009ee98b86fa129c0474",
+            "ortho.pgm": "178920495f1a8022c2b633b358c69ba9b37b54b7e102059986f266653bfaa1ff",
+        },
+        "chain": {
+            "truth.asc": "7407b9c0e086ad34a369f4dc47760aa6fba113b962af0af27c66e6b7be22e354",
+            "dsm.asc": "20b3a685229c528f1541ffa90a5f99d1617055bbecfa870d95e73e9bc64b1a68",
+            "ortho.pgm": "a4f532b263605af508d9e43e9671861f2a0e151a53e22878e30ae7aee96fe45c",
+        },
     },
-    "clutter": {
-        "truth.asc": "406d474d6ac6d7ef1cd5a25d000a2a6a04e9351b6487e8cae2888470231aa65c",
-        "dsm.asc": "c76b8ebbae09f8a3dc63ec0315940fbcb34b2d62f42d009ee98b86fa129c0474",
-        "ortho.pgm": "178920495f1a8022c2b633b358c69ba9b37b54b7e102059986f266653bfaa1ff",
-    },
-    "chain": {
-        "truth.asc": "7407b9c0e086ad34a369f4dc47760aa6fba113b962af0af27c66e6b7be22e354",
-        "dsm.asc": "20b3a685229c528f1541ffa90a5f99d1617055bbecfa870d95e73e9bc64b1a68",
-        "ortho.pgm": "a4f532b263605af508d9e43e9671861f2a0e151a53e22878e30ae7aee96fe45c",
+    2: {
+        "city": {
+            "truth.asc": "82b732d1162298bb3df9c2557d50308a848ac3cfb567af3699ef8b4fcfb7d905",
+            "dsm.asc": "56afe76d798f64079c2f30cc83d457ee9c119479f9ac779cfdc4a0c3a08ac169",
+            "ortho.pgm": "8445d41af3ba7434e9a6b91984cb14a5c838f6e0c1cea5fddb3d7ec0c91f8a0d",
+        },
+        "clutter": {
+            "truth.asc": "406d474d6ac6d7ef1cd5a25d000a2a6a04e9351b6487e8cae2888470231aa65c",
+            "dsm.asc": "3e65976bbb5992e550aea4b7430f322e76ca6807fce319b13ca077cc0ef05f8b",
+            "ortho.pgm": "ddd863ae3272c5d3963adb66de67f9e51dde6e1355ecbd90be322485f1d04746",
+        },
+        "chain": {
+            "truth.asc": "7407b9c0e086ad34a369f4dc47760aa6fba113b962af0af27c66e6b7be22e354",
+            "dsm.asc": "7735da70240ff156dca2ab8810df1ef237f74bcb9e9306d31e90fb00a1fb3780",
+            "ortho.pgm": "a4f532b263605af508d9e43e9671861f2a0e151a53e22878e30ae7aee96fe45c",
+        },
     },
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCH_INPUTS))
-def test_bench_inputs_do_not_move(tmp_path, workload):
+def bench_cases(table):
+    """(workload, seed) of every seed in ``table``; a seed-1 case is named by
+    its workload alone."""
+    return [
+        pytest.param(workload, seed, id=workload if seed == 1 else f"{workload}-seed{seed}")
+        for seed in table
+        for workload in sorted(table[seed])
+    ]
+
+
+@pytest.mark.parametrize("workload, seed", bench_cases(BENCH_INPUTS))
+def test_bench_inputs_do_not_move(tmp_path, workload, seed):
     """A change to the scene generator or the writers that moves the
     benchmark's inputs fails here, not in a later bench comparison."""
     scenes = _perfbench("scenes")
-    assert scenes.write_inputs(workload, 1, tmp_path) == BENCH_INPUTS[workload]
+    assert scenes.write_inputs(workload, seed, tmp_path) == BENCH_INPUTS[seed][workload]
 
 
-# each workload's seed-1 output digest (the first 16 hex digits of
+# each workload's output digest per seed (the first 16 hex digits of
 # perfbench/run.py's _digest): its timed invocations, then its quality ones
 BENCH_OUTPUTS = {
-    "city": ["97783fbca3599d06"],
-    "clutter": ["71f4aa2582a685ab", "c20903955e30aafd"],
-    "chain": ["67310bf21f745ece"],
+    1: {
+        "city": ["97783fbca3599d06"],
+        "clutter": ["71f4aa2582a685ab", "c20903955e30aafd"],
+        "chain": ["67310bf21f745ece"],
+    },
+    2: {
+        "city": ["4e2590e8f487bc46"],
+        "clutter": ["7ef43d1558d6db05", "7d32b26bdf70a25c"],
+        "chain": ["d070dea86d156f01"],
+    },
 }
 
 
-@pytest.mark.parametrize("workload", sorted(BENCH_OUTPUTS))
-def test_bench_outputs_do_not_move(tmp_path, workload):
-    """The benchmark's seed-1 invocations, run in process, write the files
-    the benchmark's digests were recorded from: a change that moves any
-    output byte fails here, not in a later bench comparison."""
+@pytest.mark.parametrize("workload, seed", bench_cases(BENCH_OUTPUTS))
+def test_bench_outputs_do_not_move(tmp_path, workload, seed):
+    """The benchmark's invocations, run in process, write the files the
+    benchmark's digests were recorded from: a change that moves any output
+    byte fails here, not in a later bench comparison."""
     run, scenes = _perfbench("run"), _perfbench("scenes")
     spec = run.WORKLOADS[workload]
     dirs = {"in": tmp_path / "in", "out": tmp_path / "out", "first": tmp_path / "out"}
-    scenes.write_inputs(workload, 1, dirs["in"])
+    scenes.write_inputs(workload, seed, dirs["in"])
     digests = []
     for kind, out in (("timed", tmp_path / "out"), ("quality", tmp_path / "quality")):
         if kind in spec:
             for argv, _ in spec[kind]:
                 assert cli.main(run._fill(argv, **dict(dirs, out=out))) == 0
             digests.append(run._digest(out)[:16])
-    assert digests == BENCH_OUTPUTS[workload]
+    assert digests == BENCH_OUTPUTS[seed][workload]
 
 
 def test_every_benchmark_invocation_parses(tmp_path):

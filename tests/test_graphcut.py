@@ -19,7 +19,7 @@ def small_problem(points, buffer_bits, closed=True):
 def brute_force_energy(problem, larr):
     """Exhaustive minimum over all label assignments, enumerated as base-L digits."""
     dt = gc._data_cost_table(problem, larr)
-    vt = gc._smooth_cost_table(problem, larr)
+    vt = gc.smooth_costs(larr[:, None] - larr[None])
     n, L = problem.size, len(larr)
     idx = np.arange(L**n, dtype=np.int64)
     digits = (idx[:, None] // L ** np.arange(n - 1, -1, -1, dtype=np.int64)) % L
@@ -364,6 +364,17 @@ def test_interpolate_without_points_gives_the_zero_field():
     )
     field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
     assert field.dx.shape == field.dy.shape == (5, 7)
+    assert not field.dx.any() and not field.dy.any()
+
+
+def test_interpolate_without_points_at_a_reach_past_every_distance(monkeypatch):
+    # with no points the empty mask's distance is int32's maximum, so a
+    # reach past it leaves no anchor at all: the field is still zero
+    monkeypatch.setattr(gc, "FAR_DISTANCE", 10**30)
+    prob = gc.ContourProblem(
+        np.zeros((0, 2), int), [], np.zeros((1, 5, 7), bool), point_band=np.zeros(0, int)
+    )
+    field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
     assert not field.dx.any() and not field.dy.any()
 
 

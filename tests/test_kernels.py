@@ -72,6 +72,16 @@ def test_window_extreme_on_lines_and_wide_windows(shape, half):
         assert same_bits(work, scipy_window(grid, half, extreme))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("half", [0, 2])
+def test_window_extreme_on_grids_without_cells(shape, half):
+    for extreme in EXTREMES:
+        for dtype in (np.float64, bool):
+            work = np.zeros(shape, dtype)
+            raster.window_extreme(work, half, extreme)
+            assert same_bits(work, scipy_window(np.zeros(shape, dtype), half, extreme))
+
+
 def test_window_extreme_keeps_the_later_of_equal_zeros():
     # scipy keeps the window's last cell of the extreme value
     line = np.array([[0.0, -0.0, 0.0, 1.0, -0.0, 0.0, 0.0, -0.0]])

@@ -178,6 +178,13 @@ def test_apply_constant_plane():
     assert (out.values != 0).sum() == 3
 
 
+def test_apply_an_empty_sample_returns_an_equal_copy():
+    dsm = Heightfield(np.random.default_rng(61).normal(size=(6, 9)))
+    out = pf.apply_plane(dsm, SideSample("left", np.zeros((0, 3))), PlaneParams(1, 2, 3))
+    assert out.values is not dsm.values
+    assert out.values.tobytes() == dsm.values.tobytes()
+
+
 def test_apply_fitted_plane_reproduces_planar_data():
     yy, xx = np.mgrid[0:10, 0:10]
     vals = 0.5 * xx - 0.25 * yy + 3.0

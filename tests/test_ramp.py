@@ -292,7 +292,7 @@ def reference_minimize(problem, labels):
     larr = gc._label_array(labels)
     zero = int(np.nonzero((larr[:, 0] == 0) & (larr[:, 1] == 0))[0][0])
     dtable = gc._data_cost_table(problem, larr)
-    vtable = gc._smooth_cost_table(problem, larr)
+    vtable = gc.smooth_costs(larr[:, None] - larr[None])
     assign = np.full(problem.size, zero, dtype=np.int64)
     best = gc.energy(problem, gc.Labeling(larr[assign]))
     trace = [best]
@@ -392,7 +392,7 @@ def test_expansion_move_splits_by_contour():
     for _ in range(40):
         prob = _random_contours(rng, bool(rng.integers(0, 2)))
         dtable = gc._data_cost_table(prob, larr)
-        vtable = gc._smooth_cost_table(prob, larr)
+        vtable = gc.smooth_costs(larr[:, None] - larr[None])
         assign = rng.integers(0, len(larr), prob.size)
         alpha = int(rng.integers(0, len(larr)))
         (a0, a1, _), (b0, b1, _) = prob.contour_spans[:2]
