@@ -11,14 +11,13 @@ every buffer, so the sweep is just a report over widths 1..N.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .raster import Heightfield, boundary_distance, sample_bilinear
+from .raster import Heightfield, boundary_distance, sample_bilinear, write_csv
 
 
 @dataclass(eq=False)
@@ -189,30 +188,20 @@ def write_report_csv(
     rows: list[tuple[str, str, RmseReport]], path: str | Path, widths: tuple[int, ...] = (5, 10, 20)
 ) -> None:
     """Rows of (region, method, report); one buffer column per width."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "method", "whole"] + [f"buf{w}" for w in widths])
-        for region, method, rep in rows:
-            writer.writerow(
-                [region, method, f"{rep.whole_image:.3f}"]
-                + [f"{rep.per_buffer[w]:.3f}" for w in widths]
-            )
+    header = ["region", "method", "whole"] + [f"buf{w}" for w in widths]
+    table = [
+        [region, method, f"{rep.whole_image:.3f}"] + [f"{rep.per_buffer[w]:.3f}" for w in widths]
+        for region, method, rep in rows
+    ]
+    write_csv(path, header, table)
 
 
 def write_sweep_csv(pairs: list[tuple[int, float]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["width", "rmse"])
-        for width, value in pairs:
-            writer.writerow([width, f"{value:.6f}"])
+    write_csv(path, ["width", "rmse"], [(width, f"{value:.6f}") for width, value in pairs])
 
 
 def write_cross_section_csv(section: CrossSection, path: str | Path) -> None:
     names = list(section.profiles)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station"] + names)
-        for i, s in enumerate(section.stations):
-            writer.writerow(
-                [f"{s:.3f}"] + [f"{section.profiles[n][i]:.6f}" for n in names]
-            )
+    columns = zip(section.stations, *(section.profiles[n] for n in names))
+    table = [[f"{s:.3f}"] + [f"{v:.6f}" for v in values] for s, *values in columns]
+    write_csv(path, ["station"] + names, table)

@@ -37,7 +37,6 @@ load numpy alone.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +53,7 @@ from .raster import (
     label,
     sample_bilinear,
     trace_contours,
+    write_csv,
 )
 from .lines import LineSegment
 from .tophat import Tophat
@@ -680,8 +680,5 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
 
 
 def save_labeling_csv(problem: ContourProblem, labeling: Labeling, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "dx", "dy"])
-        for (x, y), (dx, dy) in zip(problem.points, labeling.offsets):
-            writer.writerow([int(x), int(y), int(dx), int(dy)])
+    rows = np.column_stack([problem.points, labeling.offsets]).tolist()
+    write_csv(path, ["x", "y", "dx", "dy"], rows)

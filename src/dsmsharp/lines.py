@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import GAUSSIAN_SIGMA_MAX, bresenham_line, dilate_mask, gaussian, read_text
+from .raster import GAUSSIAN_SIGMA_MAX, bresenham_line, dilate_mask, gaussian, read_text, write_csv
 from .tophat import Rung, TophatStack
 
 logger = logging.getLogger(__name__)
@@ -383,12 +383,7 @@ _CSV_HEADER = ["x1", "y1", "x2", "y2", "width_index"]
 
 
 def save_segments_csv(segments: list[LineSegment], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for s in segments:
-            width = "" if s.width_index is None else str(s.width_index)
-            writer.writerow([repr(s.p1[0]), repr(s.p1[1]), repr(s.p2[0]), repr(s.p2[1]), width])
+    write_csv(path, _CSV_HEADER, [(*s.p1, *s.p2, s.width_index) for s in segments])
 
 
 def load_segments_csv(path: str | Path, line_numbers: list | None = None) -> list[LineSegment]:

@@ -11,7 +11,6 @@ fixed constants, not settings. No other cell changes.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import Heightfield, finite_or_nodata
+from .raster import Heightfield, finite_or_nodata, write_csv
 from .lines import LineSegment
 
 logger = logging.getLogger(__name__)
@@ -138,7 +137,7 @@ def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:
     except np.linalg.LinAlgError:
         raise DegenerateGeometryError("degenerate geometry: singular normal system") from None
     a, b, c_centered = float(sol[0]), float(sol[1]), float(sol[2])
-    return PlaneParams(a, b, c_centered - a * x0 - b * y0)
+    return PlaneParams(a, b, float(c_centered - a * x0 - b * y0))
 
 
 def apply_plane(dsm: Heightfield, sample: SideSample, plane: PlaneParams) -> Heightfield:
@@ -163,7 +162,8 @@ def adjust_all(
     Later segments see earlier adjustments. Sides that cannot be fitted fall
     back to the constant plane at their mean height; empty sides are skipped.
     Only the side pixels change: the planes are written into one copy of the
-    DSM. ``debug_rows`` collects one fitted-plane record per side when given.
+    DSM. ``debug_rows`` collects one record per side when given: (x1, y1,
+    x2, y2, side, a, b, c, n_points) of the segment and the plane.
     """
     work = dsm.copy()
     for seg in segments:
@@ -186,19 +186,11 @@ def adjust_all(
                 raise ValueError("non-nodata cells must be finite")
             work.values[ys, xs] = heights
             if debug_rows is not None:
-                debug_rows.append(
-                    (
-                        repr(seg.p1[0]), repr(seg.p1[1]), repr(seg.p2[0]), repr(seg.p2[1]),
-                        sample.side, repr(plane.a), repr(plane.b), repr(plane.c), len(sample),
-                    )
-                )
+                row = (*seg.p1, *seg.p2, sample.side, plane.a, plane.b, plane.c, len(sample))
+                debug_rows.append(row)
     return work
 
 
 def save_planes_csv(rows: list[tuple], path: str | Path) -> None:
     """Debug dump: one row per fitted side, x1,y1,x2,y2,side,a,b,c,n_points."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "y1", "x2", "y2", "side", "a", "b", "c", "n_points"])
-        for row in rows:
-            writer.writerow(list(row))
+    write_csv(path, ["x1", "y1", "x2", "y2", "side", "a", "b", "c", "n_points"], rows)

@@ -6,14 +6,16 @@ the top image row; the ASCII-grid origin is the lower-left corner of the
 raster footprint. All containers are treated as immutable after
 construction, and every operation returns a new object except
 ``window_extreme``, which rewrites the work array it is given; so the
-containers are safe to share between threads.
+containers are safe to share between threads. Tables (segments, reports,
+debug dumps) are written by ``write_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -156,6 +158,17 @@ def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
         raise _not_utf8(path, line, data[exc.start], error) from None
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """The table as CSV in the csv module's default dialect (commas, \\r\\n
+    line ends): the header, then one line per row. The csv module turns each
+    value into text, so a float is its shortest exact decimal and None an
+    empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # an undecodable byte b read with errors="surrogateescape" becomes U+DC00 + b;
@@ -729,7 +742,9 @@ def bresenham_line(
     the classic error-accumulating loop. With ``box = (xmin, ymin, xmax,
     ymax)``, inclusive, only the walk's points inside the box are returned,
     in walk order. Only the steps whose major coordinate lies in the box are
-    formed, so however long the segment, the work follows the box.
+    formed, so however long the segment, the work follows the box. A walk
+    that misses the box is empty; one whose numbers would leave int64 (an
+    end beyond 2**62, or too many steps of a long walk) raises ValueError.
     """
     x0, y0, x1, y1 = int(x0), int(y0), int(x1), int(y1)
     ends = [(x0, x1), (y0, y1)]
@@ -743,6 +758,14 @@ def bresenham_line(
         # the steps whose major coordinate m0 + sm * k lies in [lo, hi]
         k_lo, k_hi = (lo - m0, hi - m0) if sm > 0 else (m0 - hi, m0 - lo)
         first, last = max(first, k_lo), min(last, k_hi)
+    # a walk that misses the box is empty however far away its ends lie,
+    # even where its step count would not fit int64
+    if first > last:
+        return np.empty((0, 2), dtype=np.int64)
+    # the ends bound every coordinate below, and 2a + 2b(last - first)
+    # bounds den and r + 2b * steps
+    if max(map(abs, (x0, y0, x1, y1))) > 2**62 or 2 * a + 2 * b * (last - first) >= 2**63:
+        raise ValueError(f"walk ({x0}, {y0}) -> ({x1}, {y1}) leaves int64")
     # counted from the first step, so the numbers stay as small as the box
     den = max(2 * a, 1)
     q, r = divmod(2 * b * first + a, den)

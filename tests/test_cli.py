@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -355,6 +356,19 @@ def test_sharpen_debug_dumps(small_scene, run_cli):
         "--out", small_scene["out"], "--debug", *SMALL_SCALE_ARGS,
     )
     assert (small_scene["out"] / "planes.csv").is_file()
+
+
+def test_planes_csv_holds_plain_floats(small_scene, run_cli):
+    _detect(small_scene, run_cli)
+    assert run_cli(
+        "sharpen", "--method", "planefit", "--dsm", small_scene["dsm"],
+        "--out", small_scene["out"], "--debug", *SMALL_SCALE_ARGS,
+    ) == 0
+    rows = (small_scene["out"] / "planes.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        a, b, c = row.split(",")[5:8]
+        assert [a, b, c] == [repr(float(a)), repr(float(b)), repr(float(c))], row
 
 
 def test_graphcut_uses_the_top_of_the_ladder(tmp_path, run_cli):
@@ -1548,6 +1562,77 @@ def test_bench_outputs_do_not_move(tmp_path, workload, seed):
                 assert cli.main(run._fill(argv, **dict(dirs, out=out))) == 0
             digests.append(run._digest(out)[:16])
     assert digests == BENCH_OUTPUTS[seed][workload]
+
+
+# SHA-256 of every file run-all writes with --debug and a cross-section, which
+# the benchmark's invocations never ask for: on the 64 px test scene, where
+# graph-cut moves nothing (offsets_dx equals offsets_dy), and on README's 256 px
+# scene, where it moves points
+DEBUG_OUTPUTS = {
+    "small": {
+        "adjusted_graphcut.asc": "e08e915c4e6acb92965f5bbe1d18226fba0705322e0fd2141cdfd1f11a5aa1fb",
+        "adjusted_planefit.asc": "8b1d63ef2bda1d6d59c9f80682c8e04be4745517419c159bcd1102c9313a0d42",
+        "boundary_contours.pgm": "992a81bdd50f14b930c72d4af7f6e32fe25f64d294c48797d1cc630b302a38a3",
+        "building_mask.pgm": "90c2a39b62eb3bf2c2e0477468692743c53dffab728d3fee88d0a75857b7779c",
+        "cross_section.csv": "4c3f027358f2b4bac1ad3032de9889b011dce783b99d3c21d0361520382df707",
+        "labeling.csv": "60c0440b1f8d352fcd49d6642172ed3876f12f4672419d2ac3116bc0f7eeb5aa",
+        "offsets_dx.asc": "bbe7e908adf5a6fca75b9ea14df8588b300e9bfcf8052e6cc385f0824971f283",
+        "offsets_dy.asc": "bbe7e908adf5a6fca75b9ea14df8588b300e9bfcf8052e6cc385f0824971f283",
+        "planes.csv": "f93fed5a5dd10f9fe8ab510b5736dac67230995cd7074c7ee9c9fc4ed892f461",
+        "rmse_report.csv": "1ff930b6e892edb5212245c7428864cf8d12975252ef46c627fde6f0ad6f0d70",
+        "segments_filtered.csv": "4357cd284e13f1c4794da19bd1fd53fc11c27183bad76e02d29fda272cdea2c6",
+        "segments_raw.csv": "9e04ee122f8407e4b8e8162e4b17c2c64a734632c4494ac68de1e887ba24b058",
+        "sweep_graphcut.csv": "b4c63baeec3d724781d5c25048377c4737c58eeef38b65066204c5497988b4dd",
+        "sweep_original.csv": "b4c63baeec3d724781d5c25048377c4737c58eeef38b65066204c5497988b4dd",
+        "sweep_planefit.csv": "1f8e59433821d1092695d1dea82cc0a0e524332d746e3c20486726c12e461f34",
+    },
+    "readme": {
+        "adjusted_graphcut.asc": "6571cd1461165b031df8063f79db834cc229afd354150fd7742f612c960ab403",
+        "adjusted_planefit.asc": "61a9c870f9ec3685d1d106a1b94c0abba65841dfa7957d18d1d796a071d9bed6",
+        "boundary_contours.pgm": "cf0fcd78a9133ec4dc5da8168b3d70af08cc87197f03af06bd12ba08490c8795",
+        "building_mask.pgm": "1b926b681676f89cf92bbc54db66f3a59d1f0be771efbe26b9a863ff2bae9455",
+        "cross_section.csv": "1f1e2c32e3f33021c2afdde6d8516406824ccdf232647434cf67f58cb767f8f1",
+        "labeling.csv": "795e6f65ca224698b0208bdf6252bd46277c35c4efe4295ab01fecb6b0f3c169",
+        "offsets_dx.asc": "e6f137c0b0d180a613ee26ce85266bf5e6efb0b0e9bce1b688500d615d821caf",
+        "offsets_dy.asc": "0642ebc24e436c876e1c835c8a5d50af53322ec053e097b865bdb765bef0eefd",
+        "planes.csv": "2cfe4b5c2912194b51726bad2f8f5306374a75a57f3a6dd828838b62c442a52a",
+        "rmse_report.csv": "794d8814353f98ac8a71ece34a660ce22a28e9bb5166568a6bd577d54b7b6293",
+        "segments_filtered.csv": "05044826e3864a961831d81d2da2d65963347faff26b65f7d10387971186f0c9",
+        "segments_raw.csv": "783df667f9cff99d8c46a888f2ec3c03e41bcd73e0c8c639fa313ee739f37911",
+        "sweep_graphcut.csv": "97826db7e6bb57dc232f6956a10d77aca66558d164c7edfb62e65e1fc572b03d",
+        "sweep_original.csv": "5278cb6059f53fb9f9954b4cd44f68598cfe4355ca14f97a6f448e804f3bafba",
+        "sweep_planefit.csv": "a4e98066aad0cca662b19288ae854e6a6cbb11d9b34d0608fe54dd21d5522550",
+    },
+}
+DEBUG_SCENES = {
+    "small": (None, SMALL_SCALE_ARGS, "5,32,58,32"),
+    "readme": (
+        SceneSpec(
+            dims=(256, 256), buildings=[Building((128, 128), (80, 80), 10.0)],
+            boundary_blur_sigma=2.0, noise_sigma=0.05, seed=7,
+        ),
+        (),
+        "40,128,216,128",
+    ),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(DEBUG_SCENES))
+def test_debug_outputs_do_not_move(small_scene, run_cli, scene):
+    spec, scale_args, section = DEBUG_SCENES[scene]
+    if spec is not None:
+        truth, smeared, ortho = synth.generate(spec)
+        raster.save_heightfield(truth, small_scene["truth"])
+        raster.save_heightfield(smeared, small_scene["dsm"])
+        raster.save_image(ortho, small_scene["ortho"])
+    assert run_cli(
+        "run-all", "--dsm", small_scene["dsm"], "--ortho", small_scene["ortho"],
+        "--truth", small_scene["truth"], "--method", "both", "--out", small_scene["out"],
+        "--debug", "--set", f"eval.section={section}", *scale_args,
+    ) == 0
+    files = sorted(small_scene["out"].iterdir())
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    assert digests == DEBUG_OUTPUTS[scene]
 
 
 def test_every_benchmark_invocation_parses(tmp_path):

@@ -1,6 +1,7 @@
 """No module of the package reaches into a sibling's private names: what
 one module uses of another is public. No module imports scipy when it is
-itself imported, and none imports scipy.spatial at all."""
+itself imported, and none imports scipy.spatial at all. Only raster writes
+CSV."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,20 @@ def test_no_module_imports_scipy_spatial(path):
     ]
     spatial = [(line, name) for line, name in names if name.split(".")[:2] == ["scipy", "spatial"]]
     assert spatial == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_raster_calls_csv_writer(path):
+    """raster.write_csv decides every table's text: its dialect, header and
+    how a value becomes a field."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "writer"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "csv"
+    ]
+    assert bool(calls) == (path.name == "raster.py"), calls

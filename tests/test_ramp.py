@@ -135,6 +135,13 @@ def test_side_bands_off_the_grid_adds_nothing():
         assert np.array_equal(both, gc.side_bands(dsm, [on_grid], 2))
 
 
+def test_side_bands_of_a_walk_past_int64_raise():
+    # it once marked 68 band pixels where the same direction at 1e6 marks 80
+    seg = LineSegment((0.0, 0.0), (1e18, 5e17))
+    with pytest.raises(ValueError, match=r"leaves int64"):
+        gc.side_bands(Heightfield(np.zeros((12, 12))), [seg])
+
+
 # its three-million-pixel walk used to take two seconds and 400 MB
 def test_side_bands_of_a_far_reaching_segment_walk_only_the_grid():
     n = 64

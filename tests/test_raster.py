@@ -246,6 +246,18 @@ def test_heightfield_rejects_non_finite_georeferencing(georef):
 
 
 # ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+
+def test_write_csv_bytes(tmp_path):
+    p = tmp_path / "t.csv"
+    row = ("a b", 3, 0.1, np.float64(17.262687636245108), None)
+    raster.write_csv(p, ["s", "i", "f", "np", "none"], [row])
+    assert p.read_bytes() == b"s,i,f,np,none\r\na b,3,0.1,17.262687636245108,\r\n"
+
+
+# ---------------------------------------------------------------------------
 # PGM / PPM
 # ---------------------------------------------------------------------------
 
@@ -690,6 +702,29 @@ def test_bresenham_box_forms_only_its_own_steps():
     # three million steps, 46 of them in the box
     pts = raster.bresenham_line(3_000_000, 11, 18, 10, box=(0, 0, 63, 63))
     assert pts.tolist() == [[x, 10] for x in range(63, 17, -1)]
+
+
+def test_bresenham_far_walk_gives_its_exact_points_in_the_box():
+    # the closed form depends on the slope alone, so the first 12 steps of
+    # the half-slope walk are those of the loop from (0, 0) to (22, 11)
+    pts = raster.bresenham_line(0, 0, 10**6, 5 * 10**5, box=(0, 0, 11, 11))
+    assert np.array_equal(pts, reference_bresenham(0, 0, 22, 11)[:12])
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [(0, 0, 10**18, 5 * 10**17), (0, 0, 4 * 10**18, 2 * 10**18), (-(10**19), 5, 5, 5)],
+    ids=["1e18", "4e18", "end-past-int64"],
+)
+def test_bresenham_walk_past_int64_is_rejected(ends):
+    # these once returned 9 points, or points off the line, or raised OverflowError
+    with pytest.raises(ValueError, match=r"leaves int64"):
+        raster.bresenham_line(*ends, box=(0, 0, 11, 11))
+
+
+def test_bresenham_walk_that_misses_the_box_is_empty():
+    pts = raster.bresenham_line(10**19, 0, 2 * 10**19, 3 * 10**18, box=(0, 0, 11, 11))
+    assert pts.dtype == np.int64 and pts.shape == (0, 2)
 
 
 def test_bilinear_ignores_nodata_of_zero_weight():
