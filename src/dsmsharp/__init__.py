@@ -52,9 +52,6 @@ from .lines import (
 )
 from .graphcut import (
     ContourProblem,
-    Labeling,
-    OffsetField,
-    OffsetLabel,
     build_problem,
     data_cost,
     energy,
@@ -70,7 +67,6 @@ from .planefit import (
     DegenerateGeometryError,
     InsufficientSupportError,
     PlaneParams,
-    SideSample,
     adjust_all,
     apply_plane,
     buffer_half_width,

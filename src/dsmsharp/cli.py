@@ -99,8 +99,9 @@ def lines_stage(dsm, ortho, building, contour_mask, cfg):
 
 def sharpen_stage(method, dsm, segments, ramps):
     """The DSM adjusted by one method, and the method's by-products: plane
-    fit's per-side rows, or graph-cut's (problem, labeling, offset field),
-    None when there are no ``ramps`` contours to move."""
+    fit's per-side rows, or graph-cut's (problem, offsets, dx, dy): its
+    problem, the (n, 2) offset of each contour point and the dense offset
+    grids; None when there are no ``ramps`` contours to move."""
     if method == "planefit":
         rows = []
         return pf.adjust_all(dsm, segments, debug_rows=rows), rows
@@ -109,19 +110,30 @@ def sharpen_stage(method, dsm, segments, ramps):
         logger.warning("no boundary contours; graph-cut leaves the DSM unchanged")
         return dsm.copy(), None
     problem = gc.build_problem(ground, roof, segments, dsm)
-    labeling = gc.minimize(problem)
-    field = gc.interpolate_offsets(problem, labeling)
-    return gc.warp_dsm(dsm, field), (problem, labeling, field)
+    offsets = gc.minimize(problem)
+    dx, dy = gc.interpolate_offsets(problem, offsets)
+    return gc.warp_dsm(dsm, dx, dy), (problem, offsets, dx, dy)
 
 
 def score_stage(truth, variants, contour_mask, widths):
     """name -> ev.report of each variant (all on the truth grid) over buffers
-    around ``contour_mask``; a scope without valid cells is named."""
+    around ``contour_mask``; a grid of another size, or a scope without
+    valid cells, is named."""
     if not contour_mask.any():
         raise ValueError(_NO_CONTOURS)
+    if contour_mask.shape != truth.values.shape:
+        raise ValueError(
+            f"the contour mask is {contour_mask.shape[1]}x{contour_mask.shape[0]} but the"
+            f" truth grid is {truth.width}x{truth.height}"
+        )
     distance = ev.boundary_distance(contour_mask)
     reports = {}
     for name, hf in variants.items():
+        if hf.values.shape != truth.values.shape:
+            raise ValueError(
+                f"variant {name!r} is {hf.width}x{hf.height} but the truth grid is"
+                f" {truth.width}x{truth.height}; resample_to puts it on the truth grid"
+            )
         try:
             reports[name] = ev.report(hf, truth, distance, widths)
         except ValueError:
@@ -191,8 +203,8 @@ def _sharpen_and_save(method, dsm, segments, ramps, out, debug):
         pf.save_planes_csv(extra, out / "planes.csv")
     elif debug and extra is not None:
         gc.save_labeling_csv(extra[0], extra[1], out / "labeling.csv")
-        raster.save_heightfield(dsm.like(extra[2].dx), out / "offsets_dx.asc")
-        raster.save_heightfield(dsm.like(extra[2].dy), out / "offsets_dy.asc")
+        raster.save_heightfield(dsm.like(extra[2]), out / "offsets_dx.asc")
+        raster.save_heightfield(dsm.like(extra[3]), out / "offsets_dy.asc")
     del extra  # graph-cut's offset field is two grids
     raster.save_heightfield(adjusted, out / f"adjusted_{method}.asc")
     logger.info("sharpen: wrote adjusted_%s.asc", method)

@@ -53,8 +53,9 @@ def nonblank_path(text: str) -> Path:
 
 
 def _tuple_of(conv):
-    """Converter for comma-separated values, each read with conv."""
-    return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
+    """Converter for comma-separated values, each read with conv; an empty
+    item is read too, so conv rejects it."""
+    return lambda text: tuple(conv(t.strip()) for t in text.split(","))
 
 
 # key -> (config attribute path, converter); a parameter group's keys are

@@ -27,7 +27,9 @@ at once (see minimize). The winning offsets are densified by Shepard's
 inverse-square weighting of each pixel's nearest anchors, found by an exact
 search of the integer offsets one squared distance at a time that takes
 every anchor tied at the last distance (see interpolate_offsets), and
-applied as a backward bilinear warp.
+applied as a backward bilinear warp. The steps hand each other plain
+arrays: the label set is (L, 2) and the solved offsets (n, 2), both int64
+(dx, dy) rows, and the dense field is two (h, w) float64 grids, dx and dy.
 
 The cuts are the package's only use of scipy: its sparse max-flow and
 breadth-first search. They are imported on first use, not with the module,
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -87,22 +88,12 @@ ROOF_FRACTION = 0.8
 HEIGHT_PERCENTILE = 95.0
 
 
-class OffsetLabel(NamedTuple):
-    dx: int
-    dy: int
-
-
-def offset_labels(radius: int = LABEL_RADIUS) -> list[OffsetLabel]:
-    """The (2r+1)^2 offset grid in row-major order; 121 labels at the default."""
-    return [
-        OffsetLabel(dx, dy)
-        for dy in range(-radius, radius + 1)
-        for dx in range(-radius, radius + 1)
-    ]
-
-
-def _label_array(labels) -> np.ndarray:
-    return np.asarray([(l[0], l[1]) for l in labels], dtype=np.int64)
+def offset_labels(radius: int = LABEL_RADIUS) -> np.ndarray:
+    """(L, 2) int64 (dx, dy) rows of the (2r+1)^2 offset grid in row-major
+    order, dy outer and dx inner; 121 labels at the default."""
+    r = np.arange(-radius, radius + 1, dtype=np.int64)
+    dy, dx = np.meshgrid(r, r, indexing="ij")
+    return np.column_stack([dx.ravel(), dy.ravel()])
 
 
 def data_costs(hit) -> np.ndarray:
@@ -157,27 +148,6 @@ class ContourProblem:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(eq=False)
-class Labeling:
-    """One offset per problem point; ``offsets`` is (n, 2) int (dx, dy)."""
-
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.offsets.shape[0]
-
-
-@dataclass(eq=False)
-class OffsetField:
-    """Dense per-pixel offsets, same shape as the DSM."""
-
-    dx: np.ndarray
-    dy: np.ndarray
 
 
 def _neighbor_pairs(spans, reach: int) -> np.ndarray:
@@ -359,11 +329,12 @@ def _data_cost_table(problem: ContourProblem, labels: np.ndarray) -> np.ndarray:
     return table
 
 
-def energy(problem: ContourProblem, labeling: Labeling) -> int:
-    """Total cost: data over all points plus smoothness over neighbour pairs."""
-    if len(labeling) != problem.size:
+def energy(problem: ContourProblem, offsets) -> int:
+    """Total cost of the (n, 2) int (dx, dy) offsets, one per point: data
+    over all points plus smoothness over neighbour pairs."""
+    offs = np.asarray(offsets, dtype=np.int64)
+    if len(offs) != problem.size:
         raise ValueError("labeling size does not match problem")
-    offs = labeling.offsets
     xs = problem.points[:, 0] + offs[:, 0]
     ys = problem.points[:, 1] + offs[:, 1]
     hit = _hits(problem, np.arange(problem.size), xs, ys)
@@ -458,8 +429,12 @@ def _expansion_move(problem, assign, alpha_idx, dtable, vtable, movable):
     return proposal
 
 
-def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = None) -> Labeling:
-    """Expansion-move descent from the all-zero labeling.
+def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = None) -> np.ndarray:
+    """Expansion-move descent from the all-zero labeling; returns the (n, 2)
+    int64 (dx, dy) offset of each point.
+
+    ``labels`` is an (L, 2) int array-like of (dx, dy) offsets that holds
+    the zero offset (ValueError otherwise); offset_labels() by default.
 
     Sweeps the label grid in fixed row-major order and accepts a move only
     when it strictly lowers the energy, so ties keep the incumbent and the
@@ -483,8 +458,9 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     too, so the labeling and the energy trace equal those of cutting every
     movable point at once.
     """
-    labels = offset_labels() if labels is None else list(labels)
-    larr = _label_array(labels)
+    larr = offset_labels() if labels is None else np.asarray(labels, dtype=np.int64)
+    if larr.ndim != 2 or larr.shape[1] != 2:
+        raise ValueError("labels must be an (L, 2) array of (dx, dy) offsets")
     zero_candidates = np.nonzero((larr[:, 0] == 0) & (larr[:, 1] == 0))[0]
     if len(zero_candidates) == 0:
         raise ValueError("label set must contain the zero offset")
@@ -521,7 +497,7 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
     improved = True
     while improved:
         improved = False
-        for alpha_idx in range(len(labels)):
+        for alpha_idx in range(len(larr)):
             bound = per_contour(np.minimum(current, dtable[alpha_idx])) + smooth_floor
             open_points = (bound < contour_energy)[contour_of]
             movable = assign != alpha_idx
@@ -541,7 +517,7 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
                 current, contour_energy = contour_state(assign)
                 if energy_trace is not None:
                     energy_trace.append(best)
-    return Labeling(larr[assign])
+    return larr[assign]
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +525,9 @@ def minimize(problem: ContourProblem, labels=None, energy_trace: list | None = N
 # ---------------------------------------------------------------------------
 
 
-def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetField:
-    """Densify sparse contour offsets to every pixel of the problem's grid.
+def interpolate_offsets(problem: ContourProblem, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Densify the (n, 2) (dx, dy) contour offsets, one per point, to every
+    pixel of the problem's grid: the (h, w) float64 grids dx and dy.
 
     Anchors are the contour pixels (with their solved offsets) plus every
     pixel at Chebyshev distance >= FAR_DISTANCE from all contour pixels
@@ -577,16 +554,16 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
     and a few grid-sized masks and counters, memory follows _PAIR_BLOCK
     (pixel, offset) pairs, or one pixel's shell when it is more.
     """
-    if len(labeling) != problem.size:
+    if len(offsets) != problem.size:
         raise ValueError("labeling size does not match problem")
     h, w = problem.line_buffer.shape[1:]
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
     if problem.size == 0:  # a reach past the empty mask's distance leaves no anchor
-        return OffsetField(dx, dy)
+        return dx, dy
 
     uniq, first = np.unique(problem.points, axis=0, return_index=True)
-    offs = labeling.offsets[first]
+    offs = np.asarray(offsets)[first]
     dx[uniq[:, 1], uniq[:, 0]] = offs[:, 0]
     dy[uniq[:, 1], uniq[:, 0]] = offs[:, 1]
 
@@ -636,7 +613,7 @@ def interpolate_offsets(problem: ContourProblem, labeling: Labeling) -> OffsetFi
         active = active[count[active] < k]
     np.divide(sum_dx, weight, out=sum_dx, where=band)
     np.divide(sum_dy, weight, out=sum_dy, where=band)
-    return OffsetField(dx, dy)
+    return dx, dy
 
 
 def _shell(q: int):
@@ -649,8 +626,10 @@ def _shell(q: int):
     return np.concatenate([dy, dy[dx > 0]]), np.concatenate([dx, -dx[dx > 0]])
 
 
-def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
-    """Backward-map the DSM through the offset field with bilinear sampling.
+def warp_dsm(dsm: Heightfield, dx: np.ndarray, dy: np.ndarray) -> Heightfield:
+    """Backward-map the DSM through the offset field, the DSM-shaped (h, w)
+    grids dx and dy, with bilinear sampling: pixel (x, y) samples the DSM
+    at (x - dx, y - dy).
 
     Sample positions clamp to the border; a sample whose bilinear support
     touches nodata becomes nodata. Only the pixels with a non-zero offset
@@ -661,15 +640,15 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
     the moved pixels' flat indices memory follows the block, not the grid.
     A non-finite offset of a moved pixel raises ValueError.
     """
-    if field.dx.shape != dsm.values.shape or field.dy.shape != dsm.values.shape:
+    if dx.shape != dsm.values.shape or dy.shape != dsm.values.shape:
         raise ValueError("offset field dimensions do not match the DSM")
     out = dsm.values + 0.0
     out[~dsm.valid_mask()] = dsm.nodata
     w = out.shape[1]
-    moved = np.flatnonzero((field.dx != 0) | (field.dy != 0))
+    moved = np.flatnonzero((dx != 0) | (dy != 0))
     for lo in range(0, moved.size, _WARP_BLOCK):
         ys, xs = np.divmod(moved[lo : lo + _WARP_BLOCK], w)
-        vals, valid = sample_bilinear(dsm, xs - field.dx[ys, xs], ys - field.dy[ys, xs])
+        vals, valid = sample_bilinear(dsm, xs - dx[ys, xs], ys - dy[ys, xs])
         out[ys, xs] = np.where(valid, vals, dsm.nodata)
     return dsm.like(out)
 
@@ -679,6 +658,6 @@ def warp_dsm(dsm: Heightfield, field: OffsetField) -> Heightfield:
 # ---------------------------------------------------------------------------
 
 
-def save_labeling_csv(problem: ContourProblem, labeling: Labeling, path: str | Path) -> None:
-    rows = np.column_stack([problem.points, labeling.offsets]).tolist()
+def save_labeling_csv(problem: ContourProblem, offsets, path: str | Path) -> None:
+    rows = np.column_stack([problem.points, offsets]).tolist()
     write_csv(path, ["x", "y", "dx", "dy"], rows)

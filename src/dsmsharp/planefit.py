@@ -44,26 +44,6 @@ class PlaneParams:
         return self.a * np.asarray(xs) + self.b * np.asarray(ys) + self.c
 
 
-@dataclass(eq=False)
-class SideSample:
-    """DSM pixels strictly on one side of a directed segment.
-
-    ``pixels`` is (n, 3) float64 with columns x, y, h; only non-nodata cells
-    are collected.
-    """
-
-    side: str  # "left" | "right"
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        self.pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 3)
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-
 def buffer_half_width(width_index: int) -> int:
     """Adaptive rectangle half width: min(3 * width, 30)."""
     if width_index < 1:
@@ -73,8 +53,10 @@ def buffer_half_width(width_index: int) -> int:
 
 def collect_side_pixels(
     dsm: Heightfield, segment: LineSegment, half_width: int
-) -> tuple[SideSample, SideSample]:
-    """Split the segment's rectangular buffer into left/right samples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the segment's rectangular buffer into its left and right
+    samples, each an (n, 3) float64 array of x, y, h rows of the DSM pixels
+    strictly on that side; only non-nodata cells are collected.
 
     The rectangle is the segment swept perpendicular by +-half_width with no
     extension past the endpoints. Sidedness comes from the sign of the cross
@@ -95,8 +77,7 @@ def collect_side_pixels(
     ymin = max(0, int(math.floor(min(y1, y2) - pad)))
     ymax = min(h - 1, int(math.ceil(max(y1, y2) + pad)))
     if xmin > xmax or ymin > ymax:
-        empty = np.empty((0, 3))
-        return SideSample("left", empty), SideSample("right", empty)
+        return np.empty((0, 3)), np.empty((0, 3))
 
     yy, xx = np.mgrid[ymin : ymax + 1, xmin : xmax + 1]
     rx = xx - x1
@@ -114,11 +95,12 @@ def collect_side_pixels(
 
     left = _side(cross > 0)
     right = _side(cross < 0)
-    return SideSample("left", left), SideSample("right", right)
+    return left, right
 
 
-def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:
-    """Least-squares plane through the sample via the normal equations.
+def fit_plane(sample: np.ndarray, min_points: int = 3) -> PlaneParams:
+    """Least-squares plane through the (n, 3) x, y, h sample via the normal
+    equations.
 
     Coordinates are centered before solving to keep the 3x3 system well
     conditioned; the returned parameters refer to the original coordinates.
@@ -126,7 +108,7 @@ def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:
     n = len(sample)
     if n < min_points:
         raise InsufficientSupportError(f"insufficient support: {n} < {min_points} points")
-    xs, ys, hs = sample.pixels[:, 0], sample.pixels[:, 1], sample.pixels[:, 2]
+    xs, ys, hs = sample[:, 0], sample[:, 1], sample[:, 2]
     x0, y0 = xs.mean(), ys.mean()
     a_mat = np.column_stack([xs - x0, ys - y0, np.ones(n)])
     ata = a_mat.T @ a_mat
@@ -140,17 +122,18 @@ def fit_plane(sample: SideSample, min_points: int = 3) -> PlaneParams:
     return PlaneParams(a, b, float(c_centered - a * x0 - b * y0))
 
 
-def apply_plane(dsm: Heightfield, sample: SideSample, plane: PlaneParams) -> Heightfield:
-    """Overwrite exactly the sample pixels with plane heights; returns a copy."""
+def apply_plane(dsm: Heightfield, sample: np.ndarray, plane: PlaneParams) -> Heightfield:
+    """Overwrite exactly the (n, 3) x, y, h sample's pixels with plane
+    heights; returns a copy."""
     out = dsm.values.copy()
     ys, xs, heights = _plane_cells(sample, plane)
     out[ys, xs] = heights
     return dsm.like(out)
 
 
-def _plane_cells(sample: SideSample, plane: PlaneParams):
+def _plane_cells(sample: np.ndarray, plane: PlaneParams):
     """Rows, columns and plane heights of the sample pixels."""
-    xs, ys = sample.pixels[:, 0], sample.pixels[:, 1]
+    xs, ys = sample[:, 0], sample[:, 1]
     return ys.astype(np.int64), xs.astype(np.int64), plane.evaluate(xs, ys)
 
 
@@ -170,7 +153,7 @@ def adjust_all(
         if seg.width_index is None:
             raise ValueError("segment is missing its width_index")
         half_width = buffer_half_width(seg.width_index)
-        for sample in collect_side_pixels(work, seg, half_width):
+        for side, sample in zip(("left", "right"), collect_side_pixels(work, seg, half_width)):
             if len(sample) == 0:
                 continue
             try:
@@ -178,15 +161,15 @@ def adjust_all(
             except (InsufficientSupportError, DegenerateGeometryError) as exc:
                 logger.warning(
                     "constant-plane fallback for %s side of %s -> %s: %s",
-                    sample.side, seg.p1, seg.p2, exc,
+                    side, seg.p1, seg.p2, exc,
                 )
-                plane = PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
+                plane = PlaneParams(0.0, 0.0, float(sample[:, 2].mean()))
             ys, xs, heights = _plane_cells(sample, plane)
             if not finite_or_nodata(heights, dsm.nodata):
                 raise ValueError("non-nodata cells must be finite")
             work.values[ys, xs] = heights
             if debug_rows is not None:
-                row = (*seg.p1, *seg.p2, sample.side, plane.a, plane.b, plane.c, len(sample))
+                row = (*seg.p1, *seg.p2, side, plane.a, plane.b, plane.c, len(sample))
                 debug_rows.append(row)
     return work
 

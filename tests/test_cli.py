@@ -592,6 +592,26 @@ def test_evaluate_empty_scope_names_variant_and_scope_and_writes_nothing(
     assert not small_scene["out"].exists()
 
 
+@pytest.mark.parametrize(
+    "variant_shape, mask_shape, error",
+    [
+        ((6, 6), (8, 8), "variant 'x' is 6x6 but the truth grid is 8x8; resample_to puts it on"
+                         " the truth grid"),
+        ((8, 8), (10, 9), "the contour mask is 9x10 but the truth grid is 8x8"),
+    ],
+    ids=["variant", "contour-mask"],
+)
+def test_score_stage_names_a_grid_off_the_truth(variant_shape, mask_shape, error):
+    # run-all and evaluate resample first; a library caller may not
+    truth = raster.Heightfield(np.zeros((8, 8)))
+    mask = np.zeros(mask_shape, bool)
+    mask[3, 3] = True
+    variants = {"x": raster.Heightfield(np.zeros(variant_shape))}
+    with pytest.raises(ValueError) as exc:
+        cli.score_stage(truth, variants, mask, (5,))
+    assert str(exc.value) == error
+
+
 def test_evaluate_without_buildings_writes_nothing(tmp_path, run_cli, capsys):
     flat = tmp_path / "flat.asc"
     raster.save_heightfield(raster.Heightfield(np.zeros((32, 32))), flat)
@@ -1065,6 +1085,9 @@ def _rejected_before_any_work(small_scene, run_cli, capsys, monkeypatch, setting
         "eval.buffer_widths=5,5",
         "eval.buffer_widths=",
         "eval.buffer_widths=,",
+        "eval.buffer_widths=5,,10",
+        "eval.buffer_widths=5,10,",
+        "eval.section=1,,2,3,4",
         "lines.boundary_buffer_radius=-1",
     ],
 )
@@ -1726,10 +1749,10 @@ def test_stage_functions_give_the_files_run_all_writes(small_scene, tmp_path, ru
     for method in ("graphcut", "planefit"):
         raster.save_heightfield(variants[method], mine / f"adjusted_{method}.asc")
     planefit.save_planes_csv(extras["planefit"], mine / "planes.csv")
-    problem, labeling, field = extras["graphcut"]
-    graphcut.save_labeling_csv(problem, labeling, mine / "labeling.csv")
-    raster.save_heightfield(dsm.like(field.dx), mine / "offsets_dx.asc")
-    raster.save_heightfield(dsm.like(field.dy), mine / "offsets_dy.asc")
+    problem, offsets, dx, dy = extras["graphcut"]
+    graphcut.save_labeling_csv(problem, offsets, mine / "labeling.csv")
+    raster.save_heightfield(dsm.like(dx), mine / "offsets_dx.asc")
+    raster.save_heightfield(dsm.like(dy), mine / "offsets_dy.asc")
     rows = [(cfg.region, name, rep) for name, rep in reports.items()]
     evaluate.write_report_csv(rows, mine / "rmse_report.csv", cfg.eval_widths)
     assert len(list(mine.iterdir())) == 11

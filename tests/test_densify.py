@@ -41,10 +41,10 @@ def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighb
     dx = np.zeros((h, w), dtype=np.float64)
     dy = np.zeros((h, w), dtype=np.float64)
     if problem.size == 0:
-        return gc.OffsetField(dx, dy)
+        return dx, dy
     uniq, first = np.unique(problem.points, axis=0, return_index=True)
     axs, ays = uniq[:, 0], uniq[:, 1]
-    offs = labeling.offsets[first]
+    offs = labeling[first]
     dx[ays, axs] = offs[:, 0]
     dy[ays, axs] = offs[:, 1]
     yy, xx = np.mgrid[0:h, 0:w]
@@ -70,14 +70,14 @@ def reference_interpolate_offsets(problem, labeling, far_distance=20, idw_neighb
             sum_dy += int(anchor_dy[shell].sum()) / q
         dx[y, x] = sum_dx / weight
         dy[y, x] = sum_dy / weight
-    return gc.OffsetField(dx, dy)
+    return dx, dy
 
 
-def reference_warp_dsm(dsm, field):
+def reference_warp_dsm(dsm, dx, dy):
     h, w = dsm.values.shape
     yy, xx = np.mgrid[0:h, 0:w]
-    sx = xx.astype(np.float64) - field.dx
-    sy = yy.astype(np.float64) - field.dy
+    sx = xx.astype(np.float64) - dx
+    sy = yy.astype(np.float64) - dy
     vals, valid = sample_bilinear(dsm, sx.ravel(), sy.ravel(), skip_nodata=False)
     out = np.where(valid, vals, dsm.nodata).reshape(h, w)
     return dsm.like(out)
@@ -103,7 +103,7 @@ def random_problem(rng, h, w, n_points, n_contours=3):
 def random_labeling(rng, n, radius=gc.LABEL_RADIUS):
     offsets = rng.integers(-radius, radius + 1, (n, 2))
     offsets[rng.random(n) < 0.3] = 0
-    return gc.Labeling(offsets)
+    return offsets
 
 
 def holey_dsm(rng, h, w):
@@ -119,7 +119,7 @@ def holey_dsm(rng, h, w):
 
 
 def same_field(a, b):
-    return a.dx.tobytes() == b.dx.tobytes() and a.dy.tobytes() == b.dy.tobytes()
+    return a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_data_cost_table_matches_reference(seed):
     rng = np.random.default_rng(seed)
     h, w = rng.integers(5, 40, 2)
     problem = random_problem(rng, h, w, int(rng.integers(3, 200)))
-    labels = gc._label_array(gc.offset_labels(int(rng.integers(1, 8))))
+    labels = gc.offset_labels(int(rng.integers(1, 8)))
     table = gc._data_cost_table(problem, labels)
     assert table.dtype == np.int64
     assert table.tobytes() == reference_data_cost_table(problem, labels).tobytes()
@@ -214,12 +214,12 @@ def test_interpolate_of_zero_labels_is_positive_zero(monkeypatch):
     # the warp samples only pixels with a non-zero offset; a zero labeling
     # must give +0.0 everywhere
     problem = random_problem(np.random.default_rng(3), 12, 12, 4, n_contours=2)
-    labeling = gc.Labeling(np.zeros((problem.size, 2), int))
+    labeling = np.zeros((problem.size, 2), int)
     monkeypatch.setattr(gc, "FAR_DISTANCE", 6)
     got = gc.interpolate_offsets(problem, labeling)
     want = reference_interpolate_offsets(problem, labeling, 6)
     assert same_field(got, want)
-    assert not np.signbit(got.dx).any() and not np.signbit(got.dy).any()
+    assert not np.signbit(got[0]).any() and not np.signbit(got[1]).any()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (2, 3), (3, 3)])
@@ -232,7 +232,7 @@ def test_interpolate_on_tiny_grids(monkeypatch, shape, far_distance):
     problem = gc.ContourProblem(
         np.array(points), [(0, 1, False)], np.zeros((1, h, w), bool), point_band=np.zeros(1, int),
     )
-    labeling = gc.Labeling(np.array([[3, -2]]))
+    labeling = np.array([[3, -2]])
     monkeypatch.setattr(gc, "FAR_DISTANCE", far_distance)
     for k in (1, 8):
         monkeypatch.setattr(gc, "IDW_NEIGHBORS", k)
@@ -281,7 +281,7 @@ def test_interpolate_does_not_depend_on_the_point_order(monkeypatch, seed, far_d
             problem.points[order], problem.contour_spans, problem.line_buffer,
             point_band=problem.point_band[order],
         )
-        got = gc.interpolate_offsets(shuffled, gc.Labeling(labeling.offsets[order]))
+        got = gc.interpolate_offsets(shuffled, labeling[order])
         assert same_field(got, want)
 
 
@@ -296,9 +296,9 @@ def test_transposed_problem_gives_the_transposed_field(monkeypatch, seed, far_di
         problem.points[:, ::-1], problem.contour_spans, problem.line_buffer.transpose(0, 2, 1),
         point_band=problem.point_band,
     )
-    got = gc.interpolate_offsets(transposed, gc.Labeling(labeling.offsets[:, ::-1]))
-    assert got.dx.tobytes() == np.ascontiguousarray(field.dy.T).tobytes()
-    assert got.dy.tobytes() == np.ascontiguousarray(field.dx.T).tobytes()
+    got = gc.interpolate_offsets(transposed, labeling[:, ::-1])
+    assert got[0].tobytes() == np.ascontiguousarray(field[1].T).tobytes()
+    assert got[1].tobytes() == np.ascontiguousarray(field[0].T).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def random_field(rng, h, w, moved_share):
     dy[still & (rng.random((h, w)) < 0.5)] = -0.0
     only_x = rng.random((h, w)) < 0.05  # one axis moves, the other is -0.0
     dx[only_x], dy[only_x] = 0.5, -0.0
-    return gc.OffsetField(dx, dy)
+    return dx, dy
 
 
 WARP_CASES = [(0, 0.0), (1, 0.1), (2, 0.5), (3, 1.0)]
@@ -343,8 +343,8 @@ def end_to_end_warp_case(monkeypatch):
 
 
 def warps_like_reference(dsm, field):
-    got = gc.warp_dsm(dsm, field)
-    return got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    got = gc.warp_dsm(dsm, *field)
+    return got.values.tobytes() == reference_warp_dsm(dsm, *field).values.tobytes()
 
 
 @pytest.mark.parametrize("seed, moved_share", WARP_CASES)
@@ -371,17 +371,17 @@ def test_warp_of_thin_grids_matches_reference(shape):
     dsm = Heightfield(vals, nodata=NODATA)
     for share in (0.0, 0.5, 1.0):
         field = random_field(rng, *shape, share)
-        got = gc.warp_dsm(dsm, field)
-        assert got.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+        got = gc.warp_dsm(dsm, *field)
+        assert got.values.tobytes() == reference_warp_dsm(dsm, *field).values.tobytes()
 
 
 def test_warp_zero_field_turns_negative_zero_positive():
     vals = np.array([[-0.0, 1.0, NODATA], [2.0, -0.0, -3.5]])
     dsm = Heightfield(vals, nodata=NODATA)
-    field = gc.OffsetField(np.full(vals.shape, -0.0), np.zeros(vals.shape))
-    out = gc.warp_dsm(dsm, field).values
+    dx, dy = np.full(vals.shape, -0.0), np.zeros(vals.shape)
+    out = gc.warp_dsm(dsm, dx, dy).values
     assert out.tobytes() == np.array([[0.0, 1.0, NODATA], [2.0, 0.0, -3.5]]).tobytes()
-    assert out.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    assert out.tobytes() == reference_warp_dsm(dsm, dx, dy).values.tobytes()
 
 
 def test_warp_next_to_an_infinite_nodata_hole():
@@ -391,7 +391,7 @@ def test_warp_next_to_an_infinite_nodata_hole():
     dx, dy = np.zeros((4, 4)), np.zeros((4, 4))
     dy[1, 1] = 1.0  # (1, 1) reads (1, 0), whose support holds the hole at (2, 1) at zero weight
     dy[2, 2] = 1.0  # (2, 2) reads the hole itself
-    out = gc.warp_dsm(dsm, gc.OffsetField(dx, dy)).values
+    out = gc.warp_dsm(dsm, dx, dy).values
     want = vals.copy()
     want[1, 1], want[2, 2] = 1.0, -np.inf
     assert out.tobytes() == want.tobytes()
@@ -408,7 +408,7 @@ def test_warp_rejects_a_non_finite_offset(bad):
     dx, dy = np.zeros((4, 4)), np.zeros((4, 4))
     dx[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        gc.warp_dsm(dsm, gc.OffsetField(dx, dy))
+        gc.warp_dsm(dsm, dx, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +436,10 @@ def test_warp_allocates_for_the_moved_band_not_the_grid():
     dy = np.zeros((n, n))
     dx[250:262, 100:400] = rng.normal(0.0, 2.0, (12, 300))
     dy[100:400, 250:262] = 1.5
-    field = gc.OffsetField(dx, dy)
-    out, peak = traced_peak(gc.warp_dsm, dsm, field)
+    out, peak = traced_peak(gc.warp_dsm, dsm, dx, dy)
     grid = n * n * 8
     assert peak - out.values.nbytes < 2 * grid
-    assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    assert out.values.tobytes() == reference_warp_dsm(dsm, dx, dy).values.tobytes()
 
 
 def test_warp_allocates_for_the_block_not_the_moved_pixels():
@@ -449,11 +448,11 @@ def test_warp_allocates_for_the_block_not_the_moved_pixels():
     n = 512
     rng = np.random.default_rng(7)
     dsm = Heightfield(rng.normal(10.0, 3.0, (n, n)))
-    field = gc.OffsetField(rng.normal(0.0, 2.0, (n, n)), np.full((n, n), 0.5))
-    out, peak = traced_peak(gc.warp_dsm, dsm, field)
+    dx, dy = rng.normal(0.0, 2.0, (n, n)), np.full((n, n), 0.5)
+    out, peak = traced_peak(gc.warp_dsm, dsm, dx, dy)
     grid = n * n * 8
     assert peak - out.values.nbytes < 2.5 * grid
-    assert out.values.tobytes() == reference_warp_dsm(dsm, field).values.tobytes()
+    assert out.values.tobytes() == reference_warp_dsm(dsm, dx, dy).values.tobytes()
 
 
 def square_ring(c, s):
@@ -478,8 +477,8 @@ def test_interpolate_memory_follows_the_block_not_the_band():
         np.zeros((1, n, n), bool), point_band=np.zeros(len(points), int),
     )
     labeling = random_labeling(rng, problem.size)
-    field, peak = traced_peak(gc.interpolate_offsets, problem, labeling)
-    outputs = field.dx.nbytes + field.dy.nbytes
+    (dx, dy), peak = traced_peak(gc.interpolate_offsets, problem, labeling)
+    outputs = dx.nbytes + dy.nbytes
     # per pixel: the int32 distances and counts, a float64 weight, two masks
     # and the int64 list of open pixels (26 bytes, at most 28); per pair of
     # the block: eight int64 or float64 temporaries

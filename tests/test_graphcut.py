@@ -40,16 +40,18 @@ LABELS3 = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 def test_label_grid_has_121_members():
     labels = gc.offset_labels()
     assert len(labels) == 121
-    assert len(set(labels)) == 121
-    assert all(-5 <= l.dx <= 5 and -5 <= l.dy <= 5 for l in labels)
+    assert len({tuple(l) for l in labels.tolist()}) == 121
+    assert (np.abs(labels) <= 5).all()
 
 
 def test_label_grid_row_major_order():
     labels = gc.offset_labels()
-    assert labels[0] == (-5, -5)
-    assert labels[1] == (-4, -5)
-    assert labels[60] == (0, 0)
-    assert labels[-1] == (5, 5)
+    assert labels.shape == (121, 2) and labels.dtype == np.int64
+    assert labels.tolist() == [[dx, dy] for dy in range(-5, 6) for dx in range(-5, 6)]
+    assert tuple(labels[0]) == (-5, -5)
+    assert tuple(labels[1]) == (-4, -5)
+    assert tuple(labels[60]) == (0, 0)
+    assert tuple(labels[-1]) == (5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +160,8 @@ def test_energy_single_point_no_pairs():
     buf[5, 5] = True
     prob = small_problem([(5, 5)], buf, closed=False)
     assert len(prob.pairs) == 0
-    assert gc.energy(prob, gc.Labeling(np.array([[0, 0]]))) == 0
-    assert gc.energy(prob, gc.Labeling(np.array([[1, 0]]))) == 10
+    assert gc.energy(prob, np.array([[0, 0]])) == 0
+    assert gc.energy(prob, np.array([[1, 0]])) == 10
 
 
 def test_energy_three_point_closed_contour():
@@ -167,7 +169,7 @@ def test_energy_three_point_closed_contour():
     prob = small_problem([(2, 2), (3, 2), (3, 3)], buf, closed=True)
     # reach 8 with 3 points: each unordered pair once
     assert len(prob.pairs) == 3
-    labeling = gc.Labeling(np.tile([(1, 1)], (3, 1)))
+    labeling = np.tile([(1, 1)], (3, 1))
     assert gc.energy(prob, labeling) == 6
 
 
@@ -180,17 +182,16 @@ def test_energy_matches_scalar_resummation():
         closed = bool(rng.integers(0, 2))
         prob = small_problem(pts, buf, closed=closed)
         offs = rng.integers(-5, 6, (n, 2))
-        labeling = gc.Labeling(offs)
         total = sum(gc.data_cost(prob, i, offs[i]) for i in range(n))
         for a, b in prob.pairs:
             total += gc.smooth_cost(offs[a], offs[b])
-        assert gc.energy(prob, labeling) == total
+        assert gc.energy(prob, offs) == total
 
 
 def test_energy_size_mismatch():
     prob = small_problem([(1, 1), (2, 2)], np.zeros((5, 5), bool), closed=False)
     with pytest.raises(ValueError):
-        gc.energy(prob, gc.Labeling(np.zeros((3, 2), int)))
+        gc.energy(prob, np.zeros((3, 2), int))
 
 
 def test_neighbor_pairs_open_contour_reach():
@@ -223,7 +224,7 @@ def test_zero_labeling_kept_when_already_in_buffer():
         buf[y, x] = True
     prob = small_problem(pts, buf, closed=False)
     labeling = gc.minimize(prob)
-    assert (labeling.offsets == 0).all()
+    assert (labeling == 0).all()
 
 
 def test_single_point_unique_shift_found():
@@ -231,7 +232,7 @@ def test_single_point_unique_shift_found():
     buf[10, 12] = True  # only (dx, dy) = (2, 0) hits
     prob = small_problem([(10, 10)], buf, closed=False)
     labeling = gc.minimize(prob)
-    assert tuple(labeling.offsets[0]) == (2, 0)
+    assert tuple(labeling[0]) == (2, 0)
     assert gc.energy(prob, labeling) == 0
 
 
@@ -245,9 +246,9 @@ def test_minimize_never_worse_than_zero_and_matches_brute_force():
         prob = small_problem(pts, buf, closed=bool(rng.integers(0, 2)))
         labeling = gc.minimize(prob, labels=LABELS3)
         got = gc.energy(prob, labeling)
-        zero = gc.energy(prob, gc.Labeling(np.zeros((n, 2), int)))
+        zero = gc.energy(prob, np.zeros((n, 2), int))
         assert got <= zero
-        best = brute_force_energy(prob, gc._label_array(LABELS3))
+        best = brute_force_energy(prob, np.array(LABELS3))
         if best > 0:
             worst_gap = max(worst_gap, (got - best) / best)
     assert worst_gap <= 0.05
@@ -271,15 +272,19 @@ def test_rigid_offset_instance_reaches_zero_data_cost():
         buf[y - 2, x + 3] = True  # whole contour shifted by (3, -2)
     prob = small_problem(pts, buf, closed=False)
     labeling = gc.minimize(prob)
-    data_total = sum(gc.data_cost(prob, i, labeling.offsets[i]) for i in range(prob.size))
+    data_total = sum(gc.data_cost(prob, i, labeling[i]) for i in range(prob.size))
     assert data_total == 0
-    assert (labeling.offsets == (3, -2)).all()
+    assert (labeling == (3, -2)).all()
 
 
 def test_minimize_requires_zero_label():
     prob = small_problem([(2, 2)], np.zeros((5, 5), bool), closed=False)
     with pytest.raises(ValueError):
         gc.minimize(prob, labels=[(1, 0), (0, 1)])
+    # neither an empty label set nor one of other than two columns is an (L, 2) array
+    for labels in ([], [(0, 0, 0)]):
+        with pytest.raises(ValueError, match=r"\(L, 2\)"):
+            gc.minimize(prob, labels=labels)
 
 
 def test_minimize_deterministic_across_runs():
@@ -287,8 +292,8 @@ def test_minimize_deterministic_across_runs():
     pts = np.column_stack([rng.integers(2, 22, 18), rng.integers(2, 22, 18)])
     buf = rng.random((26, 26)) < 0.3
     prob = small_problem(pts, buf, closed=True)
-    first = gc.minimize(prob).offsets
-    second = gc.minimize(prob).offsets
+    first = gc.minimize(prob)
+    second = gc.minimize(prob)
     assert np.array_equal(first, second)
 
 
@@ -296,7 +301,7 @@ def test_minimize_all_uniform_costs_keeps_zero():
     # every move graph degenerates to zero capacities; nothing improves
     prob = small_problem([(5, 5), (6, 5), (7, 5)], np.zeros((12, 12), bool), closed=False)
     labeling = gc.minimize(prob)
-    assert (labeling.offsets == 0).all()
+    assert (labeling == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +312,19 @@ def test_minimize_all_uniform_costs_keeps_zero():
 def test_interpolate_all_zero_labels_gives_zero_field():
     pts = [(x, 10) for x in range(5, 15)]
     prob = small_problem(pts, np.zeros((20, 20), bool), closed=False)
-    labeling = gc.Labeling(np.zeros((len(pts), 2), int))
-    field = gc.interpolate_offsets(prob, labeling)
-    assert np.allclose(field.dx, 0) and np.allclose(field.dy, 0)
+    labeling = np.zeros((len(pts), 2), int)
+    dx, dy = gc.interpolate_offsets(prob, labeling)
+    assert np.allclose(dx, 0) and np.allclose(dy, 0)
 
 
 def test_interpolate_exact_at_anchors():
     pts = [(x, 10) for x in range(5, 15)]
     prob = small_problem(pts, np.zeros((48, 48), bool), closed=False)
     offs = np.array([[(i % 3) - 1, 1] for i in range(len(pts))])
-    field = gc.interpolate_offsets(prob, gc.Labeling(offs))
+    field_dx, field_dy = gc.interpolate_offsets(prob, offs)
     for (x, y), (dx, dy) in zip(pts, offs):
-        assert field.dx[y, x] == dx
-        assert field.dy[y, x] == dy
+        assert field_dx[y, x] == dx
+        assert field_dy[y, x] == dy
 
 
 def test_interpolate_midpoint_between_two_anchors(monkeypatch):
@@ -329,42 +334,42 @@ def test_interpolate_midpoint_between_two_anchors(monkeypatch):
     h, w = 3, 25
     pts = [(2, 1)]
     prob = small_problem(pts, np.zeros((h, w), bool), closed=False)
-    labeling = gc.Labeling(np.array([[4, 0]]))
-    field = gc.interpolate_offsets(prob, labeling)
+    labeling = np.array([[4, 0]])
+    dx, dy = gc.interpolate_offsets(prob, labeling)
     # probe (12, 1): contour anchor at distance 10, zero anchor (22, 1) at 10
-    assert abs(field.dx[1, 12] - 2.0) < 1e-6
-    assert abs(field.dy[1, 12]) < 1e-6
+    assert abs(dx[1, 12] - 2.0) < 1e-6
+    assert abs(dy[1, 12]) < 1e-6
 
 
 def test_interpolate_reads_far_distance_when_called(monkeypatch):
-    labeling = gc.Labeling(np.array([[1, 0]]))
+    labeling = np.array([[1, 0]])
     prob = small_problem([(2, 1)], np.zeros((6, 9), bool), closed=False)
     # reach 0: every pixel off the contour is a zero anchor
     monkeypatch.setattr(gc, "FAR_DISTANCE", 0)
-    field = gc.interpolate_offsets(prob, labeling)
-    assert field.dx[1, 2] == 1 and np.count_nonzero(field.dx) == 1
+    dx, _ = gc.interpolate_offsets(prob, labeling)
+    assert dx[1, 2] == 1 and np.count_nonzero(dx) == 1
     # reach 2: the ring around the point blends in its offset
     monkeypatch.setattr(gc, "FAR_DISTANCE", 2)
-    field = gc.interpolate_offsets(prob, labeling)
-    assert 0 < field.dx[1, 3] < 1 and field.dx[1, 4] == 0
+    dx, _ = gc.interpolate_offsets(prob, labeling)
+    assert 0 < dx[1, 3] < 1 and dx[1, 4] == 0
 
 
 def test_interpolate_takes_the_grid_of_the_problem():
-    labeling = gc.Labeling(np.array([[1, 0]]))
+    labeling = np.array([[1, 0]])
     for shape in ((6, 9), (9, 6)):
         prob = small_problem([(2, 1)], np.zeros(shape, bool), closed=False)
-        field = gc.interpolate_offsets(prob, labeling)
-        assert field.dx.shape == field.dy.shape == shape
-        assert field.dx[1, 2] == 1 and field.dy[1, 2] == 0
+        dx, dy = gc.interpolate_offsets(prob, labeling)
+        assert dx.shape == dy.shape == shape
+        assert dx[1, 2] == 1 and dy[1, 2] == 0
 
 
 def test_interpolate_without_points_gives_the_zero_field():
     prob = gc.ContourProblem(
         np.zeros((0, 2), int), [], np.zeros((1, 5, 7), bool), point_band=np.zeros(0, int)
     )
-    field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
-    assert field.dx.shape == field.dy.shape == (5, 7)
-    assert not field.dx.any() and not field.dy.any()
+    dx, dy = gc.interpolate_offsets(prob, np.zeros((0, 2), int))
+    assert dx.shape == dy.shape == (5, 7)
+    assert not dx.any() and not dy.any()
 
 
 def test_interpolate_without_points_at_a_reach_past_every_distance(monkeypatch):
@@ -374,8 +379,8 @@ def test_interpolate_without_points_at_a_reach_past_every_distance(monkeypatch):
     prob = gc.ContourProblem(
         np.zeros((0, 2), int), [], np.zeros((1, 5, 7), bool), point_band=np.zeros(0, int)
     )
-    field = gc.interpolate_offsets(prob, gc.Labeling(np.zeros((0, 2), int)))
-    assert not field.dx.any() and not field.dy.any()
+    dx, dy = gc.interpolate_offsets(prob, np.zeros((0, 2), int))
+    assert not dx.any() and not dy.any()
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +391,7 @@ def test_interpolate_without_points_at_a_reach_past_every_distance(monkeypatch):
 def test_warp_zero_field_is_identity():
     rng = np.random.default_rng(41)
     dsm = Heightfield(rng.normal(size=(15, 17)))
-    field = gc.OffsetField(np.zeros((15, 17)), np.zeros((15, 17)))
-    out = gc.warp_dsm(dsm, field)
+    out = gc.warp_dsm(dsm, np.zeros((15, 17)), np.zeros((15, 17)))
     assert np.array_equal(out.values, dsm.values)
 
 
@@ -395,8 +399,7 @@ def test_warp_constant_shift_on_ramp():
     h, w = 12, 16
     vals = np.tile(np.arange(w, dtype=float), (h, 1))  # h = x
     dsm = Heightfield(vals)
-    field = gc.OffsetField(np.ones((h, w)), np.zeros((h, w)))
-    out = gc.warp_dsm(dsm, field)
+    out = gc.warp_dsm(dsm, np.ones((h, w)), np.zeros((h, w)))
     assert np.allclose(out.values[:, 1:], vals[:, 1:] - 1.0)
     assert np.allclose(out.values[:, 0], 0.0)  # clamped at the border
 
@@ -405,8 +408,7 @@ def test_warp_propagates_nodata():
     vals = np.ones((8, 8))
     vals[4, 4] = -9999.0
     dsm = Heightfield(vals)
-    field = gc.OffsetField(np.full((8, 8), 0.5), np.zeros((8, 8)))
-    out = gc.warp_dsm(dsm, field)
+    out = gc.warp_dsm(dsm, np.full((8, 8), 0.5), np.zeros((8, 8)))
     # bilinear support of (4,4) and (5,4) both touch the nodata cell
     assert out.values[4, 4] == dsm.nodata
     assert out.values[4, 5] == dsm.nodata
@@ -420,20 +422,20 @@ def test_warp_zero_field_keeps_a_holey_dsm():
     vals[7, 2] = -9999.0  # last row and column: their samples lean on the inner neighbour
     vals[1, 7] = -9999.0
     dsm = Heightfield(vals)
-    out = gc.warp_dsm(dsm, gc.OffsetField(np.zeros((8, 8)), np.zeros((8, 8))))
+    out = gc.warp_dsm(dsm, np.zeros((8, 8)), np.zeros((8, 8)))
     assert np.array_equal(out.values, dsm.values)
 
 
 def test_warp_dimension_mismatch():
     dsm = Heightfield(np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        gc.warp_dsm(dsm, gc.OffsetField(np.zeros((5, 4)), np.zeros((5, 4))))
+        gc.warp_dsm(dsm, np.zeros((5, 4)), np.zeros((5, 4)))
 
 
 def test_labeling_csv_dump(tmp_path):
     pts = [(3, 4), (4, 4)]
     prob = small_problem(pts, np.zeros((8, 8), bool), closed=False)
-    labeling = gc.Labeling(np.array([[1, -2], [0, 0]]))
+    labeling = np.array([[1, -2], [0, 0]])
     path = tmp_path / "labeling.csv"
     gc.save_labeling_csv(prob, labeling, path)
     assert path.read_text().splitlines() == ["x,y,dx,dy", "3,4,1,-2", "4,4,0,0"]

@@ -106,18 +106,18 @@ def reference_adjust_all(dsm, segments, debug_rows):
     work = dsm.copy()
     for seg in segments:
         half_width = pf.buffer_half_width(seg.width_index)
-        for sample in pf.collect_side_pixels(work, seg, half_width):
+        for side, sample in zip(("left", "right"), pf.collect_side_pixels(work, seg, half_width)):
             if len(sample) == 0:
                 continue
             try:
                 plane = pf.fit_plane(sample)
             except (pf.InsufficientSupportError, pf.DegenerateGeometryError):
-                plane = pf.PlaneParams(0.0, 0.0, float(sample.pixels[:, 2].mean()))
+                plane = pf.PlaneParams(0.0, 0.0, float(sample[:, 2].mean()))
             work = pf.apply_plane(work, sample, plane)
             debug_rows.append(
                 (
                     seg.p1[0], seg.p1[1], seg.p2[0], seg.p2[1],
-                    sample.side, plane.a, plane.b, plane.c, len(sample),
+                    side, plane.a, plane.b, plane.c, len(sample),
                 )
             )
     return work

@@ -1,7 +1,7 @@
 """No module of the package reaches into a sibling's private names: what
 one module uses of another is public. No module imports scipy when it is
 itself imported, and none imports scipy.spatial at all. Only raster writes
-CSV."""
+CSV. The names the package exports are pinned."""
 
 import ast
 from pathlib import Path
@@ -85,3 +85,50 @@ def test_only_raster_calls_csv_writer(path):
         and node.func.value.id == "csv"
     ]
     assert bool(calls) == (path.name == "raster.py"), calls
+
+
+# module -> the names ``dsmsharp/__init__.py`` imports from it, in its order
+PUBLIC_NAMES = {
+    "raster": [
+        "Contour", "GridFormatError", "Heightfield", "ImageFormatError", "RasterImage",
+        "bresenham_line", "dilate", "dilate_mask", "erode", "grayscale", "load_heightfield",
+        "load_image", "load_mask", "rasterize_contours", "save_heightfield", "save_image",
+        "save_mask", "trace_contours",
+    ],
+    "tophat": [
+        "Rung", "Tophat", "TophatParams", "TophatStack", "boundary_contours", "build_stack",
+        "ladder", "top_tophat", "white_tophat",
+    ],
+    "lines": [
+        "DetectorParams", "LineSegment", "UnmatchedSegmentError", "assign_widths",
+        "detect_segments", "estimate_width", "filter_segments", "load_segments_csv",
+        "save_segments_csv",
+    ],
+    "graphcut": [
+        "ContourProblem", "build_problem", "data_cost", "energy", "interpolate_offsets",
+        "minimize", "offset_labels", "ramp_contours", "side_bands", "smooth_cost", "warp_dsm",
+    ],
+    "planefit": [
+        "DegenerateGeometryError", "InsufficientSupportError", "PlaneParams", "adjust_all",
+        "apply_plane", "buffer_half_width", "collect_side_pixels", "fit_plane",
+    ],
+    "evaluate": [
+        "CrossSection", "RmseReport", "boundary_distance", "cross_section", "resample_to",
+        "rmse", "sweep",
+    ],
+    "synth": ["Building", "SceneSpec", "generate"],
+    "config": ["PipelineConfig", "build_config"],
+}
+
+
+def test_public_names_are_pinned():
+    """Adding or removing an exported name is a deliberate change: it edits
+    this table too."""
+    path = Path(dsmsharp.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {
+        node.module: [alias.name for alias in node.names]
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert imported == PUBLIC_NAMES

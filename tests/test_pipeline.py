@@ -22,7 +22,7 @@ def run_front_end(spec, tophat_params):
 def run_graphcut(dsm, segments, tophat_params):
     """The CLI's graph-cut stage on the ramps of the DSM's top-scale tophat."""
     ramps = graphcut.ramp_contours(tophat.top_tophat(dsm, tophat_params))
-    warped, (problem, labeling, _) = sharpen_stage("graphcut", dsm, segments, ramps)
+    warped, (problem, labeling, _, _) = sharpen_stage("graphcut", dsm, segments, ramps)
     return problem, labeling, warped
 
 
@@ -65,7 +65,7 @@ def test_two_buildings_give_two_contours_and_eight_segments():
     problem, labeling, warped = run_graphcut(smeared, filtered, params)
     assert len(problem.contour_spans) == 4  # a ground and a roof contour each
     # ramps already inside their bands on the image lines: zero offsets, identity warp
-    assert (labeling.offsets == 0).all()
+    assert (labeling == 0).all()
     assert np.array_equal(warped.values, smeared.values)
 
 
@@ -132,9 +132,9 @@ def test_graphcut_corrects_displaced_boundary():
     _, segments, _ = lines_stage(rolled, ortho, top.mask, cmask, cfg)
     assert len(segments) == 4
     problem, labeling, warped = run_graphcut(rolled, segments, params)
-    assert (labeling.offsets != 0).any(axis=1).all()
+    assert (labeling != 0).any(axis=1).all()
     assert graphcut.energy(problem, labeling) < graphcut.energy(
-        problem, graphcut.Labeling(np.zeros((problem.size, 2), int))
+        problem, np.zeros((problem.size, 2), int)
     )
     scope = raster.dilate_mask(cmask, 5)
     assert evaluate.rmse(warped, truth, scope) < 0.5 * evaluate.rmse(rolled, truth, scope)

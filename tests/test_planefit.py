@@ -8,12 +8,11 @@ from dsmsharp.planefit import (
     DegenerateGeometryError,
     InsufficientSupportError,
     PlaneParams,
-    SideSample,
 )
 
 
 def sample_of(points):
-    return SideSample("left", np.asarray(points, dtype=float))
+    return np.asarray(points, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +49,15 @@ def test_collect_sides_vertical_segment():
     dsm = Heightfield(np.arange(121, dtype=float).reshape(11, 11))
     seg = LineSegment((5.0, 0.0), (5.0, 10.0))
     left, right = pf.collect_side_pixels(dsm, seg, 2)
-    left_cols = sorted(set(left.pixels[:, 0].astype(int)))
-    right_cols = sorted(set(right.pixels[:, 0].astype(int)))
+    left_cols = sorted(set(left[:, 0].astype(int)))
+    right_cols = sorted(set(right[:, 0].astype(int)))
     assert left_cols == [3, 4]
     assert right_cols == [6, 7]
-    assert sorted(set(left.pixels[:, 1].astype(int))) == list(range(11))
-    assert len(left) == 22 and len(right) == 22
+    assert sorted(set(left[:, 1].astype(int))) == list(range(11))
+    assert left.shape == right.shape == (22, 3)
+    assert left.dtype == right.dtype == np.float64
     # heights echo the raster
-    for x, y, h in left.pixels:
+    for x, y, h in left:
         assert h == dsm.values[int(y), int(x)]
 
 
@@ -66,7 +66,7 @@ def test_collect_sides_excludes_line_pixels():
     seg = LineSegment((5.0, 0.0), (5.0, 10.0))
     left, right = pf.collect_side_pixels(dsm, seg, 3)
     for sample in (left, right):
-        assert not (sample.pixels[:, 0] == 5).any()
+        assert not (sample[:, 0] == 5).any()
 
 
 def test_collect_sides_clips_to_raster():
@@ -74,21 +74,21 @@ def test_collect_sides_clips_to_raster():
     seg = LineSegment((0.0, 0.0), (0.0, 10.0))
     left, right = pf.collect_side_pixels(dsm, seg, 1)
     assert len(left) == 0  # left of the segment is off-raster
-    assert sorted(set(right.pixels[:, 0].astype(int))) == [1]
+    assert sorted(set(right[:, 0].astype(int))) == [1]
 
 
 def test_collect_sides_of_a_rectangle_off_the_grid_are_empty():
     dsm = Heightfield(np.zeros((10, 10)))
     left, right = pf.collect_side_pixels(dsm, LineSegment((30.0, 2.0), (40.0, 2.0)), 3)
-    assert (left.side, right.side) == ("left", "right")
-    assert left.pixels.shape == right.pixels.shape == (0, 3)
+    assert left.shape == right.shape == (0, 3)
+    assert left.dtype == right.dtype == np.float64
 
 
 def test_collect_sides_respects_endpoints():
     dsm = Heightfield(np.zeros((20, 20)))
     seg = LineSegment((10.0, 5.0), (10.0, 9.0))
     left, right = pf.collect_side_pixels(dsm, seg, 2)
-    ys = np.concatenate([left.pixels[:, 1], right.pixels[:, 1]])
+    ys = np.concatenate([left[:, 1], right[:, 1]])
     assert ys.min() >= 5 and ys.max() <= 9
 
 
@@ -98,7 +98,7 @@ def test_collect_sides_skips_nodata():
     dsm = Heightfield(vals)
     seg = LineSegment((5.0, 0.0), (5.0, 10.0))
     left, _ = pf.collect_side_pixels(dsm, seg, 2)
-    coords = {(int(x), int(y)) for x, y, _ in left.pixels}
+    coords = {(int(x), int(y)) for x, y, _ in left}
     assert (3, 4) not in coords
     assert len(left) == 21
 
@@ -107,8 +107,8 @@ def test_sides_disjoint():
     dsm = Heightfield(np.zeros((16, 16)))
     seg = LineSegment((3.0, 2.0), (12.0, 13.0))
     left, right = pf.collect_side_pixels(dsm, seg, 4)
-    lc = {(int(x), int(y)) for x, y, _ in left.pixels}
-    rc = {(int(x), int(y)) for x, y, _ in right.pixels}
+    lc = {(int(x), int(y)) for x, y, _ in left}
+    rc = {(int(x), int(y)) for x, y, _ in right}
     assert not (lc & rc)
 
 
@@ -180,7 +180,7 @@ def test_apply_constant_plane():
 
 def test_apply_an_empty_sample_returns_an_equal_copy():
     dsm = Heightfield(np.random.default_rng(61).normal(size=(6, 9)))
-    out = pf.apply_plane(dsm, SideSample("left", np.zeros((0, 3))), PlaneParams(1, 2, 3))
+    out = pf.apply_plane(dsm, np.zeros((0, 3)), PlaneParams(1, 2, 3))
     assert out.values is not dsm.values
     assert out.values.tobytes() == dsm.values.tobytes()
 
@@ -230,7 +230,7 @@ def side_cells(dsm, segments):
     region = np.zeros(dsm.values.shape, bool)
     for seg in segments:
         for s in pf.collect_side_pixels(dsm, seg, pf.buffer_half_width(seg.width_index)):
-            region[s.pixels[:, 1].astype(int), s.pixels[:, 0].astype(int)] = True
+            region[s[:, 1].astype(int), s[:, 0].astype(int)] = True
     return region
 
 
